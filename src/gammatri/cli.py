@@ -49,12 +49,6 @@ def _load_subdivision(path: str) -> Subdivision:
         raise CliError(f"{path}: {exc}")
 
 
-def _triangle_bundle(F, d):
-    H = transforms.H_from_F(F, d)
-    gt = transforms.Gamma_from_H(H, d)
-    return H, gt
-
-
 def _print_triangles(F, H, gt: GammaTriangle, d: int, out: str) -> None:
     vec = gt.row_sums()
     if out in ("table", "both"):
@@ -95,7 +89,8 @@ def cmd_triangles(args) -> int:
         d = len(s.index_set)
     F = subdivisions.f_triangle(sph)
     try:
-        H, gt = _triangle_bundle(F, d)
+        H = transforms.H_from_F(F, d)
+        gt = transforms.Gamma_from_H(H, d)
     except NotGammaRepresentable as exc:
         print(f"Gamma-triangle not representable: {exc}", file=sys.stderr)
         return 1
@@ -103,50 +98,42 @@ def cmd_triangles(args) -> int:
     return 0
 
 
-def _cluster_gamma(args) -> GammaTriangle:
-    kind = args.type.upper()
-    if kind == "I2" and args.m is None:
-        raise CliError("type I2 needs --m")
-    if kind in ("A", "B", "C", "D", "E", "F", "H") and args.rank is None:
-        raise CliError(f"type {kind} needs a rank")
-    if args.method == "model":
-        if kind == "A":
-            return verify.model_gamma(cluster.type_a_subdivision(args.rank))
-        if kind == "I2":
-            return verify.model_gamma(cluster.dihedral_subdivision(args.m))
-        raise CliError(f"method 'model' supports types A and I2, not {kind}")
-    if args.method == "formula":
-        if kind == "A":
-            return coxeter.closed_gamma_triangle("A", args.rank)
-        if kind in ("B", "C"):
-            return coxeter.closed_gamma_triangle("B", args.rank)
-        if kind == "D" and args.rank >= 3:
-            return coxeter.gamma_triangle_D(args.rank)
-        if kind == "I2":
-            return coxeter.rank23_formula(args.m, 2)
-        if kind in ("H", "H3") and (args.rank == 3 or kind == "H3"):
-            return coxeter.rank23_formula(10, 3)
-        # remaining exceptional kinds: the subset-sum over the diagram IS
-        # the formula, with stored local data for the full diagram
-    return coxeter.gamma_triangle_diagram(
-        coxeter.standard_diagram(kind, args.rank, args.m))
+# the combinatorial models and closed forms by kind, as parse_type names it
+MODELS = {
+    "A": lambda rank, m: cluster.type_a_subdivision(rank),
+    "I2": lambda rank, m: cluster.dihedral_subdivision(m),
+}
+FORMULAS = {
+    "A": lambda rank, m: coxeter.closed_gamma_triangle("A", rank),
+    "B": lambda rank, m: coxeter.closed_gamma_triangle("B", rank),
+    "D": lambda rank, m: coxeter.gamma_triangle_D(rank),
+    "I2": lambda rank, m: coxeter.rank23_formula(m, 2),
+    "H3": lambda rank, m: coxeter.rank23_formula(10, 3),
+}
+
+
+def _cluster_gamma(kind: str, rank: int, m: int | None,
+                   method: str) -> GammaTriangle:
+    if method == "model":
+        if kind not in MODELS:
+            raise CliError(f"method 'model' supports types A and I2, not {kind}")
+        return subdivisions.model_gamma(MODELS[kind](rank, m))
+    if method == "formula" and kind in FORMULAS and (kind, rank) != ("D", 2):
+        return FORMULAS[kind](rank, m)
+    # every other kind, and D2, which gamma_triangle_D rejects: the subset
+    # sum over the diagram IS the formula, with stored local data for the
+    # full diagram
+    return coxeter.gamma_triangle_diagram(coxeter.standard_diagram(kind, rank, m))
 
 
 def cmd_cluster(args) -> int:
-    try:
-        gt = _cluster_gamma(args)
-    except (ValueError, ClassificationError) as exc:
-        raise CliError(str(exc))
+    kind, rank, m = coxeter.parse_type(args.type, args.rank, args.m)
+    gt = _cluster_gamma(kind, rank, m, args.method)
     if args.export:
-        kind = args.type.upper()
-        if kind == "A":
-            model = cluster.type_a_subdivision(args.rank)
-        elif kind == "I2":
-            model = cluster.dihedral_subdivision(args.m)
-        else:
+        if kind not in MODELS:
             raise CliError(f"--export needs a combinatorial model (A or I2), not {kind}")
         with open(args.export, "w", encoding="utf-8") as fh:
-            json.dump(model.to_dict(), fh, indent=2)
+            json.dump(MODELS[kind](rank, m).to_dict(), fh, indent=2)
         print(f"model written to {args.export}")
     if args.out in ("table", "both"):
         print(f"Gamma-triangle (d = {gt.degree}, method {args.method}):")
@@ -274,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_triangles)
 
     p = sub.add_parser("cluster", help="Gamma-triangle of a named finite type")
-    p.add_argument("type", help="A, B, C, D, E, F, H, I2, or E6/F4/H3/...")
+    p.add_argument("type", help="A, B, C, D, E, F, H, I2, or E6/F4/H3/I2(5)/...")
     p.add_argument("rank", type=int, nargs="?", default=None)
     p.add_argument("--m", type=int, help="edge label for type I2")
     p.add_argument("--method", choices=("model", "formula", "local-sum"),
@@ -321,7 +308,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

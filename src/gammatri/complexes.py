@@ -143,17 +143,25 @@ def is_flag(c: Complex) -> bool:
     return grow(frozenset(), verts)
 
 
+def fresh_labels(taken, labels) -> dict[str, str]:
+    """Rename each label that collides with `taken` or with an earlier
+    renamed label by appending the fewest primes that avoid both; the
+    other labels map to themselves."""
+    taken = set(taken)
+    rename = {}
+    for label in labels:
+        new = label
+        while new in taken:
+            new += "'"
+        rename[label] = new
+        taken.add(new)
+    return rename
+
+
 def join(a: Complex, b: Complex) -> Complex:
     """Simplicial join: facets are unions of a facet of a with one of b.
     Colliding vertex labels of b get a deterministic prime suffix."""
-    taken = set(a.vertices)
-    rename = {}
-    for v in b.vertices:
-        new = v
-        while new in taken:
-            new += "'"
-        rename[v] = new
-        taken.add(new)
+    rename = fresh_labels(a.vertices, b.vertices)
     b_verts = tuple(rename[v] for v in b.vertices)
     b_facets = [frozenset(rename[v] for v in f) for f in b.facets]
     facets = [fa | fb for fa in a.facets for fb in b_facets]

@@ -325,68 +325,71 @@ def family_recursion(name: str, n: int) -> Poly2:
     return v
 
 
-def standard_diagram(kind: str, rank: int | None = None,
-                     m: int | None = None) -> CoxeterDiagram:
-    """Standard diagram of a named finite type. C is an alias of B; the
-    low-rank conventions B1 = A1, D2 = A1 x A1, D3 = A3 and I2(3) = A2 are
-    applied here, so every legal name yields a classifiable diagram."""
+def parse_type(kind: str, rank: int | None = None,
+               m: int | None = None) -> tuple[str, int, int | None]:
+    """Normalize a finite type name to (kind, rank, m), with kind one of A,
+    B, D, I2, E6, E7, E8, F4, H3, H4. Case is ignored, C is an alias of B,
+    E/F/H take their rank into the name, and I2(m) carries its edge label
+    m; m is None for every kind but I2. Raises ClassificationError for an
+    unknown name or a rank or m the type does not have."""
     kind = kind.upper()
+    if kind == "C":
+        kind = "B"
+    if kind.startswith("I2(") and kind.endswith(")") and kind[3:-1].isdigit():
+        if m not in (None, int(kind[3:-1])):
+            raise ClassificationError(f"{kind} conflicts with m = {m}")
+        kind, m = "I2", int(kind[3:-1])
     if kind in ("E", "F", "H"):
         if rank is None:
-            raise ValueError(f"type {kind} needs a rank")
+            raise ClassificationError(f"type {kind} needs a rank")
         kind = f"{kind}{rank}"
-    if kind.startswith("I2"):
-        if m is None and kind.startswith("I2(") and kind.endswith(")"):
-            m = int(kind[3:-1])
+    if kind in EXCEPTIONAL_LOCAL:
+        if rank not in (None, int(kind[1])):
+            raise ClassificationError(f"type {kind} has rank {kind[1]}")
+        return kind, int(kind[1]), None
+    if kind == "I2":
         if m is None:
-            raise ValueError("dihedral type needs its edge label m")
+            raise ClassificationError("type I2 needs its edge label: I2(m) or --m")
         if m < 2:
-            raise ValueError(f"dihedral label must be >= 2, got {m}")
-        if m == 2:
-            return CoxeterDiagram.make(["s1", "s2"], [])
-        edge = ("s1", "s2") if m == 3 else ("s1", "s2", m)
-        return CoxeterDiagram.make(["s1", "s2"], [edge])
-    if kind in ("E6", "E7", "E8", "F4", "H3", "H4") and rank is None:
-        rank = int(kind[1])
+            raise ClassificationError(f"dihedral label must be >= 2, got {m}")
+        if rank not in (None, 2):
+            raise ClassificationError("type I2 has rank 2")
+        return kind, 2, m
+    if kind not in ("A", "B", "D"):
+        raise ClassificationError(f"unknown type {kind!r}")
     if rank is None:
-        raise ValueError(f"type {kind} needs a rank")
+        raise ClassificationError(f"type {kind} needs a rank")
+    least = 2 if kind == "D" else 1
+    if rank < least:
+        raise ClassificationError(f"type {kind} needs rank >= {least}")
+    return kind, rank, None
+
+
+def standard_diagram(kind: str, rank: int | None = None,
+                     m: int | None = None) -> CoxeterDiagram:
+    """Standard diagram of a finite type named as parse_type accepts. The
+    low-rank conventions B1 = A1, D2 = A1 x A1, D3 = A3 and I2(3) = A2 are
+    applied here, so every legal name yields a classifiable diagram."""
+    kind, rank, m = parse_type(kind, rank, m)
     verts = [f"s{i}" for i in range(1, rank + 1)]
-    path = [(verts[i], verts[i + 1]) for i in range(rank - 1)]
-    if kind == "A":
-        if rank < 1:
-            raise ValueError("type A needs rank >= 1")
-        return CoxeterDiagram.make(verts, path)
-    if kind in ("B", "C"):
-        if rank < 1:
-            raise ValueError("type B needs rank >= 1")
-        if rank == 1:
-            return CoxeterDiagram.make(verts, [])
+    path = list(zip(verts, verts[1:]))
+    if kind == "I2":
+        edges = [] if m == 2 else [("s1", "s2", m)]
+    elif kind == "B" and rank > 1:
         edges = path[:-1] + [(verts[-2], verts[-1], 4)]
-        return CoxeterDiagram.make(verts, edges)
-    if kind == "D":
-        if rank < 2:
-            raise ValueError("type D needs rank >= 2")
-        if rank == 2:
-            return CoxeterDiagram.make(verts, [])
-        if rank == 3:
-            return CoxeterDiagram.make(verts, path)
+    elif kind == "D" and rank > 3:
         edges = path[:-2] + [(verts[-3], verts[-2]), (verts[-3], verts[-1])]
-        return CoxeterDiagram.make(verts, edges)
-    if kind in ("E6", "E7", "E8"):
-        if rank != int(kind[1]):
-            raise ValueError(f"type {kind} has rank {kind[1]}")
+    elif kind == "A" or (kind == "D" and rank == 3):
+        edges = path
+    elif kind in ("B", "D"):  # B1 and D2
+        edges = []
+    elif kind in ("E6", "E7", "E8"):
         edges = path[:-1] + [(verts[2], verts[-1])]
-        return CoxeterDiagram.make(verts, edges)
-    if kind == "F4":
-        if rank != 4:
-            raise ValueError("type F4 has rank 4")
-        return CoxeterDiagram.make(
-            verts, [path[0], (verts[1], verts[2], 4), path[2]])
-    if kind in ("H3", "H4"):
-        if rank != int(kind[1]):
-            raise ValueError(f"type {kind} has rank {kind[1]}")
-        return CoxeterDiagram.make(verts, [(verts[0], verts[1], 5)] + path[1:])
-    raise ValueError(f"unknown type {kind!r}")
+    elif kind == "F4":
+        edges = [path[0], (verts[1], verts[2], 4), path[2]]
+    else:
+        edges = [(verts[0], verts[1], 5)] + path[1:]
+    return CoxeterDiagram.make(verts, edges)
 
 
 def pell_discriminant_check() -> bool:
@@ -442,8 +445,3 @@ def table_mismatches(name: str) -> list[tuple[str, int, int, int, int]]:
             out.append((name, i, j, want, got))
     return out
 
-
-def verify_tables() -> dict[str, list[tuple[str, int, int, int, int]]]:
-    """Recompute every stored table; the value lists are empty when the
-    recomputation reproduces the table entrywise."""
-    return {name: table_mismatches(name) for name in sorted(reference_tables())}

@@ -30,10 +30,106 @@ def _store(c):
     return c
 
 
-class Poly1:
-    """Sparse univariate polynomial, exponent -> coefficient."""
+class _Poly:
+    """The operations of Poly1 and Poly2 that do not depend on the key
+    shape. Subclasses validate keys in __init__, multiply in __mul__, and
+    name the key of the constant term in _ONE_KEY."""
 
     __slots__ = ("_c",)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({cls._ONE_KEY: 1})
+
+    def items(self):
+        return sorted(self._c.items())
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def is_integral(self) -> bool:
+        return all(isinstance(c, int) for c in self._c.values())
+
+    def _integral_items(self):
+        """items(), for serialization, which takes int coefficients only."""
+        if not self.is_integral():
+            raise ValueError("cannot serialize non-integral coefficients")
+        return self.items()
+
+    def scale(self, s):
+        if not s:
+            return type(self)()
+        return type(self)({k: c * s for k, c in self._c.items()})
+
+    def __bool__(self):
+        return bool(self._c)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = type(self)({self._ONE_KEY: other})
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self._c.items()})
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = type(self)({self._ONE_KEY: other})
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        out = dict(self._c)
+        for k, c in other._c.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = type(self)({self._ONE_KEY: other})
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __str__(self):
+        return _render(self.items())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self!s})"
+
+
+class Poly1(_Poly):
+    """Sparse univariate polynomial, exponent -> coefficient."""
+
+    __slots__ = ()
+    _ONE_KEY = 0
 
     def __init__(self, coeffs=None):
         data = {}
@@ -50,22 +146,11 @@ class Poly1:
         self._c = {e: _store(c) for e, c in data.items()}
 
     @classmethod
-    def zero(cls) -> "Poly1":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Poly1":
-        return cls({0: 1})
-
-    @classmethod
     def term(cls, c, e: int) -> "Poly1":
         return cls({e: c})
 
     def coeff(self, e: int):
         return self._c.get(e, 0)
-
-    def items(self):
-        return sorted(self._c.items())
 
     def degree(self) -> int:
         """Maximum stored exponent; -1 for the zero polynomial."""
@@ -74,67 +159,14 @@ class Poly1:
     def min_degree(self) -> int:
         return min(self._c) if self._c else -1
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._c.values())
-
     def evaluate(self, v):
         return sum(c * v**e for e, c in self._c.items())
-
-    def shift(self, k: int) -> "Poly1":
-        """Multiply by x^k."""
-        return Poly1({e + k: c for e, c in self._c.items()})
 
     def shift_down(self, k: int) -> "Poly1":
         """Divide by x^k; every stored exponent must be >= k."""
         if self._c and min(self._c) < k:
             raise ValueError(f"not divisible by x^{k}")
         return Poly1({e - k: c for e, c in self._c.items()})
-
-    def scale(self, s) -> "Poly1":
-        if not s:
-            return Poly1()
-        return Poly1({e: c * s for e, c in self._c.items()})
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        if isinstance(other, Poly1):
-            return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self == Poly1({0: other})
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __neg__(self):
-        return Poly1({e: -c for e, c in self._c.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly1({0: other})
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) + c
-        return Poly1(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly1({0: other})
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -148,46 +180,24 @@ class Poly1:
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly1(out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly1.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def to_poly2(self) -> "Poly2":
         """Embed as a polynomial in x (no y)."""
         return Poly2({(e, 0): c for e, c in self._c.items()})
 
     def to_pairs(self):
         """Serialization: sorted [exponent, decimal-string] pairs."""
-        if not self.is_integral():
-            raise ValueError("cannot serialize non-integral coefficients")
-        return [[e, str(c)] for e, c in self.items()]
+        return [[e, str(c)] for e, c in self._integral_items()]
 
     @classmethod
     def from_pairs(cls, pairs) -> "Poly1":
         return cls({int(e): int(c) for e, c in pairs})
 
-    def __str__(self):
-        return _render(self.items(), _mono1)
 
-    def __repr__(self):
-        return f"Poly1({self!s})"
-
-
-class Poly2:
+class Poly2(_Poly):
     """Sparse bivariate polynomial in x and y, (i, j) -> coefficient."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _ONE_KEY = (0, 0)
 
     def __init__(self, coeffs=None):
         data = {}
@@ -205,28 +215,11 @@ class Poly2:
         self._c = {k: _store(c) for k, c in data.items()}
 
     @classmethod
-    def zero(cls) -> "Poly2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Poly2":
-        return cls({(0, 0): 1})
-
-    @classmethod
     def term(cls, c, i: int, j: int) -> "Poly2":
         return cls({(i, j): c})
 
     def coeff(self, i: int, j: int):
         return self._c.get((i, j), 0)
-
-    def items(self):
-        return sorted(self._c.items())
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._c.values())
 
     def deg_x(self) -> int:
         return max((i for i, _ in self._c), default=-1)
@@ -258,54 +251,6 @@ class Poly2:
         """Multiply by x^i y^j."""
         return Poly2({(a + i, b + j): c for (a, b), c in self._c.items()})
 
-    def scale(self, s) -> "Poly2":
-        if not s:
-            return Poly2()
-        return Poly2({k: c * s for k, c in self._c.items()})
-
-    def as_int(self) -> "Poly2":
-        if not self.is_integral():
-            raise ValueError(f"non-integral coefficients in {self}")
-        return self
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __eq__(self, other):
-        if isinstance(other, Poly2):
-            return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self == Poly2({(0, 0): other})
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __neg__(self):
-        return Poly2({k: -c for k, c in self._c.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2({(0, 0): other})
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        out = dict(self._c)
-        for k, c in other._c.items():
-            out[k] = out.get(k, 0) + c
-        return Poly2(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2({(0, 0): other})
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -318,36 +263,13 @@ class Poly2:
                 out[k] = out.get(k, 0) + c1 * c2
         return Poly2(out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly2.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def to_triples(self):
         """Serialization: [i, j, decimal-string] sorted lexicographically."""
-        if not self.is_integral():
-            raise ValueError("cannot serialize non-integral coefficients")
-        return [[i, j, str(c)] for (i, j), c in self.items()]
+        return [[i, j, str(c)] for (i, j), c in self._integral_items()]
 
     @classmethod
     def from_triples(cls, triples) -> "Poly2":
         return cls({(int(i), int(j)): int(c) for i, j, c in triples})
-
-    def __str__(self):
-        return _render(self.items(), _mono2)
-
-    def __repr__(self):
-        return f"Poly2({self!s})"
 
 
 # expansions of the binomial-power building blocks used by the transforms
@@ -360,14 +282,6 @@ def one_plus_x(n: int) -> Poly1:
 def one_minus_x(n: int) -> Poly1:
     """(1-x)^n."""
     return Poly1({k: (-1) ** k * comb(n, k) for k in range(n + 1)})
-
-
-def one_plus_x2(n: int) -> Poly2:
-    return Poly2({(k, 0): comb(n, k) for k in range(n + 1)})
-
-
-def one_minus_x2(n: int) -> Poly2:
-    return Poly2({(k, 0): (-1) ** k * comb(n, k) for k in range(n + 1)})
 
 
 def one_plus_xy(n: int) -> Poly2:
@@ -389,28 +303,19 @@ def one_plus_x_plus_y(n: int) -> Poly2:
     return Poly2(out)
 
 
-def _mono1(e):
-    if e == 0:
-        return ""
-    return "x" if e == 1 else f"x^{e}"
+def _mono(key):
+    """x^i*y^j for the key (i, j), x^e for the key e; "" for the constant."""
+    exps = (key,) if isinstance(key, int) else key
+    return "*".join(v if e == 1 else f"{v}^{e}"
+                    for v, e in zip("xy", exps) if e)
 
 
-def _mono2(key):
-    i, j = key
-    parts = []
-    if i:
-        parts.append("x" if i == 1 else f"x^{i}")
-    if j:
-        parts.append("y" if j == 1 else f"y^{j}")
-    return "*".join(parts)
-
-
-def _render(items, mono):
+def _render(items):
     if not items:
         return "0"
     chunks = []
     for key, c in items:
-        m = mono(key)
+        m = _mono(key)
         if not m:
             body = str(abs(c))
         elif abs(c) == 1:

@@ -200,9 +200,6 @@ class TruncSeries:
     def is_zero_through(self, through: int) -> bool:
         return self.first_nonzero(through) is None
 
-    def agrees_through(self, other: "TruncSeries", through: int) -> bool:
-        return (self - other).is_zero_through(through)
-
     def __str__(self):
         parts = [f"({c})*t^{n}" for n, c in enumerate(self.coeffs)
                  if not c.is_zero()]

@@ -20,10 +20,19 @@ from .complexes import (
     dimension,
     f_polynomial,
     face_set,
+    fresh_labels,
     is_pure,
+    join,
 )
 from .poly import Poly1, Poly2
-from .transforms import GammaTriangle, gamma_from_h, h_from_f, poly_from_gamma
+from .transforms import (
+    Gamma_from_H,
+    GammaTriangle,
+    H_from_F,
+    gamma_from_h,
+    h_from_f,
+    poly_from_gamma,
+)
 
 VALIDATION_CHECKS = (
     "index set disjoint from vertices",
@@ -203,6 +212,13 @@ def f_triangle(sph: SphereWithFacet) -> Poly2:
     return Poly2(counts)
 
 
+def model_gamma(s: Subdivision) -> GammaTriangle:
+    """Triangle of a subdivision through the face-enumeration route:
+    sphere, F-triangle, H-triangle, Gamma-triangle."""
+    d = len(s.index_set)
+    return Gamma_from_H(H_from_F(f_triangle(sphere(s)), d), d)
+
+
 def h_triangle_direct(s: Subdivision) -> Poly2:
     """H of the sphere computed through the intermediate identity
     H(x,y) = sum_J (xy)^|J| h(restriction to I - J); an independent route
@@ -233,21 +249,13 @@ def join_subdivisions(a: Subdivision, b: Subdivision) -> Subdivision:
     """Join of the complexes with the union carrier map; local gamma is
     multiplicative for this operation. Colliding labels in b (vertices or
     index labels) get a deterministic prime suffix."""
-    taken = set(a.complex.vertices) | set(a.index_set)
-    rename = {}
-    for label in tuple(b.complex.vertices) + tuple(b.index_set):
-        new = label
-        while new in taken:
-            new += "'"
-        rename[label] = new
-        taken.add(new)
+    rename = fresh_labels(set(a.complex.vertices) | set(a.index_set),
+                          tuple(b.complex.vertices) + tuple(b.index_set))
     b_cpx = Complex.make(
         tuple(rename[v] for v in b.complex.vertices),
         [frozenset(rename[v] for v in f) for f in b.complex.facets])
-    facets = [fa | fb for fa in a.complex.facets for fb in b_cpx.facets]
-    cpx = Complex.make(tuple(a.complex.vertices) + b_cpx.vertices, facets)
     sigma = dict(a.sigma)
     for v, s in b.sigma.items():
         sigma[rename[v]] = frozenset(rename[i] for i in s)
     index_set = tuple(a.index_set) + tuple(rename[i] for i in b.index_set)
-    return Subdivision.make(cpx, index_set, sigma)
+    return Subdivision.make(join(a.complex, b_cpx), index_set, sigma)

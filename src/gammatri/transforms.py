@@ -17,10 +17,8 @@ from .poly import (
     Poly1,
     Poly2,
     one_minus_x,
-    one_minus_x2,
     one_plus_2x,
     one_plus_x,
-    one_plus_x2,
     one_plus_x_plus_y,
     one_plus_xy,
 )
@@ -137,7 +135,7 @@ def H_from_F(F: Poly2, d: int) -> Poly2:
     for (i, j), c in F.items():
         if i + j > d:
             raise ValueError(f"F entry ({i}, {j}) has i + j > d = {d}")
-        out = out + (Poly2.term(c, i + j, j) * one_minus_x2(d - i - j))
+        out = out + (Poly2.term(c, i + j, j) * one_minus_x(d - i - j).to_poly2())
     return out
 
 
@@ -150,7 +148,7 @@ def F_from_H(H: Poly2, d: int) -> Poly2:
                 f"H entry ({a}, {b}) has y-degree exceeding x-degree")
         if a > d:
             raise ValueError(f"H entry ({a}, {b}) has x-degree > d = {d}")
-        out = out + (Poly2.term(c, a - b, b) * one_plus_x2(d - a))
+        out = out + (Poly2.term(c, a - b, b) * one_plus_x(d - a).to_poly2())
     return out
 
 
@@ -187,7 +185,7 @@ def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
                 residual = residual - (
                     Poly2.term(gi, i, 0)
                     * one_plus_xy(j)
-                    * one_plus_x2(d - 2 * i - j))
+                    * one_plus_x(d - 2 * i - j).to_poly2())
     if not residual.is_zero():
         raise NotGammaRepresentable(
             f"triangle extraction left residual {residual}",
@@ -202,7 +200,7 @@ def H_from_Gamma(g: GammaTriangle) -> Poly2:
     for (i, j), c in g.items():
         out = out + (Poly2.term(c, i, 0)
                      * one_plus_xy(j)
-                     * one_plus_x2(d - 2 * i - j))
+                     * one_plus_x(d - 2 * i - j).to_poly2())
     return out
 
 

@@ -11,6 +11,7 @@ from . import cluster, coxeter, series, subdivisions, transforms
 from .complexes import f_polynomial, is_flag
 from .poly import Poly1
 from .report import Report
+from .subdivisions import model_gamma
 from .transforms import GammaTriangle
 
 DEFAULT_ORDER = 24
@@ -76,13 +77,6 @@ def series_report(order: int = DEFAULT_ORDER) -> Report:
                 "matches the diagram triangle" if want == got else
                 f"series {got} != diagram {want}")
     return rep
-
-
-def model_gamma(s: subdivisions.Subdivision) -> GammaTriangle:
-    """Triangle of a subdivision through the face-enumeration route."""
-    d = len(s.index_set)
-    F = subdivisions.f_triangle(subdivisions.sphere(s))
-    return transforms.Gamma_from_H(transforms.H_from_F(F, d), d)
 
 
 def _random_gamma_triangle(rng: random.Random) -> GammaTriangle:

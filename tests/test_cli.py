@@ -3,6 +3,17 @@ import json
 import pytest
 
 from gammatri.cli import main
+from gammatri.cluster import dihedral_subdivision
+from gammatri.coxeter import (
+    closed_gamma_triangle,
+    gamma_triangle_D,
+    gamma_triangle_diagram,
+    rank23_formula,
+    reference_tables,
+    standard_diagram,
+)
+from gammatri.subdivisions import model_gamma
+from gammatri.transforms import GammaTriangle
 
 
 def run(capsys, *argv):
@@ -126,6 +137,59 @@ def test_cluster_model_unsupported_type(capsys):
     code, _, err = run(capsys, "cluster", "E", "6", "--method", "model")
     assert code == 1
     assert "model" in err
+
+
+# (cluster arguments, normalized (kind, rank, m), formula-route triangle,
+# dihedral model or None); the diagram sum over the normalized type is the
+# local-sum route of every name
+ALIASES = [
+    (["C", "4"], ("B", 4, None), closed_gamma_triangle("B", 4), None),
+    (["E", "7"], ("E7", 7, None), reference_tables()["E7"], None),
+    (["E7"], ("E7", 7, None), reference_tables()["E7"], None),
+    (["F", "4"], ("F4", 4, None), reference_tables()["F4"], None),
+    (["H", "3"], ("H3", 3, None), rank23_formula(10, 3), None),
+    (["H3"], ("H3", 3, None), rank23_formula(10, 3), None),
+    (["H", "4"], ("H4", 4, None), reference_tables()["H4"], None),
+    (["I2(5)"], ("I2", 2, 5), rank23_formula(5, 2), 5),
+    (["i2", "--m", "4"], ("I2", 2, 4), rank23_formula(4, 2), 4),
+    (["B", "1"], ("B", 1, None), closed_gamma_triangle("A", 1), None),
+    (["B", "2"], ("B", 2, None), rank23_formula(4, 2), None),
+    (["D", "2"], ("D", 2, None), GammaTriangle.make({(0, 2): 1}, 2), None),
+    (["D", "3"], ("D", 3, None), gamma_triangle_D(3), None),
+    (["I2", "--m", "2"], ("I2", 2, 2), rank23_formula(2, 2), 2),
+    (["I2", "--m", "3"], ("I2", 2, 3), rank23_formula(3, 2), 3),
+]
+
+
+@pytest.mark.parametrize("argv, normalized, formula, m", ALIASES,
+                         ids=["_".join(a[0]) for a in ALIASES])
+def test_cluster_type_aliases(capsys, argv, normalized, formula, m):
+    want = {"formula": formula,
+            "local-sum": gamma_triangle_diagram(standard_diagram(*normalized))}
+    if m is not None:
+        want["model"] = model_gamma(dihedral_subdivision(m))
+    for method, gt in want.items():
+        code, out, _ = run(capsys, "cluster", *argv, "--method", method,
+                           "--out", "json")
+        assert code == 0
+        assert json.loads(out) == gt.to_dict()
+    if m is None:
+        code, _, err = run(capsys, "cluster", *argv, "--method", "model")
+        assert code == 1 and "model" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--name", "g", "--order", "0"],
+    ["family", "pell", "-1"],
+    ["cluster", "A", "0"],
+    ["cluster", "A", "-1"],
+    ["cluster", "B", "0"],
+], ids="_".join)
+def test_bad_input_fails_closed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cluster_export_then_triangles(capsys, tmp_path):

@@ -51,6 +51,9 @@ def test_binom_matches_comb(a, b):
         assert binom(a, b) == comb(a, b)
 
 
+small_poly1 = st.builds(
+    Poly1,
+    st.dictionaries(st.integers(0, 3), st.integers(-9, 9), max_size=5))
 small_poly2 = st.builds(
     Poly2,
     st.dictionaries(
@@ -60,13 +63,20 @@ small_poly2 = st.builds(
     ))
 
 
-@given(small_poly2, small_poly2, small_poly2)
-def test_ring_axioms(a, b, c):
+@given(st.one_of(st.tuples(small_poly1, small_poly1, small_poly1),
+                 st.tuples(small_poly2, small_poly2, small_poly2)))
+def test_ring_axioms(abc):
+    a, b, c = abc
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert a + (b + c) == (a + b) + c
-    assert a - a == Poly2.zero()
+    assert a - a == type(a).zero()
+
+
+@given(small_poly1)
+def test_poly1_never_equals_poly2(p):
+    assert p != p.to_poly2() and p.to_poly2() != p
 
 
 def test_no_zero_coefficients_stored():
