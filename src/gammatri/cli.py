@@ -10,8 +10,8 @@ Subcommands:
   verify     run the verification suites (exit code 0 iff everything passes)
 
 Output is deterministic; --out switches between the human table layout and
-JSON. The only recognized environment variable is NO_COLOR, which disables
-the pass/fail coloring of verify.
+JSON; --version prints the package version. The only recognized environment
+variable is NO_COLOR, which disables the pass/fail coloring of verify.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from . import cluster, coxeter, series, subdivisions, transforms, verify
+from . import __version__, cluster, coxeter, series, subdivisions, transforms, verify
 from .complexes import Complex, InvalidComplex
 from .coxeter import ClassificationError, CoxeterDiagram
 from .render import render_triangle
@@ -250,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gammatri",
         description="Exact F/H/Gamma-triangles, local h/gamma-vectors and "
                     "generating-series checks.")
+    parser.add_argument("--version", action="version",
+                        version=f"gammatri {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("triangles",

@@ -42,12 +42,12 @@ class Complex:
             if extra:
                 raise InvalidComplex(
                     f"facet {sorted(f)} uses unknown vertices {sorted(extra)}")
-        for a, b in combinations(fsets, 2):
-            if a < b or b < a:
-                small, big = (a, b) if a < b else (b, a)
-                raise InvalidComplex(
-                    f"facet {sorted(small)} is contained in facet {sorted(big)}"
-                    " (stored facets must be maximal)")
+        contained = first_supersets(fsets)
+        if contained:
+            small, big = next(iter(contained.items()))
+            raise InvalidComplex(
+                f"facet {sorted(small)} is contained in facet {sorted(big)}"
+                " (stored facets must be maximal)")
         covered = set().union(*fsets) if fsets else set()
         missing = vset - covered
         if missing:
@@ -74,6 +74,25 @@ class Complex:
         except (TypeError, KeyError) as exc:
             raise InvalidComplex(f"missing field in complex data: {exc}")
         return cls.make(vertices, [frozenset(f) for f in facets])
+
+
+def first_supersets(sets) -> dict[frozenset, frozenset]:
+    """Map each of `sets` that lies strictly inside another one to the first
+    such superset in the order given. A nonempty set is compared only with
+    the sets that hold its rarest element, since every superset holds it."""
+    sets = list(sets)
+    holders: dict[str, list[frozenset]] = {}
+    for g in sets:
+        for v in g:
+            holders.setdefault(v, []).append(g)
+    out = {}
+    for f in sets:
+        pool = min((holders[v] for v in f), key=len) if f else sets
+        for g in pool:
+            if f < g:
+                out[f] = g
+                break
+    return out
 
 
 def all_faces(c: Complex) -> dict[int, set[frozenset[str]]]:

@@ -7,6 +7,13 @@ which for genuine subdivision data is a simplicial ball of dimension
 |J| - 1. Validation is partial by design: purity, dimension and Euler
 characteristic of every nonempty restriction are checked, full topology is
 not; validate() reports which checks ran.
+
+Stanley's local h-polynomial is defined as the alternating sum over J of
+(-1)^(n-|J|) h(restriction to J) at degree |J|, with n = |I|. A face F lies
+in the restriction to J exactly when J contains its carrier, so swapping the
+sums and applying the binomial theorem to the J above carrier(F) turns it
+into one pass over the faces: local_h = sum_F (-x)^(n-k) x^a (1-x)^(k-a),
+a = |F|, k = |carrier(F)|. No restriction is built.
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ from .complexes import (
     dimension,
     f_polynomial,
     face_set,
+    first_supersets,
     fresh_labels,
     is_pure,
     join,
 )
-from .poly import Poly1, Poly2
+from .poly import Poly1, Poly2, one_minus_x
 from .transforms import (
     Gamma_from_H,
     GammaTriangle,
@@ -154,9 +162,9 @@ def restrict(s: Subdivision, J) -> Complex:
     if not J <= set(s.index_set):
         raise ValueError(f"{sorted(J)} is not a subset of the index set")
     inside = {v for v in s.complex.vertices if s.sigma[v] <= J}
-    cut = {frozenset(f & inside) for f in s.complex.facets}
-    maximal = [f for f in cut if not any(f < g for g in cut)]
-    return Complex.make(sorted(inside), maximal)
+    cut = {f & inside for f in s.complex.facets}
+    contained = first_supersets(cut)
+    return Complex.make(sorted(inside), [f for f in cut if f not in contained])
 
 
 def sub_subdivision(s: Subdivision, K) -> Subdivision:
@@ -172,14 +180,29 @@ def h_of_complex(c: Complex, d: int) -> Poly1:
 
 
 def local_h(s: Subdivision) -> Poly1:
-    """Alternating sum over J of the h-polynomials of the restrictions,
-    each taken at degree |J|."""
+    """Stanley's local h-polynomial: the alternating sum over J of the
+    h-polynomials of the restrictions, each taken at degree |J|, computed as
+    one sum over the faces F of the complex,
+
+        sum_F (-1)^(n-k) x^(n-k+a) (1-x)^(k-a),  a = |F|, k = |carrier(F)|.
+
+    A face lies in the restriction to J exactly when J contains its carrier,
+    and sum_(J >= carrier(F)) (-1)^(n-|J|) (1-x)^(|J|-a) collapses by the
+    binomial theorem to (1-x)^(k-a) (-x)^(n-k). A face larger than its
+    carrier makes some restriction too big for its degree: ValueError."""
     n = len(s.index_set)
+    buckets: dict[tuple[int, int], int] = {}
+    for f in face_set(s.complex):
+        key = (len(f), len(s.carrier(f)))
+        buckets[key] = buckets.get(key, 0) + 1
     out = Poly1.zero()
-    for r in range(n + 1):
-        for J in combinations(s.index_set, r):
-            h = h_of_complex(restrict(s, frozenset(J)), r)
-            out = out + h.scale((-1) ** (n - r))
+    for (a, k), c in sorted(buckets.items()):
+        if a > k:
+            raise ValueError(
+                f"a face of size {a} has a carrier of size {k}; local h "
+                "needs every face to be at most as large as its carrier")
+        term = Poly1.term(c * (-1) ** (n - k), n - k + a) * one_minus_x(k - a)
+        out = out + term
     return out
 
 
@@ -193,10 +216,19 @@ def sphere(s: Subdivision) -> SphereWithFacet:
     """The complex on vertices(C) + I whose faces are F + J with the
     carrier of F disjoint from J; the distinguished facet is I."""
     iset = frozenset(s.index_set)
-    candidates = {frozenset(f) | (iset - s.carrier(f))
-                  for f in face_set(s.complex)}
-    maximal = [f for f in candidates
-               if not any(f < g for g in candidates)]
+    faces = face_set(s.complex)
+    carrier = {f: s.carrier(f) for f in faces}
+    # F + (I - carrier(F)) lies inside F' + (I - carrier(F')) only when F is
+    # inside F' and both have the same carrier; such an F' contains some
+    # F + {v} with carrier(v) inside carrier(F), and the faces are closed
+    # under subsets, so single-vertex extensions decide maximality.
+    extendable = set()
+    for g in faces:
+        for v in g:
+            f = g - {v}
+            if s.sigma[v] <= carrier[f]:
+                extendable.add(f)
+    maximal = [f | (iset - carrier[f]) for f in faces if f not in extendable]
     cpx = Complex.make(tuple(s.complex.vertices) + tuple(s.index_set), maximal)
     return SphereWithFacet.make(cpx, iset)
 

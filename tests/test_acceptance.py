@@ -180,3 +180,12 @@ def test_criterion_8_property_suites():
             for j in range(gt.degree + 1):
                 if gt.degree >= 1:
                     assert gt.entry(0, j) == (1 if j == gt.degree else 0)
+
+
+def test_criterion_9_three_way_agreement_a7():
+    with criterion("9 three-way-A7"):
+        s = cluster.type_a_subdivision(7)
+        by_model = verify.model_gamma(s)
+        by_local_sum = subdivisions.gamma_from_local_sum(s)
+        by_closed = coxeter.closed_gamma_triangle("A", 7)
+        assert by_model == by_local_sum == by_closed

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gammatri import __version__
 from gammatri.cli import main
 from gammatri.cluster import dihedral_subdivision
 from gammatri.coxeter import (
@@ -270,3 +271,10 @@ def test_subdivision_diagnostic_names_invariant(capsys, tmp_path):
     code, _, err = run(capsys, "local", str(path))
     assert code == 1
     assert "Euler" in err and str(path) in err
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"gammatri {__version__}\n"

@@ -161,6 +161,29 @@ def test_loader_rejects_non_maximal():
                            "facets": [["a"], ["a", "b"]]})
 
 
+def test_make_rejects_a_facet_listed_after_its_superset():
+    with pytest.raises(InvalidComplex,
+                       match=r"facet \['a', 'b'\] is contained in facet "
+                             r"\['a', 'b', 'c'\] \(stored facets must be maximal\)"):
+        Complex.make("abcd", [{"a", "b", "c"}, {"c", "d"}, {"a", "b"}])
+    with pytest.raises(InvalidComplex, match=r"facet \[\] is contained"):
+        Complex.make("a", [{"a"}, set()])
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=4),
+                min_size=1, max_size=6))
+def test_make_rejects_exactly_the_non_maximal_families(facets):
+    facets = set(facets)
+    pairwise = any(f < g for f in facets for g in facets)
+    verts = sorted(set().union(*facets))
+    try:
+        Complex.make(verts, facets)
+    except InvalidComplex as exc:
+        assert pairwise and "stored facets must be maximal" in str(exc)
+    else:
+        assert not pairwise
+
+
 def test_loader_rejects_unknown_vertices():
     with pytest.raises(InvalidComplex, match="unknown"):
         Complex.from_dict({"vertices": ["a"], "facets": [["a", "b"]]})

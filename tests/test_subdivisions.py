@@ -1,9 +1,17 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
+from gammatri import subdivisions
 from gammatri.cluster import dihedral_subdivision, type_a_subdivision
-from gammatri.complexes import Complex, f_polynomial, f_vector, is_pure
+from gammatri.complexes import (
+    Complex,
+    f_polynomial,
+    f_vector,
+    face_set,
+    is_pure,
+)
 from gammatri.poly import Poly1, Poly2
 from gammatri.subdivisions import (
     InvalidSubdivision,
@@ -247,3 +255,92 @@ def test_loader_runs_validation():
            "sigma": {"p": ["s"], "q": ["s"]}}
     with pytest.raises(InvalidSubdivision, match="Euler"):
         Subdivision.from_dict(bad)
+
+
+# Test-only oracles: the definitions that local_h and sphere replaced by
+# one-pass computations.
+
+def local_h_by_restrictions(s):
+    """Alternating sum over J of h(restriction to J) at degree |J|."""
+    n = len(s.index_set)
+    out = Poly1.zero()
+    for r in range(n + 1):
+        for J in combinations(s.index_set, r):
+            h = h_of_complex(restrict(s, frozenset(J)), r)
+            out = out + h.scale((-1) ** (n - r))
+    return out
+
+
+def sphere_by_pairwise_maximality(s):
+    """The faces F + (I - carrier(F)) that lie inside no other one."""
+    iset = frozenset(s.index_set)
+    candidates = {f | (iset - s.carrier(f)) for f in face_set(s.complex)}
+    maximal = [f for f in candidates if not any(f < g for g in candidates)]
+    cpx = Complex.make(tuple(s.complex.vertices) + tuple(s.index_set), maximal)
+    return SphereWithFacet.make(cpx, iset)
+
+
+def _value_or_error(fn, s):
+    try:
+        return fn(s)
+    except ValueError:
+        return ValueError
+
+
+ORACLE_CASES = (
+    [type_a_subdivision(n) for n in range(1, 7)]
+    + [dihedral_subdivision(m) for m in range(2, 11)]
+    + [join_subdivisions(A2, A3)])
+
+
+@pytest.mark.parametrize("s", ORACLE_CASES, ids=lambda s: "I".join(s.index_set))
+def test_one_pass_routes_match_their_definitions(s):
+    assert local_h(s) == local_h_by_restrictions(s)
+    assert sphere(s) == sphere_by_pairwise_maximality(s)
+
+
+INDEX = ("s1", "s2", "s3", "s4")
+
+
+@st.composite
+def carried_complexes(draw):
+    """A random complex on a-f with a random nonempty carrier for each
+    vertex; not a subdivision in general."""
+    facets = draw(st.lists(
+        st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=3),
+        min_size=1, max_size=5))
+    maximal = [f for f in set(facets) if not any(f < g for g in facets)]
+    verts = sorted(set().union(*maximal))
+    index_set = INDEX[:draw(st.integers(1, len(INDEX)))]
+    carriers = st.frozensets(st.sampled_from(index_set), min_size=1)
+    sigma = {v: draw(carriers) for v in verts}
+    return Subdivision.make(Complex.make(verts, maximal), index_set, sigma)
+
+
+@given(carried_complexes())
+def test_one_pass_routes_match_their_definitions_on_any_carrier_map(s):
+    assert _value_or_error(local_h, s) == _value_or_error(local_h_by_restrictions, s)
+    assert sphere(s) == sphere_by_pairwise_maximality(s)
+
+
+def test_local_h_rejects_a_face_larger_than_its_carrier():
+    # an edge carried to a single index label
+    s = _invalid(("pq", [{"p", "q"}]), ["s"], {"p": {"s"}, "q": {"s"}})
+    with pytest.raises(ValueError, match="size 2 has a carrier of size 1"):
+        local_h(s)
+    with pytest.raises(ValueError):
+        local_h_by_restrictions(s)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_local_sum_restricts_once_per_subset(monkeypatch, n):
+    s = type_a_subdivision(n)
+    real, calls = subdivisions.restrict, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subdivisions, "restrict", counted)
+    gamma_from_local_sum(s)
+    assert len(calls) == 2 ** n
