@@ -1,14 +1,13 @@
 """Sparse exact polynomial arithmetic in one and two variables.
 
-Coefficients are Python ints (arbitrary precision). Fractions are accepted
-too, because the power-series code needs exact division; a Fraction whose
-denominator reduces to 1 is stored back as an int, so integral results
-compare equal to pure-int polynomials. Zero coefficients are never stored.
+Coefficients are Python ints (arbitrary precision), and the operators take
+int scalars only: every quantity in this package is an integer, and the one
+place where division is needed (the power-series code) divides exactly and
+raises on a remainder. Zero coefficients are never stored.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 
@@ -22,12 +21,6 @@ def binom(a: int, b: int) -> int:
     if b < 0 or a < b:
         return 0
     return comb(a, b)
-
-
-def _store(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class _Poly:
@@ -51,15 +44,6 @@ class _Poly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._c.values())
-
-    def _integral_items(self):
-        """items(), for serialization, which takes int coefficients only."""
-        if not self.is_integral():
-            raise ValueError("cannot serialize non-integral coefficients")
-        return self.items()
-
     def scale(self, s):
         if not s:
             return type(self)()
@@ -69,7 +53,7 @@ class _Poly:
         return bool(self._c)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = type(self)({self._ONE_KEY: other})
         elif not isinstance(other, type(self)):
             return NotImplemented
@@ -82,7 +66,7 @@ class _Poly:
         return type(self)({k: -c for k, c in self._c.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = type(self)({self._ONE_KEY: other})
         elif not isinstance(other, type(self)):
             return NotImplemented
@@ -94,7 +78,7 @@ class _Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = type(self)({self._ONE_KEY: other})
         elif not isinstance(other, type(self)):
             return NotImplemented
@@ -143,7 +127,7 @@ class Poly1(_Poly):
                     data[e] = c
                 else:
                     data.pop(e, None)
-        self._c = {e: _store(c) for e, c in data.items()}
+        self._c = data
 
     @classmethod
     def term(cls, c, e: int) -> "Poly1":
@@ -169,7 +153,7 @@ class Poly1(_Poly):
         return Poly1({e - k: c for e, c in self._c.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Poly1):
             return NotImplemented
@@ -186,7 +170,7 @@ class Poly1(_Poly):
 
     def to_pairs(self):
         """Serialization: sorted [exponent, decimal-string] pairs."""
-        return [[e, str(c)] for e, c in self._integral_items()]
+        return [[e, str(c)] for e, c in self.items()]
 
     @classmethod
     def from_pairs(cls, pairs) -> "Poly1":
@@ -212,7 +196,7 @@ class Poly2(_Poly):
                     data[key] = c
                 else:
                     data.pop(key, None)
-        self._c = {k: _store(c) for k, c in data.items()}
+        self._c = data
 
     @classmethod
     def term(cls, c, i: int, j: int) -> "Poly2":
@@ -252,7 +236,7 @@ class Poly2(_Poly):
         return Poly2({(a + i, b + j): c for (a, b), c in self._c.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Poly2):
             return NotImplemented
@@ -265,7 +249,7 @@ class Poly2(_Poly):
 
     def to_triples(self):
         """Serialization: [i, j, decimal-string] sorted lexicographically."""
-        return [[i, j, str(c)] for (i, j), c in self._integral_items()]
+        return [[i, j, str(c)] for (i, j), c in self.items()]
 
     @classmethod
     def from_triples(cls, triples) -> "Poly2":

@@ -3,27 +3,41 @@ and the generating-series identities they verify.
 
 A TruncSeries knows its coefficients for t^0 .. t^(order-1) and nothing
 beyond; every operation propagates the honestly-known order (multiplying
-by t gains one, d/dt loses one). Rational scalars appear inside square
-roots and inverses, and integrality is asserted wherever the target series
-is integral.
+by t gains one, d/dt loses one). All coefficients are integers: inverse()
+takes only series with constant term 1 or -1, and the only divisions are
+exact ones (sqrt halving its recursion, exact_div, and the coefficient
+formulas of the defining sums), which raise ArithmeticError on a remainder.
 
 Series (all with polynomial-in-x coefficients):
   g    = sqrt((1-t)^2 - 4xt^2)
-  gA   = (1 + t - g) / (2t(tx+1))      or its defining double sum
-  gB   = (2tx + g - t + 1) / (2g(tx+1))
-  gD   = (g-1)(g-1+t) / (2g)
+  gA   = ((1 + t - g)/t)/2 * (1+xt)^-1      or its defining double sum
+  gB   = ((2tx + g - t + 1)/2) * (g(1+xt))^-1
+  gD   = ((g-1)(g-1+t)/2) * g^-1
   GA, GB = triple sums generating the type A / type B triangles
   GD   = triangle generating series of type D, assembled rank by rank
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .coxeter import gamma_triangle_D, gamma_triangle_diagram, standard_diagram
 from .poly import Poly2, binom
 from .report import Check
+
+
+def _quotient(num: int, den: int) -> int:
+    """num / den, which must leave no remainder."""
+    if num % den:
+        raise ArithmeticError(f"{num} is not divisible by {den}")
+    return num // den
+
+
+def _exact_div(c: Poly2, d: int, n: int) -> Poly2:
+    """The t^n coefficient c divided by d; a remainder raises, naming t^n."""
+    if any(v % d for _, v in c.items()):
+        raise ArithmeticError(f"coefficient {c} of t^{n} is not divisible by {d}")
+    return Poly2({key: v // d for key, v in c.items()})
 
 
 class TruncSeries:
@@ -49,10 +63,6 @@ class TruncSeries:
         return cls(order, cs)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncSeries":
         return cls.from_map({0: 1}, order)
 
@@ -69,7 +79,7 @@ class TruncSeries:
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
             return other
-        if isinstance(other, (int, Fraction, Poly2)):
+        if isinstance(other, (int, Poly2)):
             return TruncSeries.from_map({0: other}, self.order)
         return None
 
@@ -100,7 +110,7 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly2)):
+        if isinstance(other, (int, Poly2)):
             return TruncSeries(self.order, [c * other for c in self.coeffs])
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -150,41 +160,38 @@ class TruncSeries:
         return c0.coeff(0, 0)
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be a nonzero scalar."""
+        """Multiplicative inverse; the constant term must be the scalar 1 or
+        -1 (its own inverse), so the result is integral."""
         v = self._constant_term_value()
-        if not v:
-            raise ValueError("constant term is zero, not invertible")
-        inv0 = Fraction(1) / v
-        out = [Poly2({(0, 0): inv0})]
+        if v not in (1, -1):
+            raise ValueError(
+                f"constant term {v} is not 1 or -1, no integral inverse")
+        out = [Poly2({(0, 0): v})]
         for n in range(1, self.order):
             acc = Poly2.zero()
             for k in range(1, n + 1):
                 acc = acc + self.coeffs[k] * out[n - k]
-            out.append(acc.scale(-inv0))
+            out.append(acc.scale(-v))
         return TruncSeries(self.order, out)
 
     def sqrt(self) -> "TruncSeries":
-        """Square root with constant term 1, by coefficient recursion."""
+        """Square root with constant term 1, by coefficient recursion; each
+        step halves exactly, and an odd coefficient raises ArithmeticError."""
         if self._constant_term_value() != 1:
             raise ValueError("square root needs constant term 1")
-        half = Fraction(1, 2)
         out = [Poly2.one()]
         for n in range(1, self.order):
             acc = self.coeffs[n]
             for k in range(1, n):
                 acc = acc - out[k] * out[n - k]
-            out.append(acc.scale(half))
+            out.append(_exact_div(acc, 2, n))
         return TruncSeries(self.order, out)
 
-    def is_integral(self) -> bool:
-        return all(c.is_integral() for c in self.coeffs)
-
-    def assert_integral(self, what: str) -> "TruncSeries":
-        for n, c in enumerate(self.coeffs):
-            if not c.is_integral():
-                raise ArithmeticError(
-                    f"{what}: non-integral coefficient {c} at t^{n}")
-        return self
+    def exact_div(self, d: int) -> "TruncSeries":
+        """Divide every coefficient by the int d; a remainder raises
+        ArithmeticError naming its t-power."""
+        return TruncSeries(self.order, [_exact_div(c, d, n)
+                                        for n, c in enumerate(self.coeffs)])
 
     def first_nonzero(self, through: int):
         """(n, coefficient) of the first nonzero term with n <= through,
@@ -253,7 +260,7 @@ def g_base(order: int) -> TruncSeries:
     """g = sqrt((1-t)^2 - 4xt^2); all coefficients integral."""
     radicand = TruncSeries.from_map(
         {0: 1, 1: -2, 2: _x_poly({0: 1, 1: -4})}, order)
-    return radicand.sqrt().assert_integral("g")
+    return radicand.sqrt()
 
 
 def g_base_alt(order: int) -> TruncSeries:
@@ -261,48 +268,48 @@ def g_base_alt(order: int) -> TruncSeries:
     one_minus_t = TruncSeries.from_map({0: 1, 1: -1}, order)
     u = TruncSeries.from_map({1: 1}, order) * one_minus_t.inverse()
     radicand = TruncSeries.one(order) - (u * u) * _x_poly({1: 4})
-    return (one_minus_t * radicand.sqrt()).assert_integral("g (alternate route)")
+    return one_minus_t * radicand.sqrt()
 
 
 def g_closed(kind: str, order: int) -> TruncSeries:
-    """Closed forms of gA, gB, gD as algebraic expressions in g."""
+    """Closed forms of gA, gB, gD as algebraic expressions in g: each even
+    numerator is halved exactly, then times the inverse of a unit series."""
+    one_plus_xt = TruncSeries.from_map({0: 1, 1: _x_poly({1: 1})}, order)
     if kind == "A":
         g = g_base(order + 1)
         num = TruncSeries.from_map({0: 1, 1: 1}, order + 1) - g
-        den = TruncSeries.from_map({0: 2, 1: _x_poly({1: 2})}, order)
-        return (num.div_t() * den.inverse()).assert_integral("gA")
+        return num.div_t().exact_div(2) * one_plus_xt.inverse()
     if kind == "B":
         g = g_base(order)
         num = g + TruncSeries.from_map({0: 1, 1: _x_poly({0: -1, 1: 2})}, order)
-        den = g * TruncSeries.from_map({0: 2, 1: _x_poly({1: 2})}, order)
-        return (num * den.inverse()).assert_integral("gB")
+        return num.exact_div(2) * (g * one_plus_xt).inverse()
     if kind == "D":
         g = g_base(order)
         gm1 = g - 1
         num = gm1 * (gm1 + TruncSeries.from_map({1: 1}, order))
-        return (num * (g * 2).inverse()).assert_integral("gD")
+        return num.exact_div(2) * g.inverse()
     raise ValueError(f"unknown series kind {kind!r}")
 
 
-# coefficient formulas of the defining sums (exact rationals; the totals
-# are integral and asserted so on assembly)
+# coefficient formulas of the defining sums; each is one coefficient of an
+# integral series, so every division in them is exact
 
-def a_local_coeff(k: int, m: int) -> Fraction:
-    return Fraction(binom(2 * k + m, k) * binom(k + m - 1, k - 1), k + m + 1)
+def a_local_coeff(k: int, m: int) -> int:
+    return _quotient(binom(2 * k + m, k) * binom(k + m - 1, k - 1), k + m + 1)
 
 
 def b_local_coeff(k: int, m: int) -> int:
     return binom(2 * k + m, k) * binom(k + m - 1, k - 1)
 
 
-def d_local_coeff(k: int, m: int) -> Fraction:
-    return Fraction((2 * k + m - 2) * binom(2 * k - 2, k - 1)
-                    * binom(2 * k + m - 2, 2 * k - 2), k)
+def d_local_coeff(k: int, m: int) -> int:
+    return _quotient((2 * k + m - 2) * binom(2 * k - 2, k - 1)
+                     * binom(2 * k + m - 2, 2 * k - 2), k)
 
 
-def a_triangle_coeff(k: int, m: int, l: int) -> Fraction:
-    return Fraction((l + 1) * binom(l + 2 * k + m, k) * binom(k + m - 1, k - 1),
-                    l + k + m + 1)
+def a_triangle_coeff(k: int, m: int, l: int) -> int:
+    return _quotient((l + 1) * binom(l + 2 * k + m, k) * binom(k + m - 1, k - 1),
+                     l + k + m + 1)
 
 
 def b_triangle_coeff(k: int, m: int, l: int) -> int:
@@ -321,7 +328,7 @@ def g_sum(kind: str, order: int) -> TruncSeries:
             if v:
                 c[k] = v
         out.append(_x_poly(c))
-    return TruncSeries(order, out).assert_integral(f"g{kind} (sum route)")
+    return TruncSeries(order, out)
 
 
 def G_sum(kind: str, order: int) -> TruncSeries:
@@ -336,7 +343,7 @@ def G_sum(kind: str, order: int) -> TruncSeries:
                 if v:
                     c[(k, l)] = v
         out.append(Poly2(c))
-    return TruncSeries(order, out).assert_integral(f"G{kind} (sum route)")
+    return TruncSeries(order, out)
 
 
 def G_D_assembled(order: int) -> TruncSeries:
@@ -355,13 +362,12 @@ def G_closed(kind: str, order: int) -> TruncSeries:
         gA = g_closed("A", order)
         g = gA if kind == "A" else g_closed("B", order)
         yt_gA = (gA * Poly2({(0, 1): 1})).shift_t().truncate(order)
-        return (g * (TruncSeries.one(order) - yt_gA).inverse()
-                ).assert_integral(f"G{kind} (closed route)")
+        return g * (TruncSeries.one(order) - yt_gA).inverse()
     if kind == "D":
         GB = G_closed("B", order)
         gD = g_closed("D", order)
         return (((GB - 1) * Poly2({(0, 1): 1})).shift_t().truncate(order)
-                + gD).assert_integral("GD (closed route)")
+                + gD)
     raise ValueError(f"unknown series kind {kind!r}")
 
 
@@ -372,9 +378,9 @@ def eq_c_series(order: int) -> TruncSeries:
     for n in range(2, order):
         c = {}
         for i in range(1, n // 2 + 1):
-            c[i] = Fraction(-2 * comb(2 * i - 2, i - 1) * comb(n - 2, 2 * i - 2), i)
+            c[i] = _quotient(-2 * comb(2 * i - 2, i - 1) * comb(n - 2, 2 * i - 2), i)
         out.append(_x_poly(c))
-    return TruncSeries(order, out[:order]).assert_integral("g (double-sum route)")
+    return TruncSeries(order, out[:order])
 
 
 def two_minus_theta(s: TruncSeries) -> TruncSeries:
@@ -428,7 +434,7 @@ def verify_identities(order: int) -> list[Check]:
         ODE_NAME: ((g * g.d_dt()).shift_t() - g * g
                    + TruncSeries.from_map({0: 1, 1: -1}, N + 2)),
         "euler_gD": gD - two_minus_theta(
-            (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)) * Fraction(1, 2)),
+            (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)).exact_div(2)),
         "gB_from_gA_substitution": gB_via_substitution(N) - gB.truncate(N + 1),
     }
     checks = []
@@ -456,11 +462,11 @@ def carlitz_convolution_check(kmax: int, mmax: int, lmax: int) -> list[Check]:
             for l in range(lmax + 1):
                 conv_a = sum(a_local_coeff(k1, m1) * a_triangle_coeff(k - k1, m - m1, l)
                              for k1 in range(k + 1) for m1 in range(m + 1))
-                rhs_a = Fraction((l + 2) * k * comb(2 * k + m + l + 2, k)
-                                 * comb(k + m, m),
-                                 (2 * k + m + l + 2) * (k + m))
-                if conv_a != rhs_a:
-                    failures_a.append((k, m, l, conv_a, rhs_a))
+                # cross-multiplied by the denominator, positive for k >= 1
+                lhs_a = conv_a * (2 * k + m + l + 2) * (k + m)
+                rhs_a = (l + 2) * k * comb(2 * k + m + l + 2, k) * comb(k + m, m)
+                if lhs_a != rhs_a:
+                    failures_a.append((k, m, l, lhs_a, rhs_a))
                 conv_b = sum(a_local_coeff(k1, m1) * b_triangle_coeff(k - k1, m - m1, l)
                              for k1 in range(k + 1) for m1 in range(m + 1))
                 rhs_b = comb(2 * k + m + l + 1, k) * binom(k + m - 1, m)
@@ -479,15 +485,16 @@ def carlitz_convolution_check(kmax: int, mmax: int, lmax: int) -> list[Check]:
 
 def binomial_identity_check(nmax: int) -> list[Check]:
     """(binom(n-2,i-1)binom(n-i-2,i-2) + binom(n-1,i)binom(n-i-2,i-1))/(n-i)
-    = binom(2i-2,i-1)binom(n-2,2i-2)/i for 2 <= n <= nmax, 1 <= i <= n/2."""
+    = binom(2i-2,i-1)binom(n-2,2i-2)/i for 2 <= n <= nmax, 1 <= i <= n/2,
+    cross-multiplied by the positive denominators i and n-i."""
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
     failures = []
     for n in range(2, nmax + 1):
         for i in range(1, n // 2 + 1):
-            lhs = Fraction(binom(n - 2, i - 1) * binom(n - i - 2, i - 2)
-                           + binom(n - 1, i) * binom(n - i - 2, i - 1), n - i)
-            rhs = Fraction(binom(2 * i - 2, i - 1) * binom(n - 2, 2 * i - 2), i)
+            lhs = (binom(n - 2, i - 1) * binom(n - i - 2, i - 2)
+                   + binom(n - 1, i) * binom(n - i - 2, i - 1)) * i
+            rhs = binom(2 * i - 2, i - 1) * binom(n - 2, 2 * i - 2) * (n - i)
             if lhs != rhs:
                 failures.append((n, i, lhs, rhs))
     return [Check("binomial_identity", not failures,

@@ -65,6 +65,8 @@ def tables_report() -> Report:
 
 
 def series_report(order: int = DEFAULT_ORDER) -> Report:
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     rep = Report(f"series (order {order})")
     rep.extend(series.verify_identities(order))
     rep.extend(series.carlitz_convolution_check(6, 6, 6))
@@ -97,6 +99,8 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK, cases: int = 200) -> Rep
     """Three-way triangle agreement on the type A models plus the module
     invariants: specializations, round trips, local-h properties, join
     multiplicativity, root-support counts and the sign observations."""
+    if max_rank < 1:
+        raise ValueError(f"max rank must be >= 1, got {max_rank}")
     rep = Report(f"crosscheck (max rank {max_rank})")
     rng = random.Random(20240917)
 

@@ -185,6 +185,8 @@ def test_cluster_type_aliases(capsys, argv, normalized, formula, m):
     ["cluster", "A", "0"],
     ["cluster", "A", "-1"],
     ["cluster", "B", "0"],
+    ["verify", "--suite", "series", "--order", "0"],
+    ["verify", "--suite", "crosscheck", "--max-rank", "-2"],
 ], ids="_".join)
 def test_bad_input_fails_closed(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -72,9 +72,40 @@ small_series = st.builds(
 
 @settings(max_examples=60)
 @given(small_series)
-def test_sqrt_squares_back(s):
-    r = s.sqrt()
-    assert (r * r - s).is_zero_through(7)
+def test_sqrt_of_a_square_is_its_root(r):
+    assert (r * r).sqrt() == r
+
+
+def test_sqrt_raises_on_an_odd_coefficient():
+    with pytest.raises(ArithmeticError, match=r"of t\^1 "):
+        TruncSeries.from_map({0: 1, 1: 1}, 4).sqrt()
+
+
+def test_exact_div_raises_naming_the_t_power():
+    s = TruncSeries.from_map({0: 2, 3: xp({1: 4, 2: 6})}, 5)
+    assert s.exact_div(2) == TruncSeries.from_map({0: 1, 3: xp({1: 2, 2: 3})}, 5)
+    with pytest.raises(ArithmeticError, match=r"of t\^3 "):
+        (s + TruncSeries.from_map({3: xp({2: 1})}, 5)).exact_div(2)
+    # the gD numerator (g-1)(g-1+t) with an odd constant term
+    g = g_base(8)
+    num = (g - 1) * (g - 1 + TruncSeries.from_map({1: 1}, 8))
+    assert num.exact_div(2).order == 8
+    with pytest.raises(ArithmeticError, match=r"of t\^0 "):
+        (num + 1).exact_div(2)
+
+
+def test_coefficient_formulas_divide_exactly():
+    from gammatri.series import _quotient
+    assert _quotient(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _quotient(7, 2)
+
+
+def test_inverse_needs_a_unit_constant_term():
+    with pytest.raises(ValueError):
+        TruncSeries.from_map({0: 2, 1: 1}, 4).inverse()
+    s = TruncSeries.from_map({0: -1, 1: xp({1: 3})}, 6)
+    assert (s * s.inverse() - 1).is_zero_through(5)
 
 
 @settings(max_examples=60)
@@ -253,10 +284,13 @@ def test_binomial_identity_base_cases():
     assert lhs2 == rhs2 == 1
 
 
-def test_series_integrality_asserted():
-    assert g_base(20).is_integral()
-    assert g_sum("D", 20).is_integral()
-    assert G_sum("B", 12).is_integral()
+def test_series_coefficients_are_ints():
+    built = [g_base(24), eq_c_series(24), G_D_assembled(24)]
+    built += [route(k, 24) for route in (g_closed, g_sum) for k in "ABD"]
+    built += [route(k, 24) for route in (G_closed, G_sum) for k in "AB"]
+    built.append(G_closed("D", 24))
+    for s in built:
+        assert all(type(v) is int for c in s.coeffs for _, v in c.items())
 
 
 def test_order_bookkeeping():
