@@ -7,6 +7,15 @@ complement. Types A, B, D have closed-form local data; the dihedral types
 contribute (m-2)x; H3, H4, F4, E6, E7, E8 carry stored local data. Rows
 j >= 1 of any triangle therefore always come out of the closed forms for
 proper subdiagrams, never out of storage.
+
+gamma_triangle_diagram visits all 2^n vertex subsets of its input, each as
+an int bitmask over the diagram's vertex order; it does not factor the sum
+over the input's components, so the product of component triangles stays
+an independent check of it. A subset splits into components by growing
+from its lowest set bit through per-vertex adjacency masks. A connected
+component is classified and given its local gamma-polynomial once per
+call, memoized by its vertex mask, and a subset stops at its first
+component with local gamma 0 (any isolated vertex, A1, is one).
 """
 
 from __future__ import annotations
@@ -228,24 +237,54 @@ def local_gamma_poly(c: TypedComponent) -> Poly1:
     raise ClassificationError(f"unknown component kind {c.kind!r}")
 
 
-def local_gamma_of_diagram(dgm: CoxeterDiagram) -> Poly1:
-    """Product over connected components; 1 for the empty diagram."""
-    out = Poly1.one()
-    for comp in classify(dgm):
-        out = out * local_gamma_poly(comp)
-    return out
-
-
 def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
-    """sum over vertex subsets J of local_gamma(induced on I - J) y^|J|."""
+    """Sum over vertex subsets J of local_gamma(induced on I - J) y^|J|.
+
+    All 2^n subsets are visited as bitmasks. classify(dgm) runs first, so a
+    diagram of infinite type raises ClassificationError before the loop
+    (finite type is closed under induced subdiagrams). Each connected
+    component met in the loop is classified and its local gamma computed
+    the first time its vertex mask is seen; a subset is dropped at its
+    first component with local gamma 0."""
+    classify(dgm)
     verts = dgm.vertices
     n = len(verts)
-    out = Poly2.zero()
-    for mask in range(1 << n):
-        keep = [verts[i] for i in range(n) if mask >> i & 1]
-        lg = local_gamma_of_diagram(dgm.induced(keep))
-        out = out + lg.to_poly2().shift(0, n - len(keep))
-    return GammaTriangle.from_poly2(out, n)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * n
+    for u, v, _ in dgm.edges:
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    local: dict[int, Poly1] = {}
+
+    def component_gamma(comp: int) -> Poly1:
+        labels = tuple(sorted(v for v in verts if comp >> index[v] & 1))
+        edges = tuple(e for e in dgm.edges
+                      if comp >> index[e[0]] & 1 and comp >> index[e[1]] & 1)
+        return local_gamma_poly(_classify_component(labels, edges))
+
+    acc = {(0, n): 1}  # the empty subset
+    for keep in range(1, 1 << n):
+        lg, rest = None, keep
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = adj[low.bit_length() - 1] & keep & ~comp
+                comp |= grown
+                frontier |= grown
+            rest &= ~comp
+            g = local.get(comp)
+            if g is None:
+                g = local[comp] = component_gamma(comp)
+            if g.is_zero():
+                break
+            lg = g if lg is None else lg * g
+        else:  # no component has local gamma 0
+            j = n - keep.bit_count()
+            for i, c in lg.items():
+                acc[(i, j)] = acc.get((i, j), 0) + c
+    return GammaTriangle.make(acc, n)
 
 
 def gamma_coeff_closed(kind: str, n: int, k: int, l: int) -> int:

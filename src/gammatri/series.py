@@ -181,9 +181,13 @@ class TruncSeries:
             raise ValueError("square root needs constant term 1")
         out = [Poly2.one()]
         for n in range(1, self.order):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                acc = acc - out[k] * out[n - k]
+            # c_n = sum_k r_k r_(n-k); each pair k < n - k occurs twice
+            pairs = Poly2.zero()
+            for k in range(1, (n + 1) // 2):
+                pairs = pairs + out[k] * out[n - k]
+            acc = self.coeffs[n] - 2 * pairs
+            if n % 2 == 0:
+                acc = acc - out[n // 2] * out[n // 2]
             out.append(_exact_div(acc, 2, n))
         return TruncSeries(self.order, out)
 

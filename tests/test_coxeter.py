@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gammatri import coxeter
 from gammatri.coxeter import (
     ClassificationError,
     CoxeterDiagram,
@@ -54,7 +56,7 @@ def test_classify_multi_component():
     assert classify(dgm) == [comp("A", 2), comp("I2", 2, 4), comp("I2", 2, 7)]
 
 
-@pytest.mark.parametrize("vertices, edges, message", [
+NON_FINITE = [
     ("abc", [("a", "b"), ("b", "c"), ("a", "c")], "cycle"),
     ("abcd", [("a", "b", 4), ("b", "c"), ("c", "d", 4)], "two labeled"),
     ("abcde", [("a", "b"), ("b", "c"), ("b", "d"), ("b", "e")], "degree 4"),
@@ -62,10 +64,32 @@ def test_classify_multi_component():
     ("abcd", [("a", "b", 6), ("b", "c"), ("c", "d")], "not of finite type"),
     ("abcdefg", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
                  ("c", "f"), ("f", "g")], "branch lengths"),
-])
+]
+
+
+@pytest.mark.parametrize("vertices, edges, message", NON_FINITE)
 def test_classify_rejects_non_finite(vertices, edges, message):
     with pytest.raises(ClassificationError, match=message):
         classify(CoxeterDiagram.make(list(vertices), edges))
+
+
+@pytest.mark.parametrize("vertices, edges, message", NON_FINITE)
+def test_diagram_sum_rejects_non_finite(vertices, edges, message):
+    with pytest.raises(ClassificationError, match=message):
+        gamma_triangle_diagram(CoxeterDiagram.make(list(vertices), edges))
+
+
+def test_diagram_sum_rejects_before_the_subset_loop(monkeypatch):
+    # 20 isolated vertices come first in the vertex order, so a per-subset
+    # check would reach the cycle only after 2^20 subsets
+    def never(c):
+        raise AssertionError("local gamma computed for a non-finite diagram")
+
+    monkeypatch.setattr(coxeter, "local_gamma_poly", never)
+    dgm = CoxeterDiagram.make([f"v{i:02d}" for i in range(20)] + ["a", "b", "c"],
+                              [("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(ClassificationError, match="cycle"):
+        gamma_triangle_diagram(dgm)
 
 
 def test_diagram_validation():
@@ -213,3 +237,101 @@ def test_diagram_json_round_trip():
     again = CoxeterDiagram.from_dict(dgm.to_dict())
     assert classify(again) == classify(dgm)
     assert gamma_triangle_diagram(again) == gamma_triangle_diagram(dgm)
+
+
+def gamma_triangle_by_induced_subsets(dgm):
+    """Test oracle: the diagram sum computed subset by subset, classifying
+    the induced subdiagram of every subset afresh."""
+    verts = dgm.vertices
+    n = len(verts)
+    out = Poly2.zero()
+    for mask in range(1 << n):
+        keep = [verts[i] for i in range(n) if mask >> i & 1]
+        lg = Poly1.one()
+        for c in classify(dgm.induced(keep)):
+            lg = lg * local_gamma_poly(c)
+        out = out + lg.to_poly2().shift(0, n - len(keep))
+    return GammaTriangle.from_poly2(out, n)
+
+
+STANDARD_UP_TO_8 = (
+    [("A", r, None) for r in range(1, 9)]
+    + [("B", r, None) for r in range(1, 9)]
+    + [("D", r, None) for r in range(2, 9)]
+    + [(k, None, None) for k in ("E6", "E7", "E8", "F4", "H3", "H4")]
+    + [("I2", None, m) for m in range(2, 13)])
+
+
+@pytest.mark.parametrize("kind, rank, m", STANDARD_UP_TO_8)
+def test_diagram_sum_matches_induced_subset_oracle(kind, rank, m):
+    dgm = standard_diagram(kind, rank, m)
+    assert gamma_triangle_diagram(dgm) == gamma_triangle_by_induced_subsets(dgm)
+
+
+CATALOG = (
+    [("A", r, None) for r in range(1, 10)]
+    + [("B", r, None) for r in range(2, 10)]
+    + [("D", r, None) for r in range(3, 10)]
+    + [(k, int(k[1]), None) for k in ("E6", "E7", "E8", "F4", "H3", "H4")]
+    + [("I2", 2, m) for m in range(2, 13)])
+
+
+def closed_component_triangle(kind, rank, m):
+    """Triangle of one connected type without the diagram sum."""
+    if kind in ("A", "B"):
+        return closed_gamma_triangle(kind, rank)
+    if kind == "D":
+        return gamma_triangle_D(rank)
+    if kind == "I2":
+        return rank23_formula(m, 2)
+    if kind == "H3":
+        return rank23_formula(10, 3)
+    return reference_tables()[kind]
+
+
+@st.composite
+def finite_unions(draw):
+    """(components, diagram): a disjoint union of catalog types of total
+    rank 1-9 under shuffled labels, with its vertices in shuffled order."""
+    left = draw(st.integers(1, 9))
+    components = []
+    while left:
+        components.append(draw(st.sampled_from(
+            [c for c in CATALOG if c[1] <= left])))
+        left -= components[-1][1]
+    total = sum(rank for _, rank, _ in components)
+    codes = iter(draw(st.permutations(range(total))))
+    verts, edges = [], []
+    for kind, rank, m in components:
+        part = standard_diagram(kind, rank, m)
+        name = {v: f"v{next(codes)}" for v in part.vertices}
+        verts += name.values()
+        edges += [(name[u], name[v], label) for u, v, label in part.edges]
+    return components, CoxeterDiagram.make(draw(st.permutations(verts)), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_unions())
+def test_diagram_sum_of_unions(case):
+    components, dgm = case
+    got = gamma_triangle_diagram(dgm)
+    assert got == gamma_triangle_by_induced_subsets(dgm)
+    want = Poly2.one()
+    for c in components:
+        want = want * closed_component_triangle(*c).to_poly2()
+    assert got.to_poly2() == want
+    assert got.degree == len(dgm.vertices)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_diagram_sum_computes_each_local_gamma_once(monkeypatch, n):
+    real, calls = coxeter.local_gamma_poly, []
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(coxeter, "local_gamma_poly", counted)
+    gamma_triangle_diagram(standard_diagram("A", n))
+    # one call per connected sub-path at most
+    assert len(calls) <= n * (n + 1) // 2
