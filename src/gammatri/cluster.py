@@ -13,8 +13,6 @@ carry one index label each and whose interior vertices carry both.
 
 from __future__ import annotations
 
-from math import comb
-
 from .complexes import Complex
 from .subdivisions import Subdivision
 
@@ -116,7 +114,3 @@ def count_roots_by_support(n: int) -> dict[int, int]:
             s = b - a + 1
             out[s] = out.get(s, 0) + 1
     return out
-
-
-def catalan(k: int) -> int:
-    return comb(2 * k, k) // (k + 1)

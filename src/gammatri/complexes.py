@@ -17,6 +17,18 @@ class InvalidComplex(ValueError):
     pass
 
 
+def label_list(value, what: str, error: type[Exception]):
+    """The shape check of the JSON loaders: `value` must be a list (or
+    tuple) of strings, so a bare string is never read one character at a
+    time. Anything else raises `error` naming `what`."""
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{what} must be a list, got {type(value).__name__}")
+    for v in value:
+        if not isinstance(v, str):
+            raise error(f"{what} holds {v!r}; labels must be strings")
+    return value
+
+
 def _facet_key(f):
     return (len(f), tuple(sorted(f)))
 
@@ -73,7 +85,11 @@ class Complex:
             facets = data["facets"]
         except (TypeError, KeyError) as exc:
             raise InvalidComplex(f"missing field in complex data: {exc}")
-        return cls.make(vertices, [frozenset(f) for f in facets])
+        label_list(vertices, "vertices", InvalidComplex)
+        if not isinstance(facets, list):
+            raise InvalidComplex(f"facets must be a list, got {type(facets).__name__}")
+        return cls.make(vertices, [frozenset(label_list(f, "facet", InvalidComplex))
+                                   for f in facets])
 
 
 def first_supersets(sets) -> dict[frozenset, frozenset]:

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .poly import Poly1, Poly2, binom
+from .complexes import label_list
+from .poly import Poly1, Poly2, binom, quotient
 from .transforms import GammaTriangle
 
 
@@ -41,14 +42,26 @@ class CoxeterDiagram:
 
     @classmethod
     def make(cls, vertices, edges) -> "CoxeterDiagram":
-        verts = tuple(vertices)
+        """Validating constructor: string labels, and edges given as 2 labels
+        and an optional int label (not a bool)."""
+        verts = tuple(label_list(vertices, "vertices", ClassificationError))
         if len(set(verts)) != len(verts):
             raise ClassificationError("duplicate vertex labels")
         vset = set(verts)
         seen = set()
         norm = []
+        if not isinstance(edges, (list, tuple)):
+            raise ClassificationError(
+                f"edges must be a list, got {type(edges).__name__}")
         for e in edges:
-            u, v, m = (e[0], e[1], 3) if len(e) == 2 else (e[0], e[1], int(e[2]))
+            if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
+                raise ClassificationError(
+                    f"edge {e!r} must be 2 vertex labels and an optional edge label")
+            u, v = label_list(e[:2], "edge", ClassificationError)
+            m = e[2] if len(e) == 3 else 3
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise ClassificationError(
+                    f"edge label {m!r} on ({u!r}, {v!r}) is not an int")
             if u == v:
                 raise ClassificationError(f"loop at vertex {u!r}")
             if u not in vset or v not in vset:
@@ -206,29 +219,22 @@ EXCEPTIONAL_LOCAL = {
 }
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{what}: {num} not divisible by {den}")
-    return q
-
-
 def local_gamma_poly(c: TypedComponent) -> Poly1:
     """Closed-form local gamma-polynomial of a connected finite type
     (stored data for the exceptional kinds)."""
     n = c.rank
     if c.kind == "A":
         return Poly1({
-            k: _exact_div(comb(n, k) * comb(n - k - 1, k - 1), n - k + 1,
-                          f"local A{n} k={k}")
+            k: quotient(comb(n, k) * comb(n - k - 1, k - 1), n - k + 1,
+                        f"local A{n} k={k}")
             for k in range(1, n // 2 + 1)})
     if c.kind == "B":
         return Poly1({k: comb(n, k) * comb(n - k - 1, k - 1)
                       for k in range(1, n // 2 + 1)})
     if c.kind == "D":
         return Poly1({
-            k: _exact_div((n - 2) * comb(2 * k - 2, k - 1) * comb(n - 2, 2 * k - 2),
-                          k, f"local D{n} k={k}")
+            k: quotient((n - 2) * comb(2 * k - 2, k - 1) * comb(n - 2, 2 * k - 2),
+                        k, f"local D{n} k={k}")
             for k in range(1, n // 2 + 1)})
     if c.kind == "I2":
         return Poly1({1: c.m - 2})
@@ -294,8 +300,8 @@ def gamma_coeff_closed(kind: str, n: int, k: int, l: int) -> int:
     if k == 0:
         return 1 if l == n else 0
     if kind == "A":
-        return _exact_div((l + 1) * comb(n, k) * binom(n - k - l - 1, k - 1),
-                          n - k + 1, f"A{n} coefficient ({k}, {l})")
+        return quotient((l + 1) * comb(n, k) * binom(n - k - l - 1, k - 1),
+                        n - k + 1, f"A{n} coefficient ({k}, {l})")
     if kind == "B":
         return comb(n, k) * binom(n - k - l - 1, k - 1)
     raise ValueError(f"no closed coefficient form for kind {kind!r}")
@@ -335,8 +341,8 @@ def rank23_formula(h: int, rank: int) -> GammaTriangle:
     if rank == 3:
         if h not in (2, 4, 6, 10):
             raise ValueError(f"rank 3 Coxeter number must be 2, 4, 6 or 10, got {h}")
-        c11 = _exact_div(6 * (h - 2), h + 2, "rank 3 xy entry")
-        c10 = _exact_div(3 * (h - 2) ** 2, 2 * (h + 2), "rank 3 x entry")
+        c11 = quotient(6 * (h - 2), h + 2, "rank 3 xy entry")
+        c10 = quotient(3 * (h - 2) ** 2, 2 * (h + 2), "rank 3 x entry")
         return GammaTriangle.make({(0, 3): 1, (1, 1): c11, (1, 0): c10}, 3)
     raise ValueError(f"rank must be 2 or 3, got {rank}")
 

@@ -1,9 +1,14 @@
 """Sparse exact polynomial arithmetic in one and two variables.
 
 Coefficients are Python ints (arbitrary precision), and the operators take
-int scalars only: every quantity in this package is an integer, and the one
-place where division is needed (the power-series code) divides exactly and
-raises on a remainder. Zero coefficients are never stored.
+int scalars only: every quantity in this package is an integer, and every
+division (quotient, the power-series halving) is exact and raises on a
+remainder. Zero coefficients are never stored.
+
+Sums of many polynomials go through one of two kernels, each building one
+object instead of a new partial sum per term: the classmethod sum(polys),
+and Poly2.dot(pairs), the sum of a * b over the pairs (the product a * b
+itself is dot of one pair). The constructors add up repeated keys.
 """
 
 from __future__ import annotations
@@ -23,10 +28,20 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
+def quotient(num: int, den: int, what: str = "") -> int:
+    """num / den, which must leave no remainder; the ArithmeticError names
+    `what` when it is given."""
+    q, r = divmod(num, den)
+    if r:
+        prefix = f"{what}: " if what else ""
+        raise ArithmeticError(f"{prefix}{num} is not divisible by {den}")
+    return q
+
+
 class _Poly:
     """The operations of Poly1 and Poly2 that do not depend on the key
-    shape. Subclasses validate keys in __init__, multiply in __mul__, and
-    name the key of the constant term in _ONE_KEY."""
+    shape. Subclasses validate and add up keys in __init__, multiply in
+    __mul__, and name the key of the constant term in _ONE_KEY."""
 
     __slots__ = ("_c",)
 
@@ -37,6 +52,15 @@ class _Poly:
     @classmethod
     def one(cls):
         return cls({cls._ONE_KEY: 1})
+
+    @classmethod
+    def sum(cls, polys):
+        """The sum of the polynomials, accumulated in one dict."""
+        out = {}
+        for p in polys:
+            for k, c in p._c.items():
+                out[k] = out.get(k, 0) + c
+        return cls(out)
 
     def items(self):
         return sorted(self._c.items())
@@ -78,10 +102,6 @@ class _Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = type(self)({self._ONE_KEY: other})
-        elif not isinstance(other, type(self)):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -140,18 +160,6 @@ class Poly1(_Poly):
         """Maximum stored exponent; -1 for the zero polynomial."""
         return max(self._c) if self._c else -1
 
-    def min_degree(self) -> int:
-        return min(self._c) if self._c else -1
-
-    def evaluate(self, v):
-        return sum(c * v**e for e, c in self._c.items())
-
-    def shift_down(self, k: int) -> "Poly1":
-        """Divide by x^k; every stored exponent must be >= k."""
-        if self._c and min(self._c) < k:
-            raise ValueError(f"not divisible by x^{k}")
-        return Poly1({e - k: c for e, c in self._c.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
@@ -172,10 +180,6 @@ class Poly1(_Poly):
         """Serialization: sorted [exponent, decimal-string] pairs."""
         return [[e, str(c)] for e, c in self.items()]
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Poly1":
-        return cls({int(e): int(c) for e, c in pairs})
-
 
 class Poly2(_Poly):
     """Sparse bivariate polynomial in x and y, (i, j) -> coefficient."""
@@ -187,10 +191,10 @@ class Poly2(_Poly):
         data = {}
         if coeffs:
             items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for (i, j), c in items:
+            for key, c in items:  # the caller's key tuples are kept, not rebuilt
+                i, j = key
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent pair ({i}, {j})")
-                key = (i, j)
                 c = data.get(key, 0) + c
                 if c:
                     data[key] = c
@@ -220,32 +224,33 @@ class Poly2(_Poly):
         if value == 0:
             return self.coeff_of_y(0)
         if value == 1:
-            out = {}
-            for (i, _), c in self._c.items():
-                out[i] = out.get(i, 0) + c
-            return Poly1(out)
+            return Poly1([(i, c) for (i, _), c in self._c.items()])
         if value == "x":
-            out = {}
-            for (i, j), c in self._c.items():
-                out[i + j] = out.get(i + j, 0) + c
-            return Poly1(out)
+            return Poly1([(i + j, c) for (i, j), c in self._c.items()])
         raise ValueError("y can only be specialized to 0, 1 or 'x'")
 
     def shift(self, i: int, j: int) -> "Poly2":
         """Multiply by x^i y^j."""
         return Poly2({(a + i, b + j): c for (a, b), c in self._c.items()})
 
+    @classmethod
+    def dot(cls, pairs) -> "Poly2":
+        """The sum of a * b over the (a, b) pairs, accumulated in one dict."""
+        out = {}
+        for a, b in pairs:
+            terms = b._c.items()
+            for (i1, j1), c1 in a._c.items():
+                for (i2, j2), c2 in terms:
+                    k = (i1 + i2, j1 + j2)
+                    out[k] = out.get(k, 0) + c1 * c2
+        return cls(out)
+
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        out = {}
-        for (i1, j1), c1 in self._c.items():
-            for (i2, j2), c2 in other._c.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return Poly2(out)
+        return Poly2.dot(((self, other),))
 
     def to_triples(self):
         """Serialization: [i, j, decimal-string] sorted lexicographically."""

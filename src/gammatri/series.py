@@ -22,15 +22,8 @@ from __future__ import annotations
 from math import comb
 
 from .coxeter import gamma_triangle_D, gamma_triangle_diagram, standard_diagram
-from .poly import Poly2, binom
+from .poly import Poly2, binom, quotient
 from .report import Check
-
-
-def _quotient(num: int, den: int) -> int:
-    """num / den, which must leave no remainder."""
-    if num % den:
-        raise ArithmeticError(f"{num} is not divisible by {den}")
-    return num // den
 
 
 def _exact_div(c: Poly2, d: int, n: int) -> Poly2:
@@ -76,13 +69,6 @@ class TruncSeries:
             raise ValueError("cannot extend a truncated series")
         return TruncSeries(order, self.coeffs[:order])
 
-    def _coerce(self, other):
-        if isinstance(other, TruncSeries):
-            return other
-        if isinstance(other, (int, Poly2)):
-            return TruncSeries.from_map({0: other}, self.order)
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -92,19 +78,17 @@ class TruncSeries:
         return TruncSeries(self.order, [-c for c in self.coeffs])
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Poly2)):
+            other = TruncSeries.from_map({0: other}, self.order)
+        elif not isinstance(other, TruncSeries):
             return NotImplemented
-        n = min(self.order, o.order)
-        return TruncSeries(n, [self.coeffs[k] + o.coeffs[k] for k in range(n)])
+        return TruncSeries(min(self.order, other.order),
+                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -115,15 +99,9 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = [Poly2.zero()] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(n, out)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(n, [Poly2.dot((a[i], b[m - i]) for i in range(m + 1))
+                               for m in range(n)])
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -168,10 +146,8 @@ class TruncSeries:
                 f"constant term {v} is not 1 or -1, no integral inverse")
         out = [Poly2({(0, 0): v})]
         for n in range(1, self.order):
-            acc = Poly2.zero()
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(acc.scale(-v))
+            out.append(Poly2.dot((self.coeffs[k], out[n - k])
+                                 for k in range(1, n + 1)).scale(-v))
         return TruncSeries(self.order, out)
 
     def sqrt(self) -> "TruncSeries":
@@ -182,9 +158,7 @@ class TruncSeries:
         out = [Poly2.one()]
         for n in range(1, self.order):
             # c_n = sum_k r_k r_(n-k); each pair k < n - k occurs twice
-            pairs = Poly2.zero()
-            for k in range(1, (n + 1) // 2):
-                pairs = pairs + out[k] * out[n - k]
+            pairs = Poly2.dot((out[k], out[n - k]) for k in range(1, (n + 1) // 2))
             acc = self.coeffs[n] - 2 * pairs
             if n % 2 == 0:
                 acc = acc - out[n // 2] * out[n // 2]
@@ -208,9 +182,6 @@ class TruncSeries:
                 return n, self.coeffs[n]
         return None
 
-    def is_zero_through(self, through: int) -> bool:
-        return self.first_nonzero(through) is None
-
     def __str__(self):
         parts = [f"({c})*t^{n}" for n, c in enumerate(self.coeffs)
                  if not c.is_zero()]
@@ -229,7 +200,7 @@ def substitute_x_over_t_times_t(s: TruncSeries) -> TruncSeries:
     the result is complete through t^j exactly when the source is known
     through t^(2j-2), which the returned order reflects."""
     new_order = (s.order + 1) // 2 + 1
-    out = [Poly2.zero()] * new_order
+    terms = [[] for _ in range(new_order)]
     for n, c in enumerate(s.coeffs):
         if c.deg_y() > 0:
             raise ValueError("substitution defined for y-free series only")
@@ -240,20 +211,20 @@ def substitute_x_over_t_times_t(s: TruncSeries) -> TruncSeries:
                     "condition of the substitution")
             target = n - k + 1
             if target < new_order:
-                out[target] = out[target] + Poly2.term(v, k, 0)
-    return TruncSeries(new_order, out)
+                terms[target].append(((k, 0), v))
+    return TruncSeries(new_order, [Poly2(t) for t in terms])
 
 
 def substitute_x_to_xt(s: TruncSeries) -> TruncSeries:
     """s(xt, t): the monomial x^k t^n moves to x^k t^(n+k)."""
-    out = [Poly2.zero()] * s.order
+    terms = [[] for _ in range(s.order)]
     for n, c in enumerate(s.coeffs):
         if c.deg_y() > 0:
             raise ValueError("substitution defined for y-free series only")
         for (k, _), v in c.items():
             if n + k < s.order:
-                out[n + k] = out[n + k] + Poly2.term(v, k, 0)
-    return TruncSeries(s.order, out)
+                terms[n + k].append(((k, 0), v))
+    return TruncSeries(s.order, [Poly2(t) for t in terms])
 
 
 def _x_poly(mapping: dict) -> Poly2:
@@ -265,14 +236,6 @@ def g_base(order: int) -> TruncSeries:
     radicand = TruncSeries.from_map(
         {0: 1, 1: -2, 2: _x_poly({0: 1, 1: -4})}, order)
     return radicand.sqrt()
-
-
-def g_base_alt(order: int) -> TruncSeries:
-    """The same series computed as (1-t) sqrt(1 - 4x (t/(1-t))^2)."""
-    one_minus_t = TruncSeries.from_map({0: 1, 1: -1}, order)
-    u = TruncSeries.from_map({1: 1}, order) * one_minus_t.inverse()
-    radicand = TruncSeries.one(order) - (u * u) * _x_poly({1: 4})
-    return one_minus_t * radicand.sqrt()
 
 
 def g_closed(kind: str, order: int) -> TruncSeries:
@@ -299,7 +262,7 @@ def g_closed(kind: str, order: int) -> TruncSeries:
 # integral series, so every division in them is exact
 
 def a_local_coeff(k: int, m: int) -> int:
-    return _quotient(binom(2 * k + m, k) * binom(k + m - 1, k - 1), k + m + 1)
+    return quotient(binom(2 * k + m, k) * binom(k + m - 1, k - 1), k + m + 1)
 
 
 def b_local_coeff(k: int, m: int) -> int:
@@ -307,13 +270,13 @@ def b_local_coeff(k: int, m: int) -> int:
 
 
 def d_local_coeff(k: int, m: int) -> int:
-    return _quotient((2 * k + m - 2) * binom(2 * k - 2, k - 1)
-                     * binom(2 * k + m - 2, 2 * k - 2), k)
+    return quotient((2 * k + m - 2) * binom(2 * k - 2, k - 1)
+                    * binom(2 * k + m - 2, 2 * k - 2), k)
 
 
 def a_triangle_coeff(k: int, m: int, l: int) -> int:
-    return _quotient((l + 1) * binom(l + 2 * k + m, k) * binom(k + m - 1, k - 1),
-                     l + k + m + 1)
+    return quotient((l + 1) * binom(l + 2 * k + m, k) * binom(k + m - 1, k - 1),
+                    l + k + m + 1)
 
 
 def b_triangle_coeff(k: int, m: int, l: int) -> int:
@@ -382,7 +345,7 @@ def eq_c_series(order: int) -> TruncSeries:
     for n in range(2, order):
         c = {}
         for i in range(1, n // 2 + 1):
-            c[i] = _quotient(-2 * comb(2 * i - 2, i - 1) * comb(n - 2, 2 * i - 2), i)
+            c[i] = quotient(-2 * comb(2 * i - 2, i - 1) * comb(n - 2, 2 * i - 2), i)
         out.append(_x_poly(c))
     return TruncSeries(order, out[:order])
 

@@ -31,6 +31,7 @@ from .complexes import (
     fresh_labels,
     is_pure,
     join,
+    label_list,
 )
 from .poly import Poly1, Poly2, one_minus_x
 from .transforms import (
@@ -135,7 +136,13 @@ class Subdivision:
             cpx = Complex.from_dict(complex_data)
         except InvalidComplex as exc:
             raise InvalidSubdivision(f"invalid complex: {exc}")
-        sub = cls.make(cpx, index_set, {v: frozenset(s) for v, s in sigma.items()})
+        label_list(index_set, "index_set", InvalidSubdivision)
+        if not isinstance(sigma, dict):
+            raise InvalidSubdivision("sigma must be a map from vertices to "
+                                     f"carriers, got {type(sigma).__name__}")
+        sub = cls.make(cpx, index_set, {
+            v: frozenset(label_list(s, f"carrier of {v!r}", InvalidSubdivision))
+            for v, s in sigma.items()})
         sub.validate()
         return sub
 
@@ -195,15 +202,13 @@ def local_h(s: Subdivision) -> Poly1:
     for f in face_set(s.complex):
         key = (len(f), len(s.carrier(f)))
         buckets[key] = buckets.get(key, 0) + 1
-    out = Poly1.zero()
-    for (a, k), c in sorted(buckets.items()):
+    for a, k in sorted(buckets):
         if a > k:
             raise ValueError(
                 f"a face of size {a} has a carrier of size {k}; local h "
                 "needs every face to be at most as large as its carrier")
-        term = Poly1.term(c * (-1) ** (n - k), n - k + a) * one_minus_x(k - a)
-        out = out + term
-    return out
+    return Poly1.sum(Poly1.term(c * (-1) ** (n - k), n - k + a) * one_minus_x(k - a)
+                     for (a, k), c in buckets.items())
 
 
 def local_gamma(s: Subdivision) -> Poly1:
@@ -257,23 +262,18 @@ def h_triangle_direct(s: Subdivision) -> Poly2:
     for cross-checking the F-triangle pipeline."""
     n = len(s.index_set)
     iset = frozenset(s.index_set)
-    out = Poly2.zero()
-    for r in range(n + 1):
-        for J in combinations(s.index_set, r):
-            h = h_of_complex(restrict(s, iset - frozenset(J)), n - r)
-            out = out + h.to_poly2().shift(r, r)
-    return out
+    return Poly2.sum(
+        h_of_complex(restrict(s, iset - frozenset(J)), n - r).to_poly2().shift(r, r)
+        for r in range(n + 1) for J in combinations(s.index_set, r))
 
 
 def gamma_from_local_sum(s: Subdivision) -> GammaTriangle:
     """Triangle coefficients as sum_K local_gamma(restriction to K) y^(|I-K|);
     the K = empty term contributes the constant 1."""
     n = len(s.index_set)
-    out = Poly2.zero()
-    for r in range(n + 1):
-        for K in combinations(s.index_set, r):
-            lg = local_gamma(sub_subdivision(s, frozenset(K)))
-            out = out + lg.to_poly2().shift(0, n - r)
+    out = Poly2.sum(
+        local_gamma(sub_subdivision(s, frozenset(K))).to_poly2().shift(0, n - r)
+        for r in range(n + 1) for K in combinations(s.index_set, r))
     return GammaTriangle.from_poly2(out, n)
 
 

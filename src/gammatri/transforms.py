@@ -37,20 +37,14 @@ def h_from_f(f: Poly1, d: int) -> Poly1:
     """h(x) = sum_a f_a x^a (1-x)^(d-a) where f = sum_a f_a x^a."""
     if f.degree() > d:
         raise ValueError(f"f has degree {f.degree()} > d = {d}")
-    out = Poly1.zero()
-    for a, c in f.items():
-        out = out + (Poly1.term(c, a) * one_minus_x(d - a))
-    return out
+    return Poly1.sum(Poly1.term(c, a) * one_minus_x(d - a) for a, c in f.items())
 
 
 def f_from_h(h: Poly1, d: int) -> Poly1:
     """f(x) = sum_a h_a x^a (1+x)^(d-a); inverse of h_from_f."""
     if h.degree() > d:
         raise ValueError(f"h has degree {h.degree()} > d = {d}")
-    out = Poly1.zero()
-    for a, c in h.items():
-        out = out + (Poly1.term(c, a) * one_plus_x(d - a))
-    return out
+    return Poly1.sum(Poly1.term(c, a) * one_plus_x(d - a) for a, c in h.items())
 
 
 def gamma_from_h(h: Poly1, d: int) -> tuple:
@@ -131,25 +125,23 @@ class GammaTriangle:
 def H_from_F(F: Poly2, d: int) -> Poly2:
     """H(x,y) = sum F_(i,j) x^(i+j) y^j (1-x)^(d-i-j), the cleared form of
     (1-x)^d F(x/(1-x), xy/(1-x))."""
-    out = Poly2.zero()
-    for (i, j), c in F.items():
+    for (i, j), _ in F.items():
         if i + j > d:
             raise ValueError(f"F entry ({i}, {j}) has i + j > d = {d}")
-        out = out + (Poly2.term(c, i + j, j) * one_minus_x(d - i - j).to_poly2())
-    return out
+    return Poly2.dot((Poly2.term(c, i + j, j), one_minus_x(d - i - j).to_poly2())
+                     for (i, j), c in F.items())
 
 
 def F_from_H(H: Poly2, d: int) -> Poly2:
     """F(x,y) = sum H_(a,b) x^(a-b) y^b (1+x)^(d-a); inverse of H_from_F."""
-    out = Poly2.zero()
-    for (a, b), c in H.items():
+    for (a, b), _ in H.items():
         if b > a:
             raise ValueError(
                 f"H entry ({a}, {b}) has y-degree exceeding x-degree")
         if a > d:
             raise ValueError(f"H entry ({a}, {b}) has x-degree > d = {d}")
-        out = out + (Poly2.term(c, a - b, b) * one_plus_x(d - a).to_poly2())
-    return out
+    return Poly2.dot((Poly2.term(c, a - b, b), one_plus_x(d - a).to_poly2())
+                     for (a, b), c in H.items())
 
 
 def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
@@ -168,11 +160,11 @@ def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
         slice_j = residual.coeff_of_y(j)
         if slice_j.is_zero():
             continue
-        if slice_j.min_degree() < j:
+        if min(e for e, _ in slice_j.items()) < j:
             raise NotGammaRepresentable(
                 f"y^{j} slice {slice_j} not divisible by x^{j}",
                 j=j, residual=slice_j)
-        q = slice_j.shift_down(j)
+        q = Poly1({e - j: c for e, c in slice_j.items()})
         try:
             row = gamma_from_h(q, d - j)
         except NotGammaRepresentable as exc:
@@ -196,12 +188,9 @@ def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
 def H_from_Gamma(g: GammaTriangle) -> Poly2:
     """Expand sum gamma_(i,j) x^i (1+xy)^j (1+x)^(d-2i-j)."""
     d = g.degree
-    out = Poly2.zero()
-    for (i, j), c in g.items():
-        out = out + (Poly2.term(c, i, 0)
-                     * one_plus_xy(j)
-                     * one_plus_x(d - 2 * i - j).to_poly2())
-    return out
+    return Poly2.dot((Poly2.term(c, i, 0) * one_plus_xy(j),
+                      one_plus_x(d - 2 * i - j).to_poly2())
+                     for (i, j), c in g.items())
 
 
 def F_from_Gamma(g: GammaTriangle) -> Poly2:
@@ -209,9 +198,6 @@ def F_from_Gamma(g: GammaTriangle) -> Poly2:
     identical to F_from_H(H_from_Gamma(g))."""
     d = g.degree
     x_one_plus_x = Poly2({(1, 0): 1, (2, 0): 1})
-    out = Poly2.zero()
-    for (i, j), c in g.items():
-        out = out + ((x_one_plus_x ** i).scale(c)
-                     * one_plus_x_plus_y(j)
-                     * one_plus_2x(d - 2 * i - j))
-    return out
+    return Poly2.dot(((x_one_plus_x ** i).scale(c) * one_plus_x_plus_y(j),
+                      one_plus_2x(d - 2 * i - j))
+                     for (i, j), c in g.items())

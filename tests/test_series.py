@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammatri.coxeter import gamma_triangle_diagram, reference_tables, standard_diagram
 from gammatri.poly import Poly2
@@ -16,7 +16,6 @@ from gammatri.series import (
     carlitz_convolution_check,
     eq_c_series,
     g_base,
-    g_base_alt,
     g_closed,
     g_sum,
     gB_via_substitution,
@@ -29,6 +28,58 @@ from gammatri.series import (
 
 def xp(mapping):
     return Poly2({(k, 0): c for k, c in mapping.items()})
+
+
+def is_zero_through(s, through):
+    return s.first_nonzero(through) is None
+
+
+def g_base_alt(order):
+    """g computed as (1-t) sqrt(1 - 4x (t/(1-t))^2)."""
+    one_minus_t = TruncSeries.from_map({0: 1, 1: -1}, order)
+    u = TruncSeries.from_map({1: 1}, order) * one_minus_t.inverse()
+    radicand = TruncSeries.one(order) - (u * u) * xp({1: 4})
+    return one_minus_t * radicand.sqrt()
+
+
+# test-only oracles: the running-total loops that the product, inverse and
+# sqrt were before they built each coefficient with one Poly2.dot
+
+def sparse_product(a, b):
+    n = min(a.order, b.order)
+    out = [Poly2.zero()] * n
+    for i, p in enumerate(a.coeffs[:n]):
+        if p.is_zero():
+            continue
+        for j in range(n - i):
+            q = b.coeffs[j]
+            if not q.is_zero():
+                out[i + j] = out[i + j] + p * q
+    return TruncSeries(n, out)
+
+
+def sparse_inverse(s):
+    v = s.coeff(0).coeff(0, 0)
+    out = [Poly2({(0, 0): v})]
+    for n in range(1, s.order):
+        acc = Poly2.zero()
+        for k in range(1, n + 1):
+            acc = acc + s.coeffs[k] * out[n - k]
+        out.append(acc.scale(-v))
+    return TruncSeries(s.order, out)
+
+
+def sparse_sqrt(s):
+    """c_n - sum over all 0 < k < n of r_k r_(n-k), halved; no symmetry."""
+    out = [Poly2.one()]
+    for n in range(1, s.order):
+        acc = s.coeffs[n]
+        for k in range(1, n):
+            acc = acc - out[k] * out[n - k]
+        if any(c % 2 for _, c in acc.items()):
+            raise ArithmeticError(f"odd coefficient of t^{n}")
+        out.append(Poly2({key: c // 2 for key, c in acc.items()}))
+    return TruncSeries(s.order, out)
 
 
 def test_sqrt_of_one_minus_4xt2():
@@ -95,23 +146,65 @@ def test_exact_div_raises_naming_the_t_power():
 
 
 def test_coefficient_formulas_divide_exactly():
-    from gammatri.series import _quotient
-    assert _quotient(-12, 4) == -3
+    from gammatri.poly import quotient
+    assert quotient(-12, 4) == -3
     with pytest.raises(ArithmeticError):
-        _quotient(7, 2)
+        quotient(7, 2)
 
 
 def test_inverse_needs_a_unit_constant_term():
     with pytest.raises(ValueError):
         TruncSeries.from_map({0: 2, 1: 1}, 4).inverse()
     s = TruncSeries.from_map({0: -1, 1: xp({1: 3})}, 6)
-    assert (s * s.inverse() - 1).is_zero_through(5)
+    assert is_zero_through(s * s.inverse() - 1, 5)
 
 
 @settings(max_examples=60)
 @given(small_series)
 def test_inverse_multiplies_to_one(s):
-    assert (s * s.inverse() - 1).is_zero_through(7)
+    assert is_zero_through(s * s.inverse() - 1, 7)
+
+
+# bivariate coefficients with negative and zero entries; an empty dict
+# gives a zero coefficient
+poly2s = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         st.integers(-4, 4), max_size=4).map(Poly2)
+any_series = st.integers(1, 7).flatmap(
+    lambda order: st.lists(poly2s, max_size=order).map(
+        lambda cs: TruncSeries(order, cs)))
+ONE_PLUS_T = TruncSeries.from_map({0: 1, 1: 1}, 5)
+ONE_MINUS_T = TruncSeries.from_map({0: 1, 1: -1}, 5)
+
+
+@settings(max_examples=150)
+@given(any_series, any_series)
+@example(ONE_PLUS_T, ONE_MINUS_T)  # the t^1 coefficient cancels to zero
+@example(ONE_PLUS_T, -ONE_PLUS_T + ONE_PLUS_T)
+def test_product_matches_running_total_oracle(a, b):
+    assert a * b == sparse_product(a, b)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([1, -1]), st.lists(poly2s, max_size=6))
+def test_inverse_matches_running_total_oracle(unit, tail):
+    s = TruncSeries(7, [Poly2({(0, 0): unit})] + tail)
+    assert s.inverse() == sparse_inverse(s)
+
+
+@settings(max_examples=150)
+@given(st.lists(poly2s, max_size=6))
+def test_sqrt_matches_running_total_oracle(tail):
+    r = TruncSeries(7, [Poly2.one()] + tail)
+    square = sparse_product(r, r)
+    assert square.sqrt() == sparse_sqrt(square) == r
+    # an arbitrary radicand: both raise on the same odd coefficient or agree
+    try:
+        want = sparse_sqrt(r)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            r.sqrt()
+    else:
+        assert r.sqrt() == want
 
 
 def test_g_base_prefix():
@@ -126,7 +219,7 @@ def test_g_base_prefix():
 def test_g_base_squares_to_radicand():
     g = g_base(16)
     want = TruncSeries.from_map({0: 1, 1: -2, 2: xp({0: 1, 1: -4})}, 16)
-    assert (g * g - want).is_zero_through(15)
+    assert is_zero_through(g * g - want, 15)
 
 
 def test_g_base_alternate_route():
@@ -151,7 +244,7 @@ def test_g_sum_equals_closed(kind):
 
 
 def test_eq_c_matches_sqrt():
-    assert (eq_c_series(14) - g_base(14)).is_zero_through(13)
+    assert is_zero_through(eq_c_series(14) - g_base(14), 13)
 
 
 def test_G_sum_low_coefficients():
@@ -209,7 +302,7 @@ def test_substitution_rejects_negative_powers():
 
 
 def test_gB_substitution_route():
-    assert (gB_via_substitution(10) - g_sum("B", 11)).is_zero_through(10)
+    assert is_zero_through(gB_via_substitution(10) - g_sum("B", 11), 10)
 
 
 def test_two_minus_theta():

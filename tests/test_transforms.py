@@ -124,6 +124,12 @@ def test_Gamma_from_H_triangle_has_negative_entry():
     assert gt.entry(1, 0) == -1
 
 
+def test_Gamma_from_H_rejects_a_slice_not_divisible_by_x_to_the_j():
+    with pytest.raises(NotGammaRepresentable, match=r"not divisible by x\^1") as exc:
+        Gamma_from_H(Poly2({(0, 1): 1}), 1)
+    assert exc.value.j == 1
+
+
 def test_Gamma_from_H_a3():
     assert Gamma_from_H(A3_H, 3) == A3_GAMMA
 
