@@ -132,8 +132,11 @@ def cmd_cluster(args) -> int:
     if args.export:
         if kind not in MODELS:
             raise CliError(f"--export needs a combinatorial model (A or I2), not {kind}")
-        with open(args.export, "w", encoding="utf-8") as fh:
-            json.dump(MODELS[kind](rank, m).to_dict(), fh, indent=2)
+        try:
+            with open(args.export, "w", encoding="utf-8") as fh:
+                json.dump(MODELS[kind](rank, m).to_dict(), fh, indent=2)
+        except OSError as exc:
+            raise CliError(f"{args.export}: cannot write ({exc})")
         print(f"model written to {args.export}")
     if args.out in ("table", "both"):
         print(f"Gamma-triangle (d = {gt.degree}, method {args.method}):")

@@ -29,6 +29,16 @@ def label_list(value, what: str, error: type[Exception]):
     return value
 
 
+def _json_fields(data, what: str, keys, error: type[Exception]) -> list:
+    """The values of `keys` in the JSON object `data`, each one required."""
+    if not isinstance(data, dict):
+        raise error(f"{what} data must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise error(f"missing field {key!r} in {what} data")
+    return [data[key] for key in keys]
+
+
 def _facet_key(f):
     return (len(f), tuple(sorted(f)))
 
@@ -80,11 +90,8 @@ class Complex:
 
     @classmethod
     def from_dict(cls, data) -> "Complex":
-        try:
-            vertices = data["vertices"]
-            facets = data["facets"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidComplex(f"missing field in complex data: {exc}")
+        vertices, facets = _json_fields(data, "complex", ("vertices", "facets"),
+                                        InvalidComplex)
         label_list(vertices, "vertices", InvalidComplex)
         if not isinstance(facets, list):
             raise InvalidComplex(f"facets must be a list, got {type(facets).__name__}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import label_list
+from .complexes import _json_fields, label_list
 from .poly import Poly1, Poly2, binom, quotient
 from .transforms import GammaTriangle
 
@@ -90,10 +90,8 @@ class CoxeterDiagram:
 
     @classmethod
     def from_dict(cls, data) -> "CoxeterDiagram":
-        try:
-            return cls.make(data["vertices"], data["edges"])
-        except (TypeError, KeyError) as exc:
-            raise ClassificationError(f"missing field in diagram data: {exc}")
+        return cls.make(*_json_fields(data, "diagram", ("vertices", "edges"),
+                                      ClassificationError))
 
 
 @dataclass(frozen=True)

@@ -256,10 +256,6 @@ class Poly2(_Poly):
         """Serialization: [i, j, decimal-string] sorted lexicographically."""
         return [[i, j, str(c)] for (i, j), c in self.items()]
 
-    @classmethod
-    def from_triples(cls, triples) -> "Poly2":
-        return cls({(int(i), int(j)): int(c) for i, j, c in triples})
-
 
 # expansions of the binomial-power building blocks used by the transforms
 

@@ -8,22 +8,26 @@ which for genuine subdivision data is a simplicial ball of dimension
 characteristic of every nonempty restriction are checked, full topology is
 not; validate() reports which checks ran.
 
-Stanley's local h-polynomial is defined as the alternating sum over J of
-(-1)^(n-|J|) h(restriction to J) at degree |J|, with n = |I|. A face F lies
-in the restriction to J exactly when J contains its carrier, so swapping the
-sums and applying the binomial theorem to the J above carrier(F) turns it
-into one pass over the faces: local_h = sum_F (-x)^(n-k) x^a (1-x)^(k-a),
-a = |F|, k = |carrier(F)|. No restriction is built.
+Local h, the local-sum triangle and the direct H-triangle are sums of
+per-face terms over restrictions. A face F with a = |F| and
+k = |carrier(F)| lies in the restriction to K exactly when K contains its
+carrier, so with n = |index set| it lies in C(n-k, r-k) of the
+restrictions to r-subsets K. Each of the three routes is therefore one
+pass over the faces counted by (a, k), with that binomial weight; no
+restriction is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .complexes import (
     Complex,
     InvalidComplex,
+    _json_fields,
     dimension,
     f_polynomial,
     face_set,
@@ -33,7 +37,7 @@ from .complexes import (
     join,
     label_list,
 )
-from .poly import Poly1, Poly2, one_minus_x
+from .poly import Poly1, Poly2, binom, one_minus_x
 from .transforms import (
     Gamma_from_H,
     GammaTriangle,
@@ -110,6 +114,19 @@ class Subdivision:
                         f"characteristic {euler}, expected 1")
         return list(VALIDATION_CHECKS)
 
+    @cached_property
+    def _face_counts(self) -> Counter:
+        """The faces of the complex counted by (|F|, |carrier(F)|), kept after
+        the first use (a subdivision is not changed once built). A face larger
+        than its carrier makes some restriction too big for its degree."""
+        counts = Counter((len(f), len(self.carrier(f))) for f in face_set(self.complex))
+        for a, k in sorted(counts):
+            if a > k:
+                raise ValueError(
+                    f"a face of size {a} has a carrier of size {k}; local h "
+                    "needs every face to be at most as large as its carrier")
+        return counts
+
     def carrier(self, face) -> frozenset[str]:
         out = frozenset()
         for v in face:
@@ -126,12 +143,8 @@ class Subdivision:
     @classmethod
     def from_dict(cls, data) -> "Subdivision":
         """Load and run the partial validation."""
-        try:
-            complex_data = data["complex"]
-            index_set = data["index_set"]
-            sigma = data["sigma"]
-        except (TypeError, KeyError) as exc:
-            raise InvalidSubdivision(f"missing field in subdivision data: {exc}")
+        complex_data, index_set, sigma = _json_fields(
+            data, "subdivision", ("complex", "index_set", "sigma"), InvalidSubdivision)
         try:
             cpx = Complex.from_dict(complex_data)
         except InvalidComplex as exc:
@@ -186,29 +199,19 @@ def h_of_complex(c: Complex, d: int) -> Poly1:
     return h_from_f(f_polynomial(c), d)
 
 
+def _local_h_sum(counts, n: int, r: int) -> Poly1:
+    """Sum of local h over the restrictions to the r-subsets K, each a
+    subdivision of K: a face adds its weight times (-x)^(r-k) x^a (1-x)^(k-a)."""
+    return Poly1.sum(Poly1.term(c * binom(n - k, r - k) * (-1) ** (r - k), r - k + a)
+                     * one_minus_x(k - a) for (a, k), c in counts.items() if k <= r)
+
+
 def local_h(s: Subdivision) -> Poly1:
-    """Stanley's local h-polynomial: the alternating sum over J of the
-    h-polynomials of the restrictions, each taken at degree |J|, computed as
-    one sum over the faces F of the complex,
-
-        sum_F (-1)^(n-k) x^(n-k+a) (1-x)^(k-a),  a = |F|, k = |carrier(F)|.
-
-    A face lies in the restriction to J exactly when J contains its carrier,
-    and sum_(J >= carrier(F)) (-1)^(n-|J|) (1-x)^(|J|-a) collapses by the
-    binomial theorem to (1-x)^(k-a) (-x)^(n-k). A face larger than its
-    carrier makes some restriction too big for its degree: ValueError."""
+    """Stanley's local h-polynomial, the alternating sum over J of
+    h(restriction to J) at degree |J|; by the binomial theorem over the J
+    above each carrier it is the r = n case of _local_h_sum, weight 1."""
     n = len(s.index_set)
-    buckets: dict[tuple[int, int], int] = {}
-    for f in face_set(s.complex):
-        key = (len(f), len(s.carrier(f)))
-        buckets[key] = buckets.get(key, 0) + 1
-    for a, k in sorted(buckets):
-        if a > k:
-            raise ValueError(
-                f"a face of size {a} has a carrier of size {k}; local h "
-                "needs every face to be at most as large as its carrier")
-    return Poly1.sum(Poly1.term(c * (-1) ** (n - k), n - k + a) * one_minus_x(k - a)
-                     for (a, k), c in buckets.items())
+    return _local_h_sum(s._face_counts, n, n)
 
 
 def local_gamma(s: Subdivision) -> Poly1:
@@ -242,11 +245,7 @@ def f_triangle(sph: SphereWithFacet) -> Poly2:
     """F_(i,j) counts faces with i vertices outside the distinguished facet
     and j vertices inside it."""
     T = sph.facet
-    counts: dict[tuple[int, int], int] = {}
-    for f in face_set(sph.complex):
-        key = (len(f - T), len(f & T))
-        counts[key] = counts.get(key, 0) + 1
-    return Poly2(counts)
+    return Poly2(Counter((len(f - T), len(f & T)) for f in face_set(sph.complex)))
 
 
 def model_gamma(s: Subdivision) -> GammaTriangle:
@@ -258,23 +257,25 @@ def model_gamma(s: Subdivision) -> GammaTriangle:
 
 def h_triangle_direct(s: Subdivision) -> Poly2:
     """H of the sphere computed through the intermediate identity
-    H(x,y) = sum_J (xy)^|J| h(restriction to I - J); an independent route
+    H(x,y) = sum_J (xy)^|J| h(restriction to I - J), where a face adds its
+    weight times x^a (1-x)^(r-a) to rank r = |I - J|; an independent route
     for cross-checking the F-triangle pipeline."""
     n = len(s.index_set)
-    iset = frozenset(s.index_set)
-    return Poly2.sum(
-        h_of_complex(restrict(s, iset - frozenset(J)), n - r).to_poly2().shift(r, r)
-        for r in range(n + 1) for J in combinations(s.index_set, r))
+    return Poly2.sum((Poly1.term(c * binom(n - k, r - k), a) * one_minus_x(r - a))
+                     .to_poly2().shift(n - r, n - r)
+                     for (a, k), c in s._face_counts.items() for r in range(k, n + 1))
 
 
 def gamma_from_local_sum(s: Subdivision) -> GammaTriangle:
-    """Triangle coefficients as sum_K local_gamma(restriction to K) y^(|I-K|);
-    the K = empty term contributes the constant 1."""
+    """Triangle coefficients as sum_K local_gamma(restriction to K) y^(|I-K|),
+    one extraction per rank since gamma_from_h is linear; the K = I term is
+    local_h(s) itself. Expects validated data: a rank whose sum is symmetric
+    gives a row even where one of its restrictions alone has no gamma
+    expansion."""
     n = len(s.index_set)
-    out = Poly2.sum(
-        local_gamma(sub_subdivision(s, frozenset(K))).to_poly2().shift(0, n - r)
-        for r in range(n + 1) for K in combinations(s.index_set, r))
-    return GammaTriangle.from_poly2(out, n)
+    sums = [_local_h_sum(s._face_counts, n, r) for r in range(n)] + [local_h(s)]
+    return GammaTriangle.make({(i, n - r): g for r, h in enumerate(sums)
+                               for i, g in enumerate(gamma_from_h(h, r))}, n)
 
 
 def join_subdivisions(a: Subdivision, b: Subdivision) -> Subdivision:

@@ -90,10 +90,6 @@ class GammaTriangle:
             clean[(i, j)] = c
         return cls(clean, degree)
 
-    @classmethod
-    def from_poly2(cls, p: Poly2, degree: int) -> "GammaTriangle":
-        return cls.make({k: c for k, c in p.items()}, degree)
-
     def entry(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)
 
@@ -115,11 +111,6 @@ class GammaTriangle:
 
     def to_dict(self) -> dict:
         return {"degree": self.degree, "entries": self.to_poly2().to_triples()}
-
-    @classmethod
-    def from_dict(cls, data) -> "GammaTriangle":
-        return cls.from_poly2(Poly2.from_triples(data["entries"]),
-                              int(data["degree"]))
 
 
 def H_from_F(F: Poly2, d: int) -> Poly2:

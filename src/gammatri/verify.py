@@ -149,7 +149,7 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK, cases: int = 200) -> Rep
         rep.add(f"gamma_row_sums_{name}",
                 gt.row_sums() == transforms.gamma_from_h(H.substitute_y(1), d))
         rep.add(f"local_gamma_is_y0_row_{name}",
-                by_local.row(0) == subdivisions.local_gamma(s))
+                gt.row(0) == subdivisions.local_gamma(s))
         rep.add(f"sphere_flag_{name}", is_flag(sph.complex))
 
     a2 = cluster.type_a_subdivision(2)

@@ -198,6 +198,23 @@ BAD_FILES = {
         complex={"vertices": ["a"], "facets": "a"}),
     "list_in_facet.json": _point_subdivision(
         complex={"vertices": ["a"], "facets": [[["a"]]]}),
+    "list_diagram.json": [["a", "b"]],
+    "list_top_level.json": [1],
+    "list_complex_field.json": _point_subdivision(complex=[["a"]]),
+    "list_complex.json": [["a"]],
+    "missing_edges.json": {"vertices": ["a"]},
+}
+# a file under a directory that is never created
+UNWRITABLE = "no_such_dir/model.json"
+# the diagnostic expected where exit code 1 alone would not show that the
+# fault is named
+DIAGNOSTICS = {
+    "list_diagram.json": "diagram data must be a JSON object, got list",
+    "list_top_level.json": "subdivision data must be a JSON object, got list",
+    "list_complex_field.json": "complex data must be a JSON object, got list",
+    "list_complex.json": "complex data must be a JSON object, got list",
+    "missing_edges.json": "missing field 'edges' in diagram data",
+    UNWRITABLE: "model.json: cannot write (",
 }
 
 
@@ -217,15 +234,25 @@ BAD_FILES = {
     ["local", "list_sigma.json"],
     ["local", "string_facets.json"],
     ["local", "list_in_facet.json"],
+    ["diagram", "list_diagram.json"],
+    ["diagram", "missing_edges.json"],
+    ["local", "list_top_level.json"],
+    ["local", "list_complex_field.json"],
+    ["triangles", "--complex", "list_complex.json", "--facet", "a"],
+    ["cluster", "A", "2", "--method", "model", "--export", UNWRITABLE],
 ], ids="_".join)
 def test_bad_input_fails_closed(capsys, tmp_path, argv):
     for name in set(argv) & set(BAD_FILES):
         (tmp_path / name).write_text(json.dumps(BAD_FILES[name]))
-    argv = [str(tmp_path / a) if a in BAD_FILES else a for a in argv]
+    wanted = [DIAGNOSTICS[a] for a in argv if a in DIAGNOSTICS]
+    argv = [str(tmp_path / a) if a in BAD_FILES or a == UNWRITABLE else a
+            for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    for text in wanted:
+        assert text in err
 
 
 def test_cluster_export_then_triangles(capsys, tmp_path):

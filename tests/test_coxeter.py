@@ -251,7 +251,7 @@ def gamma_triangle_by_induced_subsets(dgm):
         for c in classify(dgm.induced(keep)):
             lg = lg * local_gamma_poly(c)
         out = out + lg.to_poly2().shift(0, n - len(keep))
-    return GammaTriangle.from_poly2(out, n)
+    return GammaTriangle.make(dict(out.items()), n)
 
 
 STANDARD_UP_TO_8 = (

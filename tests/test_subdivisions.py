@@ -29,7 +29,14 @@ from gammatri.subdivisions import (
     sphere,
     sub_subdivision,
 )
-from gammatri.transforms import GammaTriangle, Gamma_from_H, H_from_F
+from gammatri.transforms import (
+    GammaTriangle,
+    Gamma_from_H,
+    H_from_F,
+    NotGammaRepresentable,
+    gamma_from_h,
+    poly_from_gamma,
+)
 
 A1 = type_a_subdivision(1)
 A2 = type_a_subdivision(2)
@@ -168,7 +175,10 @@ def test_triangle_routes_agree(s):
 
 @pytest.mark.parametrize("s", MODELS, ids=lambda s: "I".join(s.index_set))
 def test_y0_row_is_local_gamma(s):
-    assert gamma_from_local_sum(s).row(0) == local_gamma(s)
+    d = len(s.index_set)
+    by_model = Gamma_from_H(H_from_F(f_triangle(sphere(s)), d), d)
+    by_restrictions = poly_from_gamma(gamma_from_h(local_h_by_restrictions(s), d))
+    assert by_model.row(0) == local_gamma(s) == by_restrictions
 
 
 @pytest.mark.parametrize("s", MODELS, ids=lambda s: "I".join(s.index_set))
@@ -257,8 +267,8 @@ def test_loader_runs_validation():
         Subdivision.from_dict(bad)
 
 
-# Test-only oracles: the definitions that local_h and sphere replaced by
-# one-pass computations.
+# Test-only oracles: the definitions that local_h, sphere, the local-sum
+# route and the direct H route replaced by one-pass computations.
 
 def local_h_by_restrictions(s):
     """Alternating sum over J of h(restriction to J) at degree |J|."""
@@ -269,6 +279,24 @@ def local_h_by_restrictions(s):
             h = h_of_complex(restrict(s, frozenset(J)), r)
             out = out + h.scale((-1) ** (n - r))
     return out
+
+
+def gamma_from_local_sum_by_restrictions(s):
+    """sum_K local_gamma(restriction to K) y^(|I-K|), one extraction per K."""
+    n = len(s.index_set)
+    out = Poly2.sum(
+        local_gamma(sub_subdivision(s, frozenset(K))).to_poly2().shift(0, n - r)
+        for r in range(n + 1) for K in combinations(s.index_set, r))
+    return GammaTriangle.make(dict(out.items()), n)
+
+
+def h_triangle_direct_by_restrictions(s):
+    """sum_J (xy)^|J| h(restriction to I - J), one h-vector per J."""
+    n = len(s.index_set)
+    iset = frozenset(s.index_set)
+    return Poly2.sum(
+        h_of_complex(restrict(s, iset - frozenset(J)), n - r).to_poly2().shift(r, r)
+        for r in range(n + 1) for J in combinations(s.index_set, r))
 
 
 def sphere_by_pairwise_maximality(s):
@@ -299,6 +327,13 @@ def test_one_pass_routes_match_their_definitions(s):
     assert sphere(s) == sphere_by_pairwise_maximality(s)
 
 
+@pytest.mark.parametrize("s", ORACLE_CASES + [type_a_subdivision(7)],
+                         ids=lambda s: "I".join(s.index_set))
+def test_weighted_face_routes_match_their_definitions(s):
+    assert gamma_from_local_sum(s) == gamma_from_local_sum_by_restrictions(s)
+    assert h_triangle_direct(s) == h_triangle_direct_by_restrictions(s)
+
+
 INDEX = ("s1", "s2", "s3", "s4")
 
 
@@ -323,6 +358,31 @@ def test_one_pass_routes_match_their_definitions_on_any_carrier_map(s):
     assert sphere(s) == sphere_by_pairwise_maximality(s)
 
 
+@given(carried_complexes())
+def test_weighted_face_routes_match_their_definitions_on_any_carrier_map(s):
+    assert (_value_or_error(h_triangle_direct, s)
+            == _value_or_error(h_triangle_direct_by_restrictions, s))
+    # a rank's summed local h can be symmetric where one of its terms is
+    # not, so the local-sum route may return a triangle where its oracle
+    # raises, never the other way round
+    want = _value_or_error(gamma_from_local_sum_by_restrictions, s)
+    got = _value_or_error(gamma_from_local_sum, s)
+    assert got == want or want is ValueError
+
+
+def test_local_sum_expects_validated_data():
+    # edges ac and bc, a and b carried to {s1}: validate() rejects the
+    # Euler characteristic 2 at {s1}; the restriction to {s1} has no gamma
+    # expansion, but the rank-1 sum of local h is zero
+    s = _invalid(("abc", [{"a", "c"}, {"b", "c"}]), ["s1", "s2"],
+                 {"a": {"s1"}, "b": {"s1"}, "c": {"s1", "s2"}})
+    with pytest.raises(InvalidSubdivision, match="Euler characteristic 2"):
+        s.validate()
+    with pytest.raises(NotGammaRepresentable):
+        gamma_from_local_sum_by_restrictions(s)
+    assert gamma_from_local_sum(s) == GammaTriangle.make({(0, 2): 1, (1, 0): 1}, 2)
+
+
 def test_local_h_rejects_a_face_larger_than_its_carrier():
     # an edge carried to a single index label
     s = _invalid(("pq", [{"p", "q"}]), ["s"], {"p": {"s"}, "q": {"s"}})
@@ -333,14 +393,26 @@ def test_local_h_rejects_a_face_larger_than_its_carrier():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_local_sum_restricts_once_per_subset(monkeypatch, n):
-    s = type_a_subdivision(n)
-    real, calls = subdivisions.restrict, []
+def test_routes_count_the_faces_once(monkeypatch, n):
+    routes = (local_h, gamma_from_local_sum, h_triangle_direct)
+    fresh = [type_a_subdivision(n) for _ in routes]
+    calls = {}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name):
+        real = getattr(subdivisions, name)
 
-    monkeypatch.setattr(subdivisions, "restrict", counted)
-    gamma_from_local_sum(s)
-    assert len(calls) == 2 ** n
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("restrict", "face_set"):
+        monkeypatch.setattr(subdivisions, name, counted(name))
+    for route, s in zip(routes, fresh):
+        calls.update(restrict=0, face_set=0)
+        route(s)
+        assert calls == {"restrict": 0, "face_set": 1}, route.__name__
+    calls.update(face_set=0)
+    for route in routes:
+        route(fresh[0])
+    assert calls["face_set"] == 0  # the count is kept on the subdivision

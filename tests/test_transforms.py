@@ -212,4 +212,5 @@ def test_row_helpers():
 
 def test_gamma_triangle_serialization():
     d = A3_GAMMA.to_dict()
-    assert GammaTriangle.from_dict(d) == A3_GAMMA
+    entries = {(i, j): int(c) for i, j, c in d["entries"]}
+    assert GammaTriangle.make(entries, d["degree"]) == A3_GAMMA
