@@ -9,9 +9,11 @@ Subcommands:
   family     terms of the Lucas/Pell triangle recursions
   verify     run the verification suites (exit code 0 iff everything passes)
 
-Output is deterministic; --out switches between the human table layout and
-JSON; --version prints the package version. The only recognized environment
-variable is NO_COLOR, which disables the pass/fail coloring of verify.
+Output is deterministic and stdout holds only the result: --out picks the
+table layout, JSON or both; the --export notice goes to stderr. Bad input,
+a stray --m and a result with no gamma expansion exit 1 with `error: ...`
+on stderr, naming any file at fault. NO_COLOR, the only environment
+variable read, turns off the pass/fail coloring of verify.
 """
 
 from __future__ import annotations
@@ -21,81 +23,74 @@ import json
 import sys
 
 from . import __version__, cluster, coxeter, series, subdivisions, transforms, verify
-from .complexes import Complex, InvalidComplex
-from .coxeter import ClassificationError, CoxeterDiagram
+from .complexes import Complex
+from .coxeter import CoxeterDiagram
 from .render import render_triangle
-from .subdivisions import InvalidSubdivision, SphereWithFacet, Subdivision
-from .transforms import GammaTriangle, NotGammaRepresentable
+from .subdivisions import SphereWithFacet, Subdivision
+from .transforms import GammaTriangle
 
 
 class CliError(Exception):
     pass
 
 
-def _load_json(path: str):
+def _load(path: str, build):
+    """build(data) for the JSON data in the file at path; any failure to read,
+    decode or build is a CliError that names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise CliError(f"{path}: cannot read ({exc})")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or deep JSON
         raise CliError(f"{path}: invalid JSON ({exc})")
-
-
-def _load_subdivision(path: str) -> Subdivision:
     try:
-        return Subdivision.from_dict(_load_json(path))
-    except (InvalidSubdivision, InvalidComplex) as exc:
+        return build(data)
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 
-def _print_triangles(F, H, gt: GammaTriangle, d: int, out: str) -> None:
-    vec = gt.row_sums()
+def _emit(out: str, lines: list[str], data) -> None:
+    """Print the table lines, the JSON document of data, or both, as --out
+    says."""
     if out in ("table", "both"):
-        print(f"d = {d}")
-        print("F-triangle (rows j = d..0, columns i = 0..d):")
-        print(render_triangle(F, d, "F"))
-        print("H-triangle:")
-        print(render_triangle(H, d, "H"))
-        print("Gamma-triangle:")
-        print(render_triangle(gt, d, "Gamma"))
-        print(f"gamma-vector (row sums): {list(vec)}")
+        print("\n".join(lines))
     if out in ("json", "both"):
-        print(json.dumps({
-            "d": d,
-            "F": F.to_triples(),
-            "H": H.to_triples(),
-            "Gamma": gt.to_dict(),
-            "gamma_vector": [str(c) for c in vec],
-        }, indent=2))
+        print(json.dumps(data, indent=2))
 
 
-def cmd_triangles(args) -> int:
+def cmd_triangles(args) -> None:
     if bool(args.complex) == bool(args.subdivision):
         raise CliError("give exactly one of --complex (with --facet) or --subdivision")
     if args.complex:
         if not args.facet:
             raise CliError("--complex needs --facet with comma-separated vertex labels")
-        try:
-            cpx = Complex.from_dict(_load_json(args.complex))
-            sph = SphereWithFacet.make(
-                cpx, frozenset(v.strip() for v in args.facet.split(",")))
-        except InvalidComplex as exc:
-            raise CliError(f"{args.complex}: {exc}")
-        d = len(sph.facet)
-    else:
-        s = _load_subdivision(args.subdivision)
-        sph = subdivisions.sphere(s)
-        d = len(s.index_set)
+        facet = frozenset(v.strip() for v in args.facet.split(","))
+        sph = _load(args.complex,
+                    lambda data: SphereWithFacet.make(Complex.from_dict(data), facet))
+    else:  # the distinguished facet of a subdivision's sphere is its index set
+        sph = subdivisions.sphere(_load(args.subdivision, Subdivision.from_dict))
+    d = len(sph.facet)
     F = subdivisions.f_triangle(sph)
-    try:
-        H = transforms.H_from_F(F, d)
-        gt = transforms.Gamma_from_H(H, d)
-    except NotGammaRepresentable as exc:
-        print(f"Gamma-triangle not representable: {exc}", file=sys.stderr)
-        return 1
-    _print_triangles(F, H, gt, d, args.out)
-    return 0
+    H = transforms.H_from_F(F, d)
+    gt = transforms.Gamma_from_H(H, d)
+    vec = gt.row_sums()
+    _emit(args.out, [
+        f"d = {d}",
+        "F-triangle (rows j = d..0, columns i = 0..d):",
+        render_triangle(F, d, "F"),
+        "H-triangle:",
+        render_triangle(H, d, "H"),
+        "Gamma-triangle:",
+        render_triangle(gt, d, "Gamma"),
+        f"gamma-vector (row sums): {list(vec)}",
+    ], {
+        "d": d,
+        "F": F.to_triples(),
+        "H": H.to_triples(),
+        "Gamma": gt.to_dict(),
+        "gamma_vector": [str(c) for c in vec],
+    })
 
 
 # the combinatorial models and closed forms by kind, as parse_type names it
@@ -126,7 +121,7 @@ def _cluster_gamma(kind: str, rank: int, m: int | None,
     return coxeter.gamma_triangle_diagram(coxeter.standard_diagram(kind, rank, m))
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> None:
     kind, rank, m = coxeter.parse_type(args.type, args.rank, args.m)
     gt = _cluster_gamma(kind, rank, m, args.method)
     if args.export:
@@ -137,53 +132,38 @@ def cmd_cluster(args) -> int:
                 json.dump(MODELS[kind](rank, m).to_dict(), fh, indent=2)
         except OSError as exc:
             raise CliError(f"{args.export}: cannot write ({exc})")
-        print(f"model written to {args.export}")
-    if args.out in ("table", "both"):
-        print(f"Gamma-triangle (d = {gt.degree}, method {args.method}):")
-        print(render_triangle(gt, gt.degree, "Gamma"))
-        print(f"gamma-vector (row sums): {list(gt.row_sums())}")
-    if args.out in ("json", "both"):
-        print(json.dumps(gt.to_dict(), indent=2))
-    return 0
+        print(f"model written to {args.export}", file=sys.stderr)
+    _emit(args.out, [
+        f"Gamma-triangle (d = {gt.degree}, method {args.method}):",
+        render_triangle(gt, gt.degree, "Gamma"),
+        f"gamma-vector (row sums): {list(gt.row_sums())}",
+    ], gt.to_dict())
 
 
-def cmd_diagram(args) -> int:
-    try:
-        dgm = CoxeterDiagram.from_dict(_load_json(args.file))
-        components = coxeter.classify(dgm)
-        gt = coxeter.gamma_triangle_diagram(dgm)
-    except ClassificationError as exc:
-        raise CliError(f"{args.file}: {exc}")
-    if args.out in ("table", "both"):
-        print("components:", ", ".join(str(c) for c in components))
-        print(f"Gamma-triangle (d = {gt.degree}):")
-        print(render_triangle(gt, gt.degree, "Gamma"))
-    if args.out in ("json", "both"):
-        print(json.dumps({
-            "components": [str(c) for c in components],
-            "Gamma": gt.to_dict(),
-        }, indent=2))
-    return 0
+def _classified(data) -> tuple[list, GammaTriangle]:
+    dgm = CoxeterDiagram.from_dict(data)
+    return coxeter.classify(dgm), coxeter.gamma_triangle_diagram(dgm)
 
 
-def cmd_local(args) -> int:
-    s = _load_subdivision(args.file)
+def cmd_diagram(args) -> None:
+    components, gt = _load(args.file, _classified)
+    names = [str(c) for c in components]
+    _emit(args.out, [
+        f"components: {', '.join(names)}",
+        f"Gamma-triangle (d = {gt.degree}):",
+        render_triangle(gt, gt.degree, "Gamma"),
+    ], {"components": names, "Gamma": gt.to_dict()})
+
+
+def cmd_local(args) -> None:
+    s = _load(args.file, Subdivision.from_dict)
     lh = subdivisions.local_h(s)
-    try:
-        lg = subdivisions.local_gamma(s)
-    except NotGammaRepresentable as exc:
-        print(f"local gamma not representable: {exc}", file=sys.stderr)
-        return 1
-    if args.out in ("table", "both"):
-        print(f"validation checks run: {', '.join(subdivisions.VALIDATION_CHECKS)}")
-        print(f"local h:     {lh}")
-        print(f"local gamma: {lg}")
-    if args.out in ("json", "both"):
-        print(json.dumps({
-            "local_h": lh.to_pairs(),
-            "local_gamma": lg.to_pairs(),
-        }, indent=2))
-    return 0
+    lg = subdivisions.local_gamma(s)
+    _emit(args.out, [
+        f"validation checks run: {', '.join(subdivisions.VALIDATION_CHECKS)}",
+        f"local h:     {lh}",
+        f"local gamma: {lg}",
+    ], {"local_h": lh.to_pairs(), "local_gamma": lg.to_pairs()})
 
 
 SERIES_BUILDERS = {
@@ -203,30 +183,23 @@ SERIES_BUILDERS = {
 }
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> None:
     s = SERIES_BUILDERS[args.name][args.route](args.order)
-    if args.out in ("table", "both"):
-        print(f"{args.name} ({args.route} route) through t^{s.order - 1}:")
-        for n, c in enumerate(s.coeffs):
-            print(f"  t^{n}: {c}")
-    if args.out in ("json", "both"):
-        print(json.dumps({
-            "name": args.name,
-            "route": args.route,
-            "order": s.order,
-            "coefficients": [[n, c.to_triples()] for n, c in enumerate(s.coeffs)],
-        }, indent=2))
-    return 0
+    _emit(args.out, [
+        f"{args.name} ({args.route} route) through t^{s.order - 1}:",
+        *(f"  t^{n}: {c}" for n, c in enumerate(s.coeffs)),
+    ], {
+        "name": args.name,
+        "route": args.route,
+        "order": s.order,
+        "coefficients": [[n, c.to_triples()] for n, c in enumerate(s.coeffs)],
+    })
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> None:
     u = coxeter.family_recursion(args.name, args.n)
-    if args.out in ("table", "both"):
-        print(f"{args.name} u_{args.n} = {u}")
-    if args.out in ("json", "both"):
-        print(json.dumps({"name": args.name, "n": args.n,
-                          "u": u.to_triples()}, indent=2))
-    return 0
+    _emit(args.out, [f"{args.name} u_{args.n} = {u}"],
+          {"name": args.name, "n": args.n, "u": u.to_triples()})
 
 
 def cmd_verify(args) -> int:
@@ -243,11 +216,6 @@ def cmd_verify(args) -> int:
     return 0 if all(rep.ok for rep in reports) else 1
 
 
-def _add_out(p) -> None:
-    p.add_argument("--out", choices=("table", "json", "both"), default="table",
-                   help="output format (default: table)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammatri",
@@ -256,16 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"gammatri {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # --out of every _emit command
+    out.add_argument("--out", choices=("table", "json", "both"), default="table",
+                     help="output format (default: table)")
 
-    p = sub.add_parser("triangles",
-                       help="F, H and Gamma of a complex or subdivision")
+    def command(func, help: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(func.__name__[len("cmd_"):], parents=parents, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(cmd_triangles, "F, H and Gamma of a complex or subdivision", out)
     p.add_argument("--complex", help="complex JSON file (needs --facet)")
     p.add_argument("--facet", help="distinguished facet, comma-separated labels")
     p.add_argument("--subdivision", help="subdivision JSON file")
-    _add_out(p)
-    p.set_defaults(func=cmd_triangles)
 
-    p = sub.add_parser("cluster", help="Gamma-triangle of a named finite type")
+    p = command(cmd_cluster, "Gamma-triangle of a named finite type", out)
     p.add_argument("type", help="A, B, C, D, E, F, H, I2, or E6/F4/H3/I2(5)/...")
     p.add_argument("rank", type=int, nargs="?", default=None)
     p.add_argument("--m", type=int, help="edge label for type I2")
@@ -273,38 +246,27 @@ def build_parser() -> argparse.ArgumentParser:
                    default="formula")
     p.add_argument("--export", metavar="FILE",
                    help="also write the combinatorial model as subdivision JSON")
-    _add_out(p)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("diagram", help="Gamma-triangle of a Coxeter diagram file")
+    p = command(cmd_diagram, "Gamma-triangle of a Coxeter diagram file", out)
     p.add_argument("file")
-    _add_out(p)
-    p.set_defaults(func=cmd_diagram)
 
-    p = sub.add_parser("local", help="local h and local gamma of a subdivision")
+    p = command(cmd_local, "local h and local gamma of a subdivision", out)
     p.add_argument("file")
-    _add_out(p)
-    p.set_defaults(func=cmd_local)
 
-    p = sub.add_parser("series", help="generating-series coefficients")
+    p = command(cmd_series, "generating-series coefficients", out)
     p.add_argument("--name", choices=sorted(SERIES_BUILDERS), required=True)
     p.add_argument("--order", type=int, default=verify.DEFAULT_ORDER)
     p.add_argument("--route", choices=("closed", "sum"), default="closed")
-    _add_out(p)
-    p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("family", help="Lucas/Pell recursion terms")
+    p = command(cmd_family, "Lucas/Pell recursion terms", out)
     p.add_argument("name", choices=("lucas", "pell"))
     p.add_argument("n", type=int)
-    _add_out(p)
-    p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = command(cmd_verify, "run verification suites")
     p.add_argument("--suite", choices=("tables", "series", "crosscheck", "all"),
                    default="all")
     p.add_argument("--order", type=int, default=verify.DEFAULT_ORDER)
     p.add_argument("--max-rank", type=int, default=verify.DEFAULT_MAX_RANK)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -312,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0  # only verify has a status of its own
     except (CliError, ValueError) as exc:  # domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -103,6 +103,8 @@ class TypedComponent:
     def __str__(self):
         if self.kind == "I2":
             return f"I2({self.m})"
+        if self.kind in EXCEPTIONAL_LOCAL:  # E6 ... H4 already name the rank
+            return self.kind
         return f"{self.kind}{self.rank}"
 
 
@@ -374,7 +376,7 @@ def parse_type(kind: str, rank: int | None = None,
     B, D, I2, E6, E7, E8, F4, H3, H4. Case is ignored, C is an alias of B,
     E/F/H take their rank into the name, and I2(m) carries its edge label
     m; m is None for every kind but I2. Raises ClassificationError for an
-    unknown name or a rank or m the type does not have."""
+    unknown name, a rank the type does not have or an m it does not take."""
     kind = kind.upper()
     if kind == "C":
         kind = "B"
@@ -386,10 +388,6 @@ def parse_type(kind: str, rank: int | None = None,
         if rank is None:
             raise ClassificationError(f"type {kind} needs a rank")
         kind = f"{kind}{rank}"
-    if kind in EXCEPTIONAL_LOCAL:
-        if rank not in (None, int(kind[1])):
-            raise ClassificationError(f"type {kind} has rank {kind[1]}")
-        return kind, int(kind[1]), None
     if kind == "I2":
         if m is None:
             raise ClassificationError("type I2 needs its edge label: I2(m) or --m")
@@ -398,8 +396,14 @@ def parse_type(kind: str, rank: int | None = None,
         if rank not in (None, 2):
             raise ClassificationError("type I2 has rank 2")
         return kind, 2, m
-    if kind not in ("A", "B", "D"):
+    if kind not in EXCEPTIONAL_LOCAL and kind not in ("A", "B", "D"):
         raise ClassificationError(f"unknown type {kind!r}")
+    if m is not None:
+        raise ClassificationError(f"type {kind} takes no edge label m (only I2 does)")
+    if kind in EXCEPTIONAL_LOCAL:
+        if rank not in (None, int(kind[1])):
+            raise ClassificationError(f"type {kind} has rank {kind[1]}")
+        return kind, int(kind[1]), None
     if rank is None:
         raise ClassificationError(f"type {kind} needs a rank")
     least = 2 if kind == "D" else 1

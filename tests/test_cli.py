@@ -204,11 +204,19 @@ BAD_FILES = {
     "list_complex.json": [["a"]],
     "missing_edges.json": {"vertices": ["a"]},
 }
+# malformed input files that json.dumps cannot write, as raw bytes
+RAW_FILES = {
+    "deep_nesting.json": b"[" * 100_000,
+    "not_utf8.json": b"\xff{}",
+}
 # a file under a directory that is never created
 UNWRITABLE = "no_such_dir/model.json"
 # the diagnostic expected where exit code 1 alone would not show that the
-# fault is named
+# fault is named; {path} stands for the path of the file
 DIAGNOSTICS = {
+    "deep_nesting.json": "error: {path}: invalid JSON (",
+    "not_utf8.json": "error: {path}: invalid JSON (",
+    "--m": "takes no edge label m",
     "list_diagram.json": "diagram data must be a JSON object, got list",
     "list_top_level.json": "subdivision data must be a JSON object, got list",
     "list_complex_field.json": "complex data must be a JSON object, got list",
@@ -240,13 +248,21 @@ DIAGNOSTICS = {
     ["local", "list_complex_field.json"],
     ["triangles", "--complex", "list_complex.json", "--facet", "a"],
     ["cluster", "A", "2", "--method", "model", "--export", UNWRITABLE],
+    ["cluster", "A", "3", "--m", "5"],
+    ["cluster", "E6", "--m", "3"],
+    ["local", "deep_nesting.json"],
+    ["diagram", "not_utf8.json"],
+    ["triangles", "--complex", "not_utf8.json", "--facet", "a"],
 ], ids="_".join)
 def test_bad_input_fails_closed(capsys, tmp_path, argv):
     for name in set(argv) & set(BAD_FILES):
         (tmp_path / name).write_text(json.dumps(BAD_FILES[name]))
-    wanted = [DIAGNOSTICS[a] for a in argv if a in DIAGNOSTICS]
-    argv = [str(tmp_path / a) if a in BAD_FILES or a == UNWRITABLE else a
-            for a in argv]
+    for name in set(argv) & set(RAW_FILES):
+        (tmp_path / name).write_bytes(RAW_FILES[name])
+    wanted = [DIAGNOSTICS[a].format(path=tmp_path / a)
+              for a in argv if a in DIAGNOSTICS]
+    argv = [str(tmp_path / a) if a in BAD_FILES or a in RAW_FILES
+            or a == UNWRITABLE else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -264,6 +280,15 @@ def test_cluster_export_then_triangles(capsys, tmp_path):
                        "--out", "json")
     assert code == 0
     assert json.loads(out)["Gamma"]["entries"] == [[0, 2, "1"], [1, 0, "1"]]
+
+
+def test_cluster_export_notice_leaves_json_stdout(capsys, tmp_path):
+    export = tmp_path / "a2.json"
+    code, out, err = run(capsys, "cluster", "A", "2", "--method", "model",
+                         "--export", str(export), "--out", "json")
+    assert code == 0
+    assert json.loads(out) == closed_gamma_triangle("A", 2).to_dict()
+    assert err == f"model written to {export}\n"
 
 
 def test_local_command(capsys, tmp_path):
@@ -285,6 +310,21 @@ def test_diagram_command(capsys, tmp_path):
     data = json.loads(out)
     assert data["components"] == ["I2(6)"]
     assert data["Gamma"]["entries"] == [[0, 2, "1"], [1, 0, "4"]]
+
+
+@pytest.mark.parametrize("name", ["E6", "F4", "H3"])
+def test_diagram_names_exceptional_component(capsys, tmp_path, name):
+    dgm = standard_diagram(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"vertices": list(dgm.vertices),
+                                "edges": [list(e) for e in dgm.edges]}))
+    code, out, _ = run(capsys, "diagram", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == f"components: {name}"
+    code, out, _ = run(capsys, "diagram", str(path), "--out", "json")
+    assert code == 0
+    assert json.loads(out) == {"components": [name],
+                               "Gamma": gamma_triangle_diagram(dgm).to_dict()}
 
 
 def test_diagram_rejects_bad_diagram(capsys, tmp_path):
