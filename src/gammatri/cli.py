@@ -12,7 +12,8 @@ Subcommands:
 Output is deterministic and stdout holds only the result: --out picks the
 table layout, JSON or both; the --export notice goes to stderr. Bad input,
 a stray --m and a result with no gamma expansion exit 1 with `error: ...`
-on stderr, naming any file at fault. NO_COLOR, the only environment
+on stderr, naming any file at fault; a reader that closes stdout early
+ends the command with exit 1 and no message. NO_COLOR, the only environment
 variable read, turns off the pass/fail coloring of verify.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, cluster, coxeter, series, subdivisions, transforms, verify
@@ -274,9 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args) or 0  # only verify has a status of its own
+        status = args.func(args) or 0  # only verify has a status of its own
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except (CliError, ValueError) as exc:  # domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early: stop without a traceback, and point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -9,6 +9,11 @@ Sums of many polynomials go through one of two kernels, each building one
 object instead of a new partial sum per term: the classmethod sum(polys),
 and Poly2.dot(pairs), the sum of a * b over the pairs (the product a * b
 itself is dot of one pair). The constructors add up repeated keys.
+
+Poly2.dot stays a sparse loop. The series layer packs x-polynomials into
+big ints once per series operation (series.py); packing inside dot would
+re-pack each operand on every call, and the transforms' many small
+monomial-by-binomial products are faster through the sparse loop.
 """
 
 from __future__ import annotations
@@ -67,6 +72,10 @@ class _Poly:
 
     def is_zero(self) -> bool:
         return not self._c
+
+    def __len__(self):
+        """The number of nonzero terms."""
+        return len(self._c)
 
     def scale(self, s):
         if not s:

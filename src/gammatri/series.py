@@ -8,6 +8,16 @@ takes only series with constant term 1 or -1, and the only divisions are
 exact ones (sqrt halving its recursion, exact_div, and the coefficient
 formulas of the defining sums), which raise ArithmeticError on a remainder.
 
+Series products, inverse() and sqrt() run through one packed kernel
+(Kronecker substitution in x): each operation packs every t^n coefficient
+of its operands once, as {y-power: int} with one x-slot every w bits, sums
+big-int products so that CPython's multiplication does the x-convolution,
+and unpacks each output coefficient once. w is proven to hold every digit
+before the first multiply: from the operands' coefficient sizes for a
+product, from an l1 majorant of the result for inverse and sqrt. The
+packing lives here, not in Poly2.dot, because a series operation packs each
+coefficient once for all its uses.
+
 Series (all with polynomial-in-x coefficients):
   g    = sqrt((1-t)^2 - 4xt^2)
   gA   = ((1 + t - g)/t)/2 * (1+xt)^-1      or its defining double sum
@@ -31,6 +41,114 @@ def _exact_div(c: Poly2, d: int, n: int) -> Poly2:
     if any(v % d for _, v in c.items()):
         raise ArithmeticError(f"coefficient {c} of t^{n} is not divisible by {d}")
     return Poly2({key: v // d for key, v in c.items()})
+
+
+# The packed kernel. A packed coefficient is {y-power: int}, the int being
+# the x-polynomial evaluated at x = 2^w. Digits are balanced: slot k holds
+# d_k in [-2^(w-1), 2^(w-1)), so a packed int unpacks uniquely once every
+# digit of the exact result is known to lie in that range; the packed sums
+# on the way there need no bound.
+
+class _Slots:
+    """Packing and unpacking with one x-slot every `bits` bits, rounded up
+    to whole bytes so that one to_bytes call splits a packed int."""
+
+    __slots__ = ("nbytes", "half", "_offsets")
+
+    def __init__(self, bits: int):
+        self.nbytes = -(-bits // 8)
+        self.half = 1 << (8 * self.nbytes - 1)
+        self._offsets = {}
+
+    def _offset(self, n: int) -> int:
+        """half in each of n slots: adding it makes every digit nonnegative."""
+        off = self._offsets.get(n)
+        if off is None:
+            slot = bytes(self.nbytes - 1) + b"\x80"
+            off = self._offsets[n] = int.from_bytes(slot * n, "little")
+        return off
+
+    def pack(self, c: Poly2) -> dict:
+        """{y-power: packed x-polynomial}; every coefficient must fit a digit."""
+        rows = {}
+        for (i, j), v in c.items():
+            rows.setdefault(j, {})[i] = v
+        nb, half = self.nbytes, self.half
+        out = {}
+        for j, row in rows.items():
+            n = max(row) + 1
+            data = b"".join((row.get(i, 0) + half).to_bytes(nb, "little")
+                            for i in range(n))
+            out[j] = int.from_bytes(data, "little") - self._offset(n)
+        return out
+
+    def unpack(self, packed: dict) -> Poly2:
+        """The Poly2 packed as `packed`, whose digits must all be in range."""
+        nb, half = self.nbytes, self.half
+        out = {}
+        for j, p in packed.items():
+            # with top digit d_D != 0 and w >= 2, |p| >= 2^(wD) / 3 >=
+            # 2^(w(D-1)), so n > D; the slots above the top digit hold 0
+            n = abs(p).bit_length() // (8 * nb) + 2
+            data = (p + self._offset(n)).to_bytes(n * nb, "little")
+            for i in range(n):
+                d = int.from_bytes(data[i * nb:(i + 1) * nb], "little") - half
+                if d:
+                    out[(i, j)] = d
+        return Poly2(out)
+
+
+def _packed_dot(pairs) -> dict:
+    """The sum of a * b over pairs of packed coefficients, by y-power."""
+    out = {}
+    for a, b in pairs:
+        for j1, p in a.items():
+            for j2, q in b.items():
+                j = j1 + j2
+                out[j] = out.get(j, 0) + p * q
+    return out
+
+
+def _bits(c: Poly2) -> int:
+    """Bit length of the largest |coefficient|; 0 for the zero polynomial."""
+    return max((abs(v) for _, v in c.items()), default=0).bit_length()
+
+
+def _l1(c: Poly2) -> int:
+    return sum(abs(v) for _, v in c.items())
+
+
+def _product_bits(a: list, b: list) -> int:
+    """A slot width that holds every digit of the product of the series with
+    coefficients a and b, through t^(n-1), n = len(a) = len(b).
+
+    A digit of the t^m coefficient at x^k y^j is a sum over the t-pairs
+    i + i' = m (at most n), the y-splits of j (at most min y-degree + 1) and
+    the x-splits of k (at most min x-degree + 1) of one product of a
+    coefficient of a_i, below 2^ba_i, and one of b_i', below 2^bb_i', in
+    absolute value. With S the product of the three counts and top the
+    largest ba_i + bb_i' over nonzero pairs, |digit| < S * 2^top <
+    2^(top + bit_length(S)) <= 2^(w - 1), the range of a balanced w-bit
+    digit; the max over every ba_i and bb_i' keeps the inputs in range."""
+    n = len(a)
+    ba = [_bits(c) for c in a]
+    bb = [_bits(c) for c in b]
+    top = max([ba[i] + bb[j] for i in range(n) if ba[i]
+               for j in range(n - i) if bb[j]] + ba + bb)
+    dx = min(max(c.deg_x() for c in a), max(c.deg_x() for c in b))
+    dy = min(max(c.deg_y() for c in a), max(c.deg_y() for c in b))
+    summands = n * (dy + 1) * (dx + 1)
+    return top + summands.bit_length() + 1
+
+
+def _packed_product(a: list, b: list, bits: int) -> list:
+    """The coefficients of the product through t^(len(a)-1), packed with
+    `bits`-bit slots; correct whenever `bits` bounds every digit."""
+    slots = _Slots(bits)
+    pa = [slots.pack(c) for c in a]
+    pb = [slots.pack(c) for c in b]
+    return [slots.unpack(_packed_dot((pa[i], pb[m - i]) for i in range(m + 1)))
+            for m in range(len(a))]
 
 
 class TruncSeries:
@@ -99,9 +217,15 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncSeries(n, [Poly2.dot((a[i], b[m - i]) for i in range(m + 1))
-                               for m in range(n)])
+        a, b = sorted((self.coeffs[:n], other.coeffs[:n]),
+                      key=lambda cs: sum(map(len, cs)))
+        if sum(map(len, a)) <= 2:
+            # a binomial such as 1 + xt: one coefficientwise product per term
+            # costs less than packing the other operand (1.5x at order 98)
+            long = TruncSeries(n, b)
+            return sum(((long * c).shift_t(k).truncate(n)
+                        for k, c in enumerate(a) if c), TruncSeries(n))
+        return TruncSeries(n, _packed_product(a, b, _product_bits(a, b)))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -144,10 +268,23 @@ class TruncSeries:
         if v not in (1, -1):
             raise ValueError(
                 f"constant term {v} is not 1 or -1, no integral inverse")
+        # majorant: with M_k the l1 norm of s_k, R_0 = 1 and
+        # R_n = sum_k M_k R_(n-k) bound the l1 norm of r_n = -v sum_k s_k
+        # r_(n-k) by induction (the l1 norm is submultiplicative), so every
+        # digit packed or unpacked here is at most max R_n in absolute value
+        norms = [_l1(c) for c in self.coeffs]
+        bound = [1]
+        for n in range(1, self.order):
+            bound.append(sum(norms[k] * bound[n - k] for k in range(1, n + 1)))
+        slots = _Slots(max(bound).bit_length() + 1)
+        s = [slots.pack(c) for c in self.coeffs]
+        packed = [{0: v}]
         out = [Poly2({(0, 0): v})]
         for n in range(1, self.order):
-            out.append(Poly2.dot((self.coeffs[k], out[n - k])
-                                 for k in range(1, n + 1)).scale(-v))
+            acc = _packed_dot((s[k], packed[n - k]) for k in range(1, n + 1))
+            r = {j: -v * p for j, p in acc.items()}
+            packed.append(r)
+            out.append(slots.unpack(r))
         return TruncSeries(self.order, out)
 
     def sqrt(self) -> "TruncSeries":
@@ -155,14 +292,34 @@ class TruncSeries:
         step halves exactly, and an odd coefficient raises ArithmeticError."""
         if self._constant_term_value() != 1:
             raise ValueError("square root needs constant term 1")
+        # majorant: acc_n = c_n - sum_(0<k<n) r_k r_(n-k) has l1 norm at most
+        # Q_n = |c_n|_1 + sum R_k R_(n-k), and r_n = acc_n / 2 at most
+        # R_n = ceil(Q_n / 2) (R_0 = 1), so max Q_n bounds every digit
+        bound = [1]
+        top = 1
+        for n in range(1, self.order):
+            q = _l1(self.coeffs[n]) + sum(bound[k] * bound[n - k]
+                                          for k in range(1, n))
+            top = max(top, q)
+            bound.append((q + 1) // 2)
+        slots = _Slots(top.bit_length() + 1)
+        c = [slots.pack(p) for p in self.coeffs]
+        packed = [{0: 1}]
         out = [Poly2.one()]
         for n in range(1, self.order):
             # c_n = sum_k r_k r_(n-k); each pair k < n - k occurs twice
-            pairs = Poly2.dot((out[k], out[n - k]) for k in range(1, (n + 1) // 2))
-            acc = self.coeffs[n] - 2 * pairs
+            acc = dict(c[n])
+            for j, p in _packed_dot((packed[k], packed[n - k])
+                                    for k in range(1, (n + 1) // 2)).items():
+                acc[j] = acc.get(j, 0) - 2 * p
             if n % 2 == 0:
-                acc = acc - out[n // 2] * out[n // 2]
-            out.append(_exact_div(acc, 2, n))
+                middle = packed[n // 2]
+                for j, p in _packed_dot(((middle, middle),)).items():
+                    acc[j] = acc.get(j, 0) - p
+            out.append(_exact_div(slots.unpack(acc), 2, n))
+            # every digit of acc is even now, so halving the packed int
+            # halves each digit exactly
+            packed.append({j: p >> 1 for j, p in acc.items()})
         return TruncSeries(self.order, out)
 
     def exact_div(self, d: int) -> "TruncSeries":
@@ -322,19 +479,24 @@ def G_D_assembled(order: int) -> TruncSeries:
     return TruncSeries.from_map(out, order)
 
 
+def times_yt(s: TruncSeries, k: int = 1) -> TruncSeries:
+    """(yt)^k * s: every coefficient shifted by y^k, then the series by t^k
+    (the known order grows by k)."""
+    return TruncSeries(s.order, [c.shift(0, k) for c in s.coeffs]).shift_t(k)
+
+
 def G_closed(kind: str, order: int) -> TruncSeries:
     """GA and GB solved out of the recursive relations
     G = g + yt gA G, i.e. G = g / (1 - yt gA); GD via yt (GB - 1) + gD."""
     if kind in ("A", "B"):
         gA = g_closed("A", order)
         g = gA if kind == "A" else g_closed("B", order)
-        yt_gA = (gA * Poly2({(0, 1): 1})).shift_t().truncate(order)
+        yt_gA = times_yt(gA).truncate(order)
         return g * (TruncSeries.one(order) - yt_gA).inverse()
     if kind == "D":
         GB = G_closed("B", order)
         gD = g_closed("D", order)
-        return (((GB - 1) * Poly2({(0, 1): 1})).shift_t().truncate(order)
-                + gD)
+        return times_yt(GB - 1).truncate(order) + gD
     raise ValueError(f"unknown series kind {kind!r}")
 
 
@@ -377,27 +539,23 @@ def verify_identities(order: int) -> list[Check]:
     """Evaluate every generating-series identity as LHS - RHS and report
     whether the residual vanishes through t^order."""
     N = order
-    y = Poly2({(0, 1): 1})
     g = g_base(N + 2)
     gA, gB, gD = (g_sum(k, N + 1) for k in "ABD")
     GA, GB = (G_sum(k, N + 1) for k in "AB")
     GD = G_D_assembled(N + 1)
-
-    def yt(s):
-        return (s * y).shift_t()
 
     residuals = {
         "conjA": gA - g_closed("A", N + 1),
         "conjB": gB - g_closed("B", N + 1),
         "conjD": gD - g_closed("D", N + 1),
         "eqC": g.truncate(N + 1) - eq_c_series(N + 1),
-        "petitA_grandA": GA - gA - yt(gA * GA),
-        "petitB_grandB_1": GB - gB - yt(gA * GB),
-        "petitB_grandB_2": GB - gB - yt(gB * GA),
-        "petitD_grandD": (GD - gD - 2 * yt(gA - 1)
-                          - ((gA * y * y).shift_t(2)) - yt(gA * GD)),
+        "petitA_grandA": GA - gA - times_yt(gA * GA),
+        "petitB_grandB_1": GB - gB - times_yt(gA * GB),
+        "petitB_grandB_2": GB - gB - times_yt(gB * GA),
+        "petitD_grandD": (GD - gD - 2 * times_yt(gA - 1)
+                          - times_yt(gA, 2) - times_yt(gA * GD)),
         "mini_D": (gB - 1) - 2 * (gA - 1) - gA * gD,
-        "bizarre_B_D": GD - yt(GB - 1) - gD,
+        "bizarre_B_D": GD - times_yt(GB - 1) - gD,
         ODE_NAME: ((g * g.d_dt()).shift_t() - g * g
                    + TruncSeries.from_map({0: 1, 1: -1}, N + 2)),
         "euler_gD": gD - two_minus_theta(

@@ -189,3 +189,11 @@ def test_criterion_9_three_way_agreement_a7():
         by_local_sum = subdivisions.gamma_from_local_sum(s)
         by_closed = coxeter.closed_gamma_triangle("A", 7)
         assert by_model == by_local_sum == by_closed
+
+
+def test_criterion_10_series_identities_order_48():
+    with criterion("10 series-identities-t48"):
+        checks = series.verify_identities(48)
+        assert {c.name for c in checks} == set(series.IDENTITY_NAMES)
+        for check in checks:
+            assert check.ok, f"{check.name}: {check.detail}"

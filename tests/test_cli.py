@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,3 +384,23 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"gammatri {__version__}\n"
+
+
+def test_closed_pipe_exits_without_traceback():
+    # about 90 KB of output, more than a pipe buffers, so the command is
+    # still writing when the reader closes its end after the first line
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gammatri", "series", "--name", "GA",
+         "--order", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

@@ -24,6 +24,7 @@ from gammatri.series import (
     two_minus_theta,
     verify_identities,
 )
+from gammatri.series import _packed_product, _product_bits, _Slots
 
 
 def xp(mapping):
@@ -42,8 +43,8 @@ def g_base_alt(order):
     return one_minus_t * radicand.sqrt()
 
 
-# test-only oracles: the running-total loops that the product, inverse and
-# sqrt were before they built each coefficient with one Poly2.dot
+# test-only oracles: sparse running-total loops for the product, inverse
+# and sqrt, which the packed kernel must match exactly
 
 def sparse_product(a, b):
     n = min(a.order, b.order)
@@ -165,10 +166,11 @@ def test_inverse_multiplies_to_one(s):
     assert is_zero_through(s * s.inverse() - 1, 7)
 
 
-# bivariate coefficients with negative and zero entries; an empty dict
+# bivariate coefficients with negative and zero entries, wide enough to
+# cross the byte and slot boundaries of the packed kernel; an empty dict
 # gives a zero coefficient
-poly2s = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                         st.integers(-4, 4), max_size=4).map(Poly2)
+poly2s = st.dictionaries(st.tuples(st.integers(0, 10), st.integers(0, 3)),
+                         st.integers(-2**200, 2**200), max_size=6).map(Poly2)
 any_series = st.integers(1, 7).flatmap(
     lambda order: st.lists(poly2s, max_size=order).map(
         lambda cs: TruncSeries(order, cs)))
@@ -182,6 +184,42 @@ ONE_MINUS_T = TruncSeries.from_map({0: 1, 1: -1}, 5)
 @example(ONE_PLUS_T, -ONE_PLUS_T + ONE_PLUS_T)
 def test_product_matches_running_total_oracle(a, b):
     assert a * b == sparse_product(a, b)
+
+
+def test_product_width_is_tight_at_the_extremes():
+    # order 7 with x- and y-degree 2: the t^6 x^2 y^2 digit is a sum of
+    # S = 7 * 3 * 3 = 63 = 2^6 - 1 products of -(2^100 - 1) and 2^94 - 1,
+    # which needs 100 + 94 + 6 bits and a sign bit
+    def full(v):
+        return Poly2({(i, j): v for i in range(3) for j in range(3)})
+    a, b = [full(-(2**100 - 1))] * 7, [full(2**94 - 1)] * 7
+    want = sparse_product(TruncSeries(7, a), TruncSeries(7, b))
+    extreme = want.coeff(6).coeff(2, 2)
+    assert extreme == -63 * (2**100 - 1) * (2**94 - 1)
+    assert (-extreme).bit_length() == 200
+    bits = _product_bits(a, b)
+    assert bits == 201
+    assert TruncSeries(7, a) * TruncSeries(7, b) == want
+    assert TruncSeries(7, _packed_product(a, b, bits)) == want
+    # 200 bits is whole bytes, so nothing rounds the narrower width back up
+    assert TruncSeries(7, _packed_product(a, b, bits - 1)) != want
+
+
+# a top digit 1 in slot D >= 2 over lower digits of -2^(w-1) packs to an
+# int of only wD - 1 bits; the unpacking must still find slot D
+@settings(max_examples=100)
+@given(st.integers(1, 3).flatmap(lambda nbytes: st.tuples(
+    st.just(nbytes),
+    st.dictionaries(st.tuples(st.integers(0, 10), st.integers(0, 3)),
+                    st.integers(-2**(8 * nbytes - 1), 2**(8 * nbytes - 1) - 1),
+                    max_size=12))))
+@example((1, {(0, 0): -128, (1, 0): -128, (2, 0): 1}))
+@example((2, {(i, 1): -2**15 for i in range(10)} | {(10, 1): 2**15 - 1}))
+def test_slots_round_trip_the_full_digit_range(case):
+    nbytes, terms = case
+    slots = _Slots(8 * nbytes)
+    c = Poly2(terms)
+    assert slots.unpack(slots.pack(c)) == c
 
 
 @settings(max_examples=150)
