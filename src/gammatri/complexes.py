@@ -3,12 +3,15 @@
 A complex is a list of facets over named vertices; faces are all subsets
 of facets, the empty face included. The trivial complex {[]} is stored as
 the single facet frozenset() on an empty vertex set.
+
+Faces are int masks over the positions of c.vertices (bit i stands for
+c.vertices[i]), listed once by face_set; face_labels turns one back into
+labels where a caller needs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .poly import Poly1
 
@@ -118,25 +121,42 @@ def first_supersets(sets) -> dict[frozenset, frozenset]:
     return out
 
 
-def all_faces(c: Complex) -> dict[int, set[frozenset[str]]]:
-    """All faces of c grouped by cardinality; includes the empty face."""
-    seen: set[frozenset[str]] = set()
-    for facet in c.facets:
-        elems = sorted(facet)
-        for r in range(len(elems) + 1):
-            for combo in combinations(elems, r):
-                seen.add(frozenset(combo))
-    grouped: dict[int, set[frozenset[str]]] = {}
-    for f in seen:
-        grouped.setdefault(len(f), set()).add(f)
+def face_set(c: Complex) -> list[int]:
+    """Every face of c once, as a mask over the positions of c.vertices: a
+    depth-first search that carries the facets holding the current face and
+    adds a higher vertex only while one of them holds it too (Kaibel and
+    Pfetsch, 2002). The empty face 0 comes first, and every other face
+    comes after the face that drops its top vertex."""
+    pos = {v: i for i, v in enumerate(c.vertices)}
+    inc = [0] * len(pos)
+    for j, facet in enumerate(c.facets):
+        for v in facet:
+            inc[pos[v]] |= 1 << j
+    out = [0]
+
+    def extend(face: int, m: int, candidates: list[int]) -> None:
+        for i, w in enumerate(candidates):
+            g = face | 1 << w
+            out.append(g)
+            m2 = m & inc[w]
+            extend(g, m2, [x for x in candidates[i + 1:] if inc[x] & m2])
+
+    extend(0, (1 << len(c.facets)) - 1, list(range(len(inc))))
+    return out
+
+
+def all_faces(c: Complex) -> dict[int, list[int]]:
+    """The faces of face_set(c) grouped by cardinality; includes the empty
+    face."""
+    grouped: dict[int, list[int]] = {}
+    for f in face_set(c):
+        grouped.setdefault(f.bit_count(), []).append(f)
     return grouped
 
 
-def face_set(c: Complex) -> set[frozenset[str]]:
-    out: set[frozenset[str]] = set()
-    for group in all_faces(c).values():
-        out |= group
-    return out
+def face_labels(vertices, face: int) -> frozenset[str]:
+    """The labels of a face mask over the positions of `vertices`."""
+    return frozenset(v for i, v in enumerate(vertices) if face >> i & 1)
 
 
 def dimension(c: Complex) -> int:
@@ -164,25 +184,25 @@ def f_polynomial(c: Complex) -> Poly1:
 def is_flag(c: Complex) -> bool:
     """True iff every clique of the 1-skeleton is a face."""
     faces = face_set(c)
-    verts = sorted({v for f in c.facets for v in f})
-    nbrs = {v: set() for v in verts}
+    nbrs = [0] * len(c.vertices)
     for f in faces:
-        if len(f) == 2:
-            a, b = sorted(f)
-            nbrs[a].add(b)
-            nbrs[b].add(a)
+        if f.bit_count() == 2:
+            lo, hi = (f & -f).bit_length() - 1, f.bit_length() - 1
+            nbrs[lo] |= 1 << hi
+            nbrs[hi] |= 1 << lo
+    known = set(faces)
 
-    def grow(clique: frozenset, candidates: list) -> bool:
-        for idx, v in enumerate(candidates):
-            bigger = clique | {v}
-            if len(bigger) >= 3 and bigger not in faces:
-                return False
-            rest = [w for w in candidates[idx + 1:] if w in nbrs[v]]
-            if not grow(bigger, rest):
+    def grow(clique: int, candidates: int) -> bool:
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            bigger = clique | low
+            if bigger not in known or not grow(
+                    bigger, candidates & nbrs[low.bit_length() - 1]):
                 return False
         return True
 
-    return grow(frozenset(), verts)
+    return grow(0, (1 << len(c.vertices)) - 1)
 
 
 def fresh_labels(taken, labels) -> dict[str, str]:

@@ -111,10 +111,19 @@ class _Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, int):
+            other = type(self)({self._ONE_KEY: other})
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        out = dict(self._c)
+        for k, c in other._c.items():
+            out[k] = out.get(k, 0) - c
+        return type(self)(out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, int):
+            return NotImplemented
+        return type(self)({self._ONE_KEY: other}) - self
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -206,10 +206,17 @@ class TruncSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, (int, Poly2)):
+            other = TruncSeries.from_map({0: other}, self.order)
+        elif not isinstance(other, TruncSeries):
+            return NotImplemented
+        return TruncSeries(min(self.order, other.order),
+                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, (int, Poly2)):
+            return NotImplemented
+        return TruncSeries.from_map({0: other}, self.order) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Poly2)):

@@ -8,6 +8,10 @@ which for genuine subdivision data is a simplicial ball of dimension
 characteristic of every nonempty restriction are checked, full topology is
 not; validate() reports which checks ran.
 
+Every route reads one cached face pass per subdivision: each face of the
+complex (a complexes.face_set mask) with its carrier, a mask over the
+positions of the index set.
+
 Local h, the local-sum triangle and the direct H-triangle are sums of
 per-face terms over restrictions. A face F with a = |F| and
 k = |carrier(F)| lies in the restriction to K exactly when K contains its
@@ -28,8 +32,10 @@ from .complexes import (
     Complex,
     InvalidComplex,
     _json_fields,
+    all_faces,
     dimension,
     f_polynomial,
+    face_labels,
     face_set,
     first_supersets,
     fresh_labels,
@@ -106,8 +112,8 @@ class Subdivision:
                     raise InvalidSubdivision(
                         f"restriction to {sorted(J)} has dimension "
                         f"{dimension(sub)}, expected {len(J) - 1}")
-                euler = sum((-1) ** (len(f) - 1)
-                            for f in face_set(sub) if f)
+                euler = sum((-1) ** (k - 1) * len(group)
+                            for k, group in all_faces(sub).items() if k)
                 if euler != 1:
                     raise InvalidSubdivision(
                         f"restriction to {sorted(J)} has Euler "
@@ -115,23 +121,36 @@ class Subdivision:
         return list(VALIDATION_CHECKS)
 
     @cached_property
+    def _face_pass(self) -> dict[int, int]:
+        """Each face of the complex mapped to its carrier, in face_set's
+        order: the carrier of F is that of F minus its top vertex, listed
+        earlier, plus the top vertex's carrier. Kept after the first use (a
+        subdivision is not changed once built)."""
+        bit = {i: 1 << k for k, i in enumerate(self.index_set)}
+        try:
+            sig = [sum(bit[i] for i in self.sigma[v]) for v in self.complex.vertices]
+        except KeyError as exc:
+            raise InvalidSubdivision(f"{exc} is missing from the carrier map or "
+                                     "the index set; validate() names the fault") from None
+        carrier = {0: 0}
+        for f in face_set(self.complex)[1:]:
+            top = f.bit_length() - 1
+            carrier[f] = carrier[f ^ 1 << top] | sig[top]
+        return carrier
+
+    @cached_property
     def _face_counts(self) -> Counter:
-        """The faces of the complex counted by (|F|, |carrier(F)|), kept after
-        the first use (a subdivision is not changed once built). A face larger
-        than its carrier makes some restriction too big for its degree."""
-        counts = Counter((len(f), len(self.carrier(f))) for f in face_set(self.complex))
+        """The faces of the complex counted by (|F|, |carrier(F)|). A face
+        larger than its carrier makes some restriction too big for its
+        degree."""
+        counts = Counter((f.bit_count(), c.bit_count())
+                         for f, c in self._face_pass.items())
         for a, k in sorted(counts):
             if a > k:
                 raise ValueError(
                     f"a face of size {a} has a carrier of size {k}; local h "
                     "needs every face to be at most as large as its carrier")
         return counts
-
-    def carrier(self, face) -> frozenset[str]:
-        out = frozenset()
-        for v in face:
-            out |= self.sigma[v]
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -223,29 +242,34 @@ def local_gamma(s: Subdivision) -> Poly1:
 def sphere(s: Subdivision) -> SphereWithFacet:
     """The complex on vertices(C) + I whose faces are F + J with the
     carrier of F disjoint from J; the distinguished facet is I."""
-    iset = frozenset(s.index_set)
-    faces = face_set(s.complex)
-    carrier = {f: s.carrier(f) for f in faces}
+    carrier = s._face_pass
     # F + (I - carrier(F)) lies inside F' + (I - carrier(F')) only when F is
     # inside F' and both have the same carrier; such an F' contains some
-    # F + {v} with carrier(v) inside carrier(F), and the faces are closed
-    # under subsets, so single-vertex extensions decide maximality.
+    # F + {v} with carrier(v) inside carrier(F), that is with the carrier of
+    # F, and the faces are closed under subsets, so single-vertex
+    # extensions decide maximality.
     extendable = set()
-    for g in faces:
-        for v in g:
-            f = g - {v}
-            if s.sigma[v] <= carrier[f]:
-                extendable.add(f)
-    maximal = [f | (iset - carrier[f]) for f in faces if f not in extendable]
-    cpx = Complex.make(tuple(s.complex.vertices) + tuple(s.index_set), maximal)
-    return SphereWithFacet.make(cpx, iset)
+    for g, cg in carrier.items():
+        rest = g
+        while rest:
+            low = rest & -rest
+            if carrier[g ^ low] == cg:
+                extendable.add(g ^ low)
+            rest ^= low
+    verts = tuple(s.complex.vertices) + tuple(s.index_set)
+    shift, full = len(s.complex.vertices), (1 << len(s.index_set)) - 1
+    maximal = [face_labels(verts, f | (full & ~c) << shift)
+               for f, c in carrier.items() if f not in extendable]
+    cpx = Complex.make(verts, maximal)
+    return SphereWithFacet.make(cpx, s.index_set)
 
 
 def f_triangle(sph: SphereWithFacet) -> Poly2:
     """F_(i,j) counts faces with i vertices outside the distinguished facet
     and j vertices inside it."""
-    T = sph.facet
-    return Poly2(Counter((len(f - T), len(f & T)) for f in face_set(sph.complex)))
+    T = sum(1 << i for i, v in enumerate(sph.complex.vertices) if v in sph.facet)
+    return Poly2(Counter(((f & ~T).bit_count(), (f & T).bit_count())
+                         for f in face_set(sph.complex)))
 
 
 def model_gamma(s: Subdivision) -> GammaTriangle:

@@ -197,3 +197,12 @@ def test_criterion_10_series_identities_order_48():
         assert {c.name for c in checks} == set(series.IDENTITY_NAMES)
         for check in checks:
             assert check.ok, f"{check.name}: {check.detail}"
+
+
+def test_criterion_11_three_way_agreement_a8():
+    with criterion("11 three-way-A8"):
+        s = cluster.type_a_subdivision(8)
+        by_model = verify.model_gamma(s)
+        by_local_sum = subdivisions.gamma_from_local_sum(s)
+        by_closed = coxeter.closed_gamma_triangle("A", 8)
+        assert by_model == by_local_sum == by_closed

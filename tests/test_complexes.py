@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from gammatri.complexes import (
     dimension,
     f_polynomial,
     f_vector,
+    face_labels,
     face_set,
     is_flag,
     is_pure,
@@ -35,7 +38,7 @@ SIMPLEX3 = Complex.make("abc", [{"a", "b", "c"}])
 def test_pentagon_faces():
     assert f_vector(PENTAGON) == (1, 5, 5)
     grouped = all_faces(PENTAGON)
-    assert grouped[0] == {frozenset()}
+    assert {face_labels(PENTAGON.vertices, f) for f in grouped[0]} == {frozenset()}
     assert len(grouped[1]) == 5 and len(grouped[2]) == 5
 
 
@@ -201,3 +204,66 @@ def test_loader_rejects_duplicate_vertices():
 def test_loader_rejects_uncovered_vertices():
     with pytest.raises(InvalidComplex, match="no facet"):
         Complex.make("ab", [{"a"}])
+
+
+# Test-only oracles: the frozenset face layer that face_set and is_flag
+# replaced by masks.
+
+def faces_by_subsets(c):
+    """Every subset of every facet, deduplicated through a set."""
+    return {frozenset(combo) for facet in c.facets
+            for r in range(len(facet) + 1) for combo in combinations(sorted(facet), r)}
+
+
+def is_flag_by_clique_growth(c):
+    """Grow every clique of the 1-skeleton and look each one up."""
+    faces = faces_by_subsets(c)
+    verts = sorted({v for f in c.facets for v in f})
+    nbrs = {v: set() for v in verts}
+    for f in faces:
+        if len(f) == 2:
+            a, b = sorted(f)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+
+    def grow(clique, candidates):
+        for idx, v in enumerate(candidates):
+            bigger = clique | {v}
+            if len(bigger) >= 3 and bigger not in faces:
+                return False
+            rest = [w for w in candidates[idx + 1:] if w in nbrs[v]]
+            if not grow(bigger, rest):
+                return False
+        return True
+
+    return grow(frozenset(), verts)
+
+
+@st.composite
+def complexes(draw):
+    """Complex.trivial() (one draw in eight), or a random facet family on
+    a-h with its vertices in a random order."""
+    if draw(st.integers(0, 7)) == 0:
+        return Complex.trivial()
+    facets = draw(st.lists(
+        st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=4),
+        min_size=1, max_size=7))
+    maximal = [f for f in set(facets) if not any(f < g for g in facets)]
+    verts = draw(st.permutations(sorted(set().union(*maximal))))
+    return Complex.make(verts, maximal)
+
+
+@given(complexes())
+def test_face_set_lists_each_face_once_after_its_prefix(c):
+    faces = face_set(c)
+    assert faces[0] == 0
+    assert len(set(faces)) == len(faces)
+    assert {face_labels(c.vertices, f) for f in faces} == faces_by_subsets(c)
+    seen = set()
+    for f in faces:
+        assert not f or f ^ 1 << (f.bit_length() - 1) in seen
+        seen.add(f)
+    assert {k: sorted(g) for k, g in all_faces(c).items()} == {
+        k: sorted(f for f in faces if f.bit_count() == k)
+        for k in {f.bit_count() for f in faces}}
+    assert is_flag(c) == is_flag_by_clique_growth(c)

@@ -77,6 +77,8 @@ def test_ring_axioms(abc):
     assert a * b == b * a
     assert a + (b + c) == (a + b) + c
     assert a - a == type(a).zero()
+    assert a - b == a + (-b) and (a - b) + b == a
+    assert 3 - a == -(a - 3) == 3 + (-a)
 
 
 # test-only oracles: a plain dict total that shares no code with the

@@ -166,6 +166,15 @@ def test_inverse_multiplies_to_one(s):
     assert is_zero_through(s * s.inverse() - 1, 7)
 
 
+@given(small_series, small_series)
+def test_subtraction_is_adding_the_negation(a, b):
+    assert a - b == a + (-b) and (a - b) + b == a
+    x = xp({1: 2})
+    assert 1 - a == -(a - 1) == 1 + (-a)
+    assert x - a == -(a - x) == x + (-a)
+    assert a - b.truncate(5) == (a + (-b.truncate(5)))
+
+
 # bivariate coefficients with negative and zero entries, wide enough to
 # cross the byte and slot boundaries of the packed kernel; an empty dict
 # gives a zero coefficient

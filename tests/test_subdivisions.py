@@ -9,6 +9,7 @@ from gammatri.complexes import (
     Complex,
     f_polynomial,
     f_vector,
+    face_labels,
     face_set,
     is_pure,
 )
@@ -299,10 +300,16 @@ def h_triangle_direct_by_restrictions(s):
         for r in range(n + 1) for J in combinations(s.index_set, r))
 
 
+def carrier(s, face):
+    """The union of the carriers of the face's vertices."""
+    return frozenset().union(*(s.sigma[v] for v in face))
+
+
 def sphere_by_pairwise_maximality(s):
     """The faces F + (I - carrier(F)) that lie inside no other one."""
     iset = frozenset(s.index_set)
-    candidates = {f | (iset - s.carrier(f)) for f in face_set(s.complex)}
+    faces = [face_labels(s.complex.vertices, f) for f in face_set(s.complex)]
+    candidates = {f | (iset - carrier(s, f)) for f in faces}
     maximal = [f for f in candidates if not any(f < g for g in candidates)]
     cpx = Complex.make(tuple(s.complex.vertices) + tuple(s.index_set), maximal)
     return SphereWithFacet.make(cpx, iset)
@@ -381,6 +388,17 @@ def test_local_sum_expects_validated_data():
     with pytest.raises(NotGammaRepresentable):
         gamma_from_local_sum_by_restrictions(s)
     assert gamma_from_local_sum(s) == GammaTriangle.make({(0, 2): 1, (1, 0): 1}, 2)
+
+
+def test_face_pass_rejects_labels_outside_the_carrier_map_or_index_set():
+    # unvalidated data: a carrier label outside the index set, a vertex
+    # without a carrier
+    foreign = _invalid(("p", [{"p"}]), ["s"], {"p": {"s", "t"}})
+    uncarried = _invalid(("pq", [{"p", "q"}]), ["s1", "s2"], {"p": {"s1"}})
+    for s, label in ((foreign, "'t'"), (uncarried, "'q'")):
+        for route in (local_h, sphere):
+            with pytest.raises(InvalidSubdivision, match=f"{label} is missing"):
+                route(s)
 
 
 def test_local_h_rejects_a_face_larger_than_its_carrier():
