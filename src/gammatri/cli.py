@@ -11,9 +11,9 @@ Subcommands:
 
 Output is deterministic and stdout holds only the result: --out picks the
 table layout, JSON or both; the --export notice goes to stderr. Bad input,
-a stray --m and a result with no gamma expansion exit 1 with `error: ...`
-on stderr, naming any file at fault; a reader that closes stdout early
-ends the command with exit 1 and no message. NO_COLOR, the only environment
+a stray --m or --facet and a result with no gamma expansion exit 1 with
+`error: ...` on stderr, naming any file at fault; a reader that closes
+stdout early ends the command with exit 1 and no message. NO_COLOR, the only environment
 variable read, turns off the pass/fail coloring of verify.
 """
 
@@ -64,6 +64,9 @@ def _emit(out: str, lines: list[str], data) -> None:
 def cmd_triangles(args) -> None:
     if bool(args.complex) == bool(args.subdivision):
         raise CliError("give exactly one of --complex (with --facet) or --subdivision")
+    if args.subdivision and args.facet:
+        raise CliError("--facet goes with --complex only: the distinguished "
+                       "facet of a subdivision's sphere is its index set")
     if args.complex:
         if not args.facet:
             raise CliError("--complex needs --facet with comma-separated vertex labels")
@@ -95,43 +98,33 @@ def cmd_triangles(args) -> None:
     })
 
 
-# the combinatorial models and closed forms by kind, as parse_type names it
+# the combinatorial models by kind, as parse_type names it
 MODELS = {
     "A": lambda rank, m: cluster.type_a_subdivision(rank),
     "I2": lambda rank, m: cluster.dihedral_subdivision(m),
 }
-FORMULAS = {
-    "A": lambda rank, m: coxeter.closed_gamma_triangle("A", rank),
-    "B": lambda rank, m: coxeter.closed_gamma_triangle("B", rank),
-    "D": lambda rank, m: coxeter.gamma_triangle_D(rank),
-    "I2": lambda rank, m: coxeter.rank23_formula(m, 2),
-    "H3": lambda rank, m: coxeter.rank23_formula(10, 3),
-}
 
 
-def _cluster_gamma(kind: str, rank: int, m: int | None,
-                   method: str) -> GammaTriangle:
-    if method == "model":
-        if kind not in MODELS:
-            raise CliError(f"method 'model' supports types A and I2, not {kind}")
-        return subdivisions.model_gamma(MODELS[kind](rank, m))
-    if method == "formula" and kind in FORMULAS and (kind, rank) != ("D", 2):
-        return FORMULAS[kind](rank, m)
-    # every other kind, and D2, which gamma_triangle_D rejects: the subset
-    # sum over the diagram IS the formula, with stored local data for the
-    # full diagram
-    return coxeter.gamma_triangle_diagram(coxeter.standard_diagram(kind, rank, m))
+def _model(kind: str, rank: int, m: int | None) -> Subdivision:
+    if kind not in MODELS:
+        raise CliError(f"type {kind} has no combinatorial model "
+                       f"(models exist for {', '.join(MODELS)})")
+    return MODELS[kind](rank, m)
 
 
 def cmd_cluster(args) -> None:
     kind, rank, m = coxeter.parse_type(args.type, args.rank, args.m)
-    gt = _cluster_gamma(kind, rank, m, args.method)
+    model = _model(kind, rank, m) if args.method == "model" or args.export else None
+    if args.method == "model":
+        gt = subdivisions.model_gamma(model)
+    elif args.method == "formula":
+        gt = coxeter.closed_triangle(kind, rank, m)
+    else:
+        gt = coxeter.gamma_triangle_diagram(coxeter.standard_diagram(kind, rank, m))
     if args.export:
-        if kind not in MODELS:
-            raise CliError(f"--export needs a combinatorial model (A or I2), not {kind}")
         try:
             with open(args.export, "w", encoding="utf-8") as fh:
-                json.dump(MODELS[kind](rank, m).to_dict(), fh, indent=2)
+                json.dump(model.to_dict(), fh, indent=2)
         except OSError as exc:
             raise CliError(f"{args.export}: cannot write ({exc})")
         print(f"model written to {args.export}", file=sys.stderr)

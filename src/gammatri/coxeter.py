@@ -8,14 +8,20 @@ contribute (m-2)x; H3, H4, F4, E6, E7, E8 carry stored local data. Rows
 j >= 1 of any triangle therefore always come out of the closed forms for
 proper subdiagrams, never out of storage.
 
+closed_triangle is the one way from a type name to its triangle without
+the diagram sum: the closed forms for A, B, D, I2(m) and H3, the stored
+tables for F4, H4, E6, E7, E8.
+
+Diagrams are read through per-vertex adjacency masks over the vertex
+order. classify grows each component as a vertex mask, and a component's
+type (degrees, arms, its labeled edge) is read straight off that mask.
 gamma_triangle_diagram visits all 2^n vertex subsets of its input, each as
-an int bitmask over the diagram's vertex order; it does not factor the sum
-over the input's components, so the product of component triangles stays
-an independent check of it. A subset splits into components by growing
-from its lowest set bit through per-vertex adjacency masks. A connected
-component is classified and given its local gamma-polynomial once per
-call, memoized by its vertex mask, and a subset stops at its first
-component with local gamma 0 (any isolated vertex, A1, is one).
+such a mask; it does not factor the sum over the input's components, so
+the product of component triangles stays an independent check of it. A
+subset splits into components by growing from its lowest set bit. A
+connected component is classified and given its local gamma-polynomial
+once per call, memoized by its vertex mask, and a subset stops at its
+first component with local gamma 0 (any isolated vertex, A1, is one).
 """
 
 from __future__ import annotations
@@ -76,12 +82,6 @@ class CoxeterDiagram:
             norm.append((a, b, m))
         return cls(verts, tuple(sorted(norm)))
 
-    def induced(self, keep) -> "CoxeterDiagram":
-        keep = set(keep)
-        verts = tuple(v for v in self.vertices if v in keep)
-        edges = tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
-        return CoxeterDiagram(verts, edges)
-
     def to_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
@@ -108,48 +108,42 @@ class TypedComponent:
         return f"{self.kind}{self.rank}"
 
 
-def _components(dgm: CoxeterDiagram) -> list[tuple[str, ...]]:
-    nbrs = {v: set() for v in dgm.vertices}
+def _adjacency(dgm: CoxeterDiagram) -> list[int]:
+    """Per-vertex neighbour masks over the positions of dgm.vertices."""
+    index = {v: i for i, v in enumerate(dgm.vertices)}
+    adj = [0] * len(index)
     for u, v, _ in dgm.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    seen = set()
-    comps = []
-    for v in sorted(dgm.vertices):
-        if v in seen:
-            continue
-        stack, comp = [v], set()
-        while stack:
-            w = stack.pop()
-            if w in comp:
-                continue
-            comp.add(w)
-            stack.extend(nbrs[w] - comp)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    return adj
 
 
-def _classify_component(verts, edges) -> TypedComponent:
-    r = len(verts)
-    name = "{" + ", ".join(verts) + "}"
-    if len(edges) != r - 1:
-        raise ClassificationError(f"component {name} contains a cycle")
+def _classify_component(dgm: CoxeterDiagram, comp: int,
+                        adj: list[int]) -> TypedComponent:
+    """Type of the connected component on the vertex mask comp, with adj
+    from _adjacency(dgm)."""
+    verts = dgm.vertices
+    at = [i for i in range(len(verts)) if comp >> i & 1]
+    r = len(at)
+
+    def fault(what: str) -> ClassificationError:
+        name = ", ".join(sorted(verts[i] for i in at))
+        return ClassificationError(f"component {{{name}}} {what}")
+
+    deg = {i: (adj[i] & comp).bit_count() for i in at}
+    if sum(deg.values()) != 2 * (r - 1):
+        raise fault("contains a cycle")
     if r == 1:
         return TypedComponent("A", 1)
-    deg = {v: 0 for v in verts}
-    for u, v, _ in edges:
-        deg[u] += 1
-        deg[v] += 1
     maxdeg = max(deg.values())
-    labeled = [e for e in edges if e[2] > 3]
+    ends = ((verts.index(u), verts.index(v), m) for u, v, m in dgm.edges if m > 3)
+    labeled = [(u, v, m) for u, v, m in ends if comp >> u & 1 and comp >> v & 1]
     if labeled:
         if len(labeled) > 1:
-            raise ClassificationError(f"component {name} has two labeled edges")
+            raise fault("has two labeled edges")
         u, v, m = labeled[0]
         if maxdeg > 2:
-            raise ClassificationError(
-                f"component {name} has a branch point and a labeled edge")
+            raise fault("has a branch point and a labeled edge")
         at_end = deg[u] == 1 or deg[v] == 1
         if r == 2:
             return TypedComponent("I2", 2, m)
@@ -161,26 +155,23 @@ def _classify_component(verts, edges) -> TypedComponent:
             return TypedComponent("H3", 3)
         if m == 5 and at_end and r == 4:
             return TypedComponent("H4", 4)
-        raise ClassificationError(
-            f"component {name} with a {m}-labeled edge is not of finite type")
+        raise fault(f"with a {m}-labeled edge is not of finite type")
     if maxdeg <= 2:
         return TypedComponent("A", r)
     if maxdeg > 3:
-        raise ClassificationError(f"component {name} has a vertex of degree {maxdeg}")
-    forks = [v for v in verts if deg[v] == 3]
+        raise fault(f"has a vertex of degree {maxdeg}")
+    forks = [i for i in at if deg[i] == 3]
     if len(forks) != 1:
-        raise ClassificationError(f"component {name} has {len(forks)} branch points")
+        raise fault(f"has {len(forks)} branch points")
     fork = forks[0]
-    nbrs = {v: set() for v in verts}
-    for u, v, _ in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
     lengths = []
-    for start in sorted(nbrs[fork]):
-        length, prev, cur = 1, fork, start
+    arms = adj[fork] & comp
+    while arms:  # walk each arm out of the fork to its leaf
+        low = arms & -arms
+        arms ^= low
+        length, prev, cur = 1, 1 << fork, low.bit_length() - 1
         while deg[cur] == 2:
-            nxt = (nbrs[cur] - {prev}).pop()
-            prev, cur = cur, nxt
+            prev, cur = 1 << cur, (adj[cur] & comp & ~prev).bit_length() - 1
             length += 1
         lengths.append(length)
     lengths.sort()
@@ -192,18 +183,31 @@ def _classify_component(verts, edges) -> TypedComponent:
         return TypedComponent("E7", 7)
     if lengths == [1, 2, 4]:
         return TypedComponent("E8", 8)
-    raise ClassificationError(
-        f"component {name} with branch lengths {lengths} is not of finite type")
+    raise fault(f"with branch lengths {lengths} is not of finite type")
 
 
 def classify(dgm: CoxeterDiagram) -> list[TypedComponent]:
     """Connected components as typed finite-type pieces, in a deterministic
     order. A 2-vertex component with a 3-labeled edge is A2, with label
-    m >= 4 it is I2(m) (so B2 and C2 come out as I2(4))."""
+    m >= 4 it is I2(m) (so B2 and C2 come out as I2(4)). Components are
+    grown from their vertices in label order, so the first component of
+    infinite type, by its least label, is the one reported whatever the
+    vertex order."""
+    adj = _adjacency(dgm)
+    rest = (1 << len(adj)) - 1
     out = []
-    for comp in _components(dgm):
-        sub = dgm.induced(comp)
-        out.append(_classify_component(comp, sub.edges))
+    for i in sorted(range(len(adj)), key=dgm.vertices.__getitem__):
+        if not rest >> i & 1:
+            continue
+        comp = frontier = 1 << i
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = adj[low.bit_length() - 1] & ~comp
+            comp |= grown
+            frontier |= grown
+        rest &= ~comp
+        out.append(_classify_component(dgm, comp, adj))
     return sorted(out, key=lambda c: (c.kind, c.rank, c.m or 0))
 
 
@@ -253,21 +257,9 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     the first time its vertex mask is seen; a subset is dropped at its
     first component with local gamma 0."""
     classify(dgm)
-    verts = dgm.vertices
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for u, v, _ in dgm.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
+    n = len(dgm.vertices)
+    adj = _adjacency(dgm)
     local: dict[int, Poly1] = {}
-
-    def component_gamma(comp: int) -> Poly1:
-        labels = tuple(sorted(v for v in verts if comp >> index[v] & 1))
-        edges = tuple(e for e in dgm.edges
-                      if comp >> index[e[0]] & 1 and comp >> index[e[1]] & 1)
-        return local_gamma_poly(_classify_component(labels, edges))
-
     acc = {(0, n): 1}  # the empty subset
     for keep in range(1, 1 << n):
         lg, rest = None, keep
@@ -282,7 +274,8 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
             rest &= ~comp
             g = local.get(comp)
             if g is None:
-                g = local[comp] = component_gamma(comp)
+                g = local[comp] = local_gamma_poly(
+                    _classify_component(dgm, comp, adj))
             if g.is_zero():
                 break
             lg = g if lg is None else lg * g
@@ -471,19 +464,28 @@ def reference_tables() -> dict[str, GammaTriangle]:
     return {name: GammaTriangle.make(coeffs, d) for name, (d, coeffs) in data.items()}
 
 
-TABLE_DIAGRAMS = {
-    "A4": ("A", 4), "B4": ("B", 4), "D4": ("D", 4), "F4": ("F4", 4),
-    "H4": ("H4", 4), "E6": ("E6", 6), "E7": ("E7", 7), "E8": ("E8", 8),
-    "B5": ("B", 5), "D6": ("D", 6),
-}
+def closed_triangle(kind: str, rank: int | None = None,
+                    m: int | None = None) -> GammaTriangle:
+    """Triangle of a finite type named as parse_type accepts, without the
+    diagram sum: the closed forms for A, B, D (D2 is I2(2)), I2(m) and H3,
+    the stored tables for F4, H4, E6, E7, E8."""
+    kind, rank, m = parse_type(kind, rank, m)
+    if kind in ("A", "B"):
+        return closed_gamma_triangle(kind, rank)
+    if kind == "D":
+        return gamma_triangle_D(rank) if rank >= 3 else rank23_formula(2, 2)
+    if kind == "I2":
+        return rank23_formula(m, 2)
+    if kind == "H3":
+        return rank23_formula(10, 3)
+    return reference_tables()[kind]
 
 
 def table_mismatches(name: str) -> list[tuple[str, int, int, int, int]]:
     """Recompute one stored table through the diagram sum and list entrywise
     differences as (table, i, j, expected, got)."""
     stored = reference_tables()[name]
-    kind, rank = TABLE_DIAGRAMS[name]
-    computed = gamma_triangle_diagram(standard_diagram(kind, rank))
+    computed = gamma_triangle_diagram(standard_diagram(name[0], int(name[1:])))
     out = []
     keys = set(stored.coeffs) | set(computed.coeffs)
     for i, j in sorted(keys):

@@ -47,20 +47,14 @@ def tables_report() -> Report:
                 "reproduced entrywise" if not mismatches else
                 "; ".join(f"({i},{j}) expected {w} got {g}"
                           for _, i, j, w, g in mismatches))
-    for n in range(1, 9):
-        ok = (coxeter.closed_gamma_triangle("A", n)
-              == coxeter.gamma_triangle_diagram(coxeter.standard_diagram("A", n)))
-        rep.add(f"closed_A{n}", ok)
-    for n in range(2, 9):
-        ok = (coxeter.closed_gamma_triangle("B", n)
-              == coxeter.gamma_triangle_diagram(coxeter.standard_diagram("B", n)))
-        rep.add(f"closed_B{n}", ok)
-    for n in range(4, 9):
-        ok = (coxeter.gamma_triangle_D(n)
-              == coxeter.gamma_triangle_diagram(coxeter.standard_diagram("D", n)))
-        rep.add(f"assembled_D{n}", ok)
+    for prefix, kind, least in (("closed", "A", 1), ("closed", "B", 2),
+                                ("assembled", "D", 4)):
+        for n in range(least, 9):
+            ok = (coxeter.closed_triangle(kind, n)
+                  == coxeter.gamma_triangle_diagram(coxeter.standard_diagram(kind, n)))
+            rep.add(f"{prefix}_{kind}{n}", ok)
     rep.add("assembled_D3_is_A3",
-            coxeter.gamma_triangle_D(3) == coxeter.closed_gamma_triangle("A", 3))
+            coxeter.closed_triangle("D", 3) == coxeter.closed_triangle("A", 3))
     return rep
 
 

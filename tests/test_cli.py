@@ -138,10 +138,15 @@ def test_cluster_h3_shorthand(capsys):
     assert json.loads(out)["entries"] == [[0, 3, "1"], [1, 0, "8"], [1, 1, "4"]]
 
 
-def test_cluster_model_unsupported_type(capsys):
+def test_cluster_model_unsupported_type(capsys, tmp_path):
     code, _, err = run(capsys, "cluster", "E", "6", "--method", "model")
     assert code == 1
     assert "model" in err
+    # --export looks the model up the same way and fails the same way
+    export = tmp_path / "e6.json"
+    code, out, export_err = run(capsys, "cluster", "E", "6", "--export", str(export))
+    assert (code, out, export_err) == (1, "", err)
+    assert not export.exists()
 
 
 # (cluster arguments, normalized (kind, rank, m), formula-route triangle,
@@ -190,8 +195,10 @@ def _point_subdivision(**change):
     return data
 
 
-# malformed input files; an argument naming one is replaced by its path
+# input files, malformed but for point.json, a good subdivision that its
+# arguments make bad; an argument naming one is replaced by its path
 BAD_FILES = {
+    "point.json": _point_subdivision(),
     "float_edge_label.json": {"vertices": ["a", "b"], "edges": [["a", "b", 4.9]]},
     "one_item_edge.json": {"vertices": ["a", "b"], "edges": [["a"]]},
     "four_item_edge.json": {"vertices": ["a", "b"], "edges": [["a", "b", 5, "junk"]]},
@@ -227,6 +234,7 @@ DIAGNOSTICS = {
     "list_complex.json": "complex data must be a JSON object, got list",
     "missing_edges.json": "missing field 'edges' in diagram data",
     UNWRITABLE: "model.json: cannot write (",
+    "point.json": "--facet goes with --complex only",
 }
 
 
@@ -257,6 +265,7 @@ DIAGNOSTICS = {
     ["local", "deep_nesting.json"],
     ["diagram", "not_utf8.json"],
     ["triangles", "--complex", "not_utf8.json", "--facet", "a"],
+    ["triangles", "--subdivision", "point.json", "--facet", "a"],
 ], ids="_".join)
 def test_bad_input_fails_closed(capsys, tmp_path, argv):
     for name in set(argv) & set(BAD_FILES):

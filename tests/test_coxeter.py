@@ -8,6 +8,7 @@ from gammatri.coxeter import (
     TypedComponent,
     classify,
     closed_gamma_triangle,
+    closed_triangle,
     family_recursion,
     gamma_coeff_closed,
     gamma_triangle_D,
@@ -71,6 +72,27 @@ NON_FINITE = [
 def test_classify_rejects_non_finite(vertices, edges, message):
     with pytest.raises(ClassificationError, match=message):
         classify(CoxeterDiagram.make(list(vertices), edges))
+
+
+@pytest.mark.parametrize("vertices, edges, message", NON_FINITE)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_classify_rejects_non_finite_in_any_vertex_order(vertices, edges,
+                                                         message, data):
+    # components are read off masks over vertex positions, so the verdict
+    # must not depend on the order the vertices are listed in
+    order = data.draw(st.permutations(list(vertices)))
+    with pytest.raises(ClassificationError, match=message):
+        classify(CoxeterDiagram.make(order, edges))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(list("abcdef")))
+def test_classify_reports_the_component_with_the_least_label(order):
+    dgm = CoxeterDiagram.make(order, [("a", "b"), ("b", "c"), ("a", "c"),
+                                      ("d", "e", 4), ("e", "f", 4)])
+    with pytest.raises(ClassificationError, match=r"\{a, b, c\} contains a cycle"):
+        classify(dgm)
 
 
 @pytest.mark.parametrize("vertices, edges, message", NON_FINITE)
@@ -239,6 +261,13 @@ def test_diagram_json_round_trip():
     assert gamma_triangle_diagram(again) == gamma_triangle_diagram(dgm)
 
 
+def induced(dgm, keep):
+    """The subdiagram of dgm induced on the vertex labels keep."""
+    keep = set(keep)
+    return CoxeterDiagram(tuple(v for v in dgm.vertices if v in keep),
+                          tuple(e for e in dgm.edges if e[0] in keep and e[1] in keep))
+
+
 def gamma_triangle_by_induced_subsets(dgm):
     """Test oracle: the diagram sum computed subset by subset, classifying
     the induced subdiagram of every subset afresh."""
@@ -248,7 +277,7 @@ def gamma_triangle_by_induced_subsets(dgm):
     for mask in range(1 << n):
         keep = [verts[i] for i in range(n) if mask >> i & 1]
         lg = Poly1.one()
-        for c in classify(dgm.induced(keep)):
+        for c in classify(induced(dgm, keep)):
             lg = lg * local_gamma_poly(c)
         out = out + lg.to_poly2().shift(0, n - len(keep))
     return GammaTriangle.make(dict(out.items()), n)
@@ -268,25 +297,26 @@ def test_diagram_sum_matches_induced_subset_oracle(kind, rank, m):
     assert gamma_triangle_diagram(dgm) == gamma_triangle_by_induced_subsets(dgm)
 
 
+# the other spellings the cluster command accepts, as parse_type arguments
+ALIAS_NAMES = [
+    ("C", 4, None), ("E", 7, None), ("E7", None, None), ("F", 4, None),
+    ("H", 3, None), ("H3", None, None), ("H", 4, None), ("I2(5)", None, None),
+    ("i2", None, 4), ("B", 1, None), ("B", 2, None), ("D", 2, None),
+    ("D", 3, None), ("I2", None, 2), ("I2", None, 3)]
+
+
+@pytest.mark.parametrize("kind, rank, m", STANDARD_UP_TO_8 + ALIAS_NAMES)
+def test_closed_triangle_matches_diagram_sum(kind, rank, m):
+    assert closed_triangle(kind, rank, m) \
+        == gamma_triangle_diagram(standard_diagram(kind, rank, m))
+
+
 CATALOG = (
     [("A", r, None) for r in range(1, 10)]
     + [("B", r, None) for r in range(2, 10)]
     + [("D", r, None) for r in range(3, 10)]
     + [(k, int(k[1]), None) for k in ("E6", "E7", "E8", "F4", "H3", "H4")]
     + [("I2", 2, m) for m in range(2, 13)])
-
-
-def closed_component_triangle(kind, rank, m):
-    """Triangle of one connected type without the diagram sum."""
-    if kind in ("A", "B"):
-        return closed_gamma_triangle(kind, rank)
-    if kind == "D":
-        return gamma_triangle_D(rank)
-    if kind == "I2":
-        return rank23_formula(m, 2)
-    if kind == "H3":
-        return rank23_formula(10, 3)
-    return reference_tables()[kind]
 
 
 @st.composite
@@ -318,8 +348,10 @@ def test_diagram_sum_of_unions(case):
     assert got == gamma_triangle_by_induced_subsets(dgm)
     want = Poly2.one()
     for c in components:
-        want = want * closed_component_triangle(*c).to_poly2()
+        want = want * closed_triangle(*c).to_poly2()
     assert got.to_poly2() == want
+    parts = [t for c in components for t in classify(standard_diagram(*c))]
+    assert classify(dgm) == sorted(parts, key=lambda t: (t.kind, t.rank, t.m or 0))
     assert got.degree == len(dgm.vertices)
 
 
