@@ -161,20 +161,17 @@ def cmd_local(args) -> None:
     ], {"local_h": lh.to_pairs(), "local_gamma": lg.to_pairs()})
 
 
+def _series_route(fn: str, kind: str):
+    # series.<fn> is looked up at call time, so a wrapped module attribute
+    # is the one that runs
+    return lambda order: getattr(series, fn)(kind, order)
+
+
 SERIES_BUILDERS = {
     "g": {"closed": series.g_base, "sum": series.eq_c_series},
-    "gA": {"closed": lambda n: series.g_closed("A", n),
-           "sum": lambda n: series.g_sum("A", n)},
-    "gB": {"closed": lambda n: series.g_closed("B", n),
-           "sum": lambda n: series.g_sum("B", n)},
-    "gD": {"closed": lambda n: series.g_closed("D", n),
-           "sum": lambda n: series.g_sum("D", n)},
-    "GA": {"closed": lambda n: series.G_closed("A", n),
-           "sum": lambda n: series.G_sum("A", n)},
-    "GB": {"closed": lambda n: series.G_closed("B", n),
-           "sum": lambda n: series.G_sum("B", n)},
-    "GD": {"closed": lambda n: series.G_closed("D", n),
-           "sum": series.G_D_assembled},
+    **{f"{g}{kind}": {route: _series_route(f"{g}_{route}", kind)
+                      for route in ("closed", "sum")}
+       for g in "gG" for kind in "ABD"},
 }
 
 

@@ -10,7 +10,8 @@ proper subdiagrams, never out of storage.
 
 closed_triangle is the one way from a type name to its triangle without
 the diagram sum: the closed forms for A, B, D, I2(m) and H3, the stored
-tables for F4, H4, E6, E7, E8.
+tables for F4, H4, E6, E7, E8. The defining sums of the series module
+read their coefficients from local_gamma_poly and closed_triangle.
 
 Diagrams are read through per-vertex adjacency masks over the vertex
 order. classify grows each component as a vertex mask, and a component's
@@ -293,8 +294,9 @@ def gamma_coeff_closed(kind: str, n: int, k: int, l: int) -> int:
     if k == 0:
         return 1 if l == n else 0
     if kind == "A":
+        # a fixed label: the sum route of GA calls this once per coefficient
         return quotient((l + 1) * comb(n, k) * binom(n - k - l - 1, k - 1),
-                        n - k + 1, f"A{n} coefficient ({k}, {l})")
+                        n - k + 1, "type A triangle coefficient")
     if kind == "B":
         return comb(n, k) * binom(n - k - l - 1, k - 1)
     raise ValueError(f"no closed coefficient form for kind {kind!r}")

@@ -24,8 +24,7 @@ from math import comb
 def binom(a: int, b: int) -> int:
     """Binomial coefficient with the edge rules used everywhere in this
     package: 0 whenever b < 0 or a < b, with the single exception
-    binom(-1, -1) = 1 (needed so the k = 0 terms of the triple sums
-    collapse to the geometric series in y*t)."""
+    binom(-1, -1) = 1 (binomial_identity_check needs it at n = 2, i = 1)."""
     if a == -1 and b == -1:
         return 1
     if b < 0 or a < b:

@@ -5,8 +5,8 @@ A TruncSeries knows its coefficients for t^0 .. t^(order-1) and nothing
 beyond; every operation propagates the honestly-known order (multiplying
 by t gains one, d/dt loses one). All coefficients are integers: inverse()
 takes only series with constant term 1 or -1, and the only divisions are
-exact ones (sqrt halving its recursion, exact_div, and the coefficient
-formulas of the defining sums), which raise ArithmeticError on a remainder.
+exact ones (sqrt halving its recursion, exact_div, and the closed forms
+behind the defining sums), which raise ArithmeticError on a remainder.
 
 Series products, inverse() and sqrt() run through one packed kernel
 (Kronecker substitution in x): each operation packs every t^n coefficient
@@ -18,20 +18,23 @@ product, from an l1 majorant of the result for inverse and sqrt. The
 packing lives here, not in Poly2.dot, because a series operation packs each
 coefficient once for all its uses.
 
-Series (all with polynomial-in-x coefficients):
+Series, closed route (g and gX have polynomial-in-x coefficients):
   g    = sqrt((1-t)^2 - 4xt^2)
-  gA   = ((1 + t - g)/t)/2 * (1+xt)^-1      or its defining double sum
+  gA   = ((1 + t - g)/t)/2 * (1+xt)^-1
   gB   = ((2tx + g - t + 1)/2) * (g(1+xt))^-1
   gD   = ((g-1)(g-1+t)/2) * g^-1
-  GA, GB = triple sums generating the type A / type B triangles
-  GD   = triangle generating series of type D, assembled rank by rank
+  GA, GB = g / (1 - yt gA), g being gA or gB;  GD = yt (GB - 1) + gD
+Sum route: gX = sum_n localgamma(X_n) t^n, GX = sum_n Gamma(X_n) t^n, each
+term read off coxeter, the one home of the A/B/D closed forms.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .coxeter import gamma_triangle_D, gamma_triangle_diagram, standard_diagram
+# gamma_triangle_diagram is unused here; perfbench's tests read it off series
+from .coxeter import (TypedComponent, closed_triangle, gamma_triangle_diagram,
+                      local_gamma_poly)
 from .poly import Poly2, binom, quotient
 from .report import Check
 
@@ -422,68 +425,25 @@ def g_closed(kind: str, order: int) -> TruncSeries:
     raise ValueError(f"unknown series kind {kind!r}")
 
 
-# coefficient formulas of the defining sums; each is one coefficient of an
-# integral series, so every division in them is exact
-
-def a_local_coeff(k: int, m: int) -> int:
-    return quotient(binom(2 * k + m, k) * binom(k + m - 1, k - 1), k + m + 1)
-
-
-def b_local_coeff(k: int, m: int) -> int:
-    return binom(2 * k + m, k) * binom(k + m - 1, k - 1)
-
-
-def d_local_coeff(k: int, m: int) -> int:
-    return quotient((2 * k + m - 2) * binom(2 * k - 2, k - 1)
-                    * binom(2 * k + m - 2, 2 * k - 2), k)
-
-
-def a_triangle_coeff(k: int, m: int, l: int) -> int:
-    return quotient((l + 1) * binom(l + 2 * k + m, k) * binom(k + m - 1, k - 1),
-                    l + k + m + 1)
-
-
-def b_triangle_coeff(k: int, m: int, l: int) -> int:
-    return binom(2 * k + l + m, k) * binom(k + m - 1, k - 1)
+def _rank_sum(kind: str, order: int, term) -> TruncSeries:
+    """The sum over ranks n of term(n) t^n; types A and B start with the
+    empty diagram's 1, type D at D2."""
+    out = {n: term(n).to_poly2() for n in range(2 if kind == "D" else 1, order)}
+    if kind != "D":
+        out[0] = 1
+    return TruncSeries.from_map(out, order)
 
 
 def g_sum(kind: str, order: int) -> TruncSeries:
-    """gA, gB, gD from their defining double sums over x^k t^(2k+m)."""
-    coeff = {"A": a_local_coeff, "B": b_local_coeff, "D": d_local_coeff}[kind]
-    kmin = 1 if kind == "D" else 0
-    out = []
-    for n in range(order):
-        c = {}
-        for k in range(kmin, n // 2 + 1):
-            v = coeff(k, n - 2 * k)
-            if v:
-                c[k] = v
-        out.append(_x_poly(c))
-    return TruncSeries(order, out)
+    """gA, gB, gD as the sums over n of localgamma(X_n) t^n (0 for D2)."""
+    return _rank_sum(kind, order,
+                     lambda n: local_gamma_poly(TypedComponent(kind, n)))
 
 
 def G_sum(kind: str, order: int) -> TruncSeries:
-    """GA, GB from their defining triple sums over x^k y^l t^(2k+m+l)."""
-    coeff = {"A": a_triangle_coeff, "B": b_triangle_coeff}[kind]
-    out = []
-    for n in range(order):
-        c = {}
-        for k in range(n // 2 + 1):
-            for l in range(n - 2 * k + 1):
-                v = coeff(k, n - 2 * k - l, l)
-                if v:
-                    c[(k, l)] = v
-        out.append(Poly2(c))
-    return TruncSeries(order, out)
-
-
-def G_D_assembled(order: int) -> TruncSeries:
-    """sum over n >= 2 of the type D rank n triangle times t^n (rank 2 is
-    the disconnected convention y^2, rank 3 matches type A rank 3)."""
-    out = {n: gamma_triangle_D(n).to_poly2() for n in range(3, order)}
-    if order > 2:
-        out[2] = Poly2({(0, 2): 1})
-    return TruncSeries.from_map(out, order)
+    """GA, GB, GD as the sums over n of closed_triangle(X, n) t^n (D2 = y^2,
+    D3 = A3)."""
+    return _rank_sum(kind, order, lambda n: closed_triangle(kind, n))
 
 
 def times_yt(s: TruncSeries, k: int = 1) -> TruncSeries:
@@ -548,8 +508,7 @@ def verify_identities(order: int) -> list[Check]:
     N = order
     g = g_base(N + 2)
     gA, gB, gD = (g_sum(k, N + 1) for k in "ABD")
-    GA, GB = (G_sum(k, N + 1) for k in "AB")
-    GD = G_D_assembled(N + 1)
+    GA, GB, GD = (G_sum(k, N + 1) for k in "ABD")
 
     residuals = {
         "conjA": gA - g_closed("A", N + 1),
@@ -584,22 +543,31 @@ def verify_identities(order: int) -> list[Check]:
 def carlitz_convolution_check(kmax: int, mmax: int, lmax: int) -> list[Check]:
     """The two convolution sums used to prove the type A and type B
     triangle relations, each against its closed-form right-hand side,
-    exhaustively for 1 <= k <= kmax, 0 <= m <= mmax, 0 <= l <= lmax."""
+    exhaustively for 1 <= k <= kmax, 0 <= m <= mmax, 0 <= l <= lmax. The
+    summands are read off g_sum and G_sum; the convolution is done here
+    in integers, not by a series product."""
     if min(kmax, mmax, lmax) < 1:
         raise ValueError("bounds must be >= 1")
+    order = 2 * kmax + mmax + lmax + 1
+    gA = g_sum("A", order).coeffs
+    GA, GB = (G_sum(kind, order).coeffs for kind in "AB")
+
+    def at(s: list, k: int, m: int, l: int = 0) -> int:  # of x^k y^l t^(2k+m+l)
+        return s[2 * k + m + l].coeff(k, l)
+
     failures_a = []
     failures_b = []
     for k in range(1, kmax + 1):
         for m in range(mmax + 1):
             for l in range(lmax + 1):
-                conv_a = sum(a_local_coeff(k1, m1) * a_triangle_coeff(k - k1, m - m1, l)
+                conv_a = sum(at(gA, k1, m1) * at(GA, k - k1, m - m1, l)
                              for k1 in range(k + 1) for m1 in range(m + 1))
                 # cross-multiplied by the denominator, positive for k >= 1
                 lhs_a = conv_a * (2 * k + m + l + 2) * (k + m)
                 rhs_a = (l + 2) * k * comb(2 * k + m + l + 2, k) * comb(k + m, m)
                 if lhs_a != rhs_a:
                     failures_a.append((k, m, l, lhs_a, rhs_a))
-                conv_b = sum(a_local_coeff(k1, m1) * b_triangle_coeff(k - k1, m - m1, l)
+                conv_b = sum(at(gA, k1, m1) * at(GB, k - k1, m - m1, l)
                              for k1 in range(k + 1) for m1 in range(m + 1))
                 rhs_b = comb(2 * k + m + l + 1, k) * binom(k + m - 1, m)
                 if conv_b != rhs_b:

@@ -65,10 +65,11 @@ def series_report(order: int = DEFAULT_ORDER) -> Report:
     rep.extend(series.verify_identities(order))
     rep.extend(series.carlitz_convolution_check(6, 6, 6))
     rep.extend(series.binomial_identity_check(40))
+    GA = series.G_closed("A", 9)  # G_sum would repeat tables' closed_A checks
     for n in range(1, 9):
         want = coxeter.gamma_triangle_diagram(
             coxeter.standard_diagram("A", n)).to_poly2()
-        got = series.G_sum("A", 9).coeff(n)
+        got = GA.coeff(n)
         rep.add(f"GA_coefficient_t{n}", want == got,
                 "matches the diagram triangle" if want == got else
                 f"series {got} != diagram {want}")

@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gammatri.coxeter import gamma_triangle_diagram, reference_tables, standard_diagram
-from gammatri.poly import Poly2
+from gammatri.coxeter import (
+    gamma_triangle_D,
+    gamma_triangle_diagram,
+    reference_tables,
+    standard_diagram,
+)
+from gammatri.poly import Poly2, binom, quotient
 from gammatri.series import (
-    G_D_assembled,
     G_closed,
     G_sum,
     TruncSeries,
-    a_triangle_coeff,
-    b_triangle_coeff,
     binomial_identity_check,
     carlitz_convolution_check,
     eq_c_series,
@@ -83,6 +85,69 @@ def sparse_sqrt(s):
     return TruncSeries(s.order, out)
 
 
+# test-only oracles for the defining sums: the (k, m, l)-indexed coefficient
+# formulas of x^k t^(2k+m) and x^k y^l t^(2k+m+l), written out apart from
+# coxeter's local gamma and closed_triangle, and GD assembled rank by rank
+# with its own D2 case
+
+def a_local_coeff(k, m):
+    return quotient(binom(2 * k + m, k) * binom(k + m - 1, k - 1), k + m + 1)
+
+
+def b_local_coeff(k, m):
+    return binom(2 * k + m, k) * binom(k + m - 1, k - 1)
+
+
+def d_local_coeff(k, m):
+    return quotient((2 * k + m - 2) * binom(2 * k - 2, k - 1)
+                    * binom(2 * k + m - 2, 2 * k - 2), k)
+
+
+def a_triangle_coeff(k, m, l):
+    return quotient((l + 1) * binom(l + 2 * k + m, k) * binom(k + m - 1, k - 1),
+                    l + k + m + 1)
+
+
+def b_triangle_coeff(k, m, l):
+    return binom(2 * k + l + m, k) * binom(k + m - 1, k - 1)
+
+
+def g_sum_oracle(kind, order):
+    """gA, gB, gD from their double sums over x^k t^(2k+m)."""
+    coeff = {"A": a_local_coeff, "B": b_local_coeff, "D": d_local_coeff}[kind]
+    kmin = 1 if kind == "D" else 0
+    return TruncSeries(order, [
+        xp({k: coeff(k, n - 2 * k) for k in range(kmin, n // 2 + 1)})
+        for n in range(order)])
+
+
+def G_D_assembled(order):
+    """sum over n >= 2 of the type D rank n triangle times t^n (rank 2 is
+    the disconnected convention y^2, rank 3 matches type A rank 3)."""
+    out = {n: gamma_triangle_D(n).to_poly2() for n in range(3, order)}
+    if order > 2:
+        out[2] = Poly2({(0, 2): 1})
+    return TruncSeries.from_map(out, order)
+
+
+def G_sum_oracle(kind, order):
+    """GA, GB from their triple sums over x^k y^l t^(2k+m+l); GD assembled
+    rank by rank."""
+    if kind == "D":
+        return G_D_assembled(order)
+    coeff = {"A": a_triangle_coeff, "B": b_triangle_coeff}[kind]
+    return TruncSeries(order, [
+        Poly2({(k, l): coeff(k, n - 2 * k - l, l)
+               for k in range(n // 2 + 1) for l in range(n - 2 * k + 1)})
+        for n in range(order)])
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_sums_match_the_coefficient_formulas(kind):
+    assert g_sum(kind, 40) == g_sum_oracle(kind, 40)
+    assert G_sum(kind, 40) == G_sum_oracle(kind, 40)
+
+
 def test_sqrt_of_one_minus_4xt2():
     s = TruncSeries.from_map({0: 1, 2: xp({1: -4})}, 6).sqrt()
     assert s.coeff(0) == 1
@@ -147,7 +212,6 @@ def test_exact_div_raises_naming_the_t_power():
 
 
 def test_coefficient_formulas_divide_exactly():
-    from gammatri.poly import quotient
     assert quotient(-12, 4) == -3
     with pytest.raises(ArithmeticError):
         quotient(7, 2)
@@ -306,12 +370,14 @@ def test_G_sum_low_coefficients():
 def test_k0_terms_collapse_to_geometric_series():
     # the binom(-1, -1) = 1 convention must make the k = 0 layer of the
     # triple sums equal sum_l y^l t^l, matching the k = 0 special branch
-    # of the closed coefficient forms
+    # of the closed coefficient forms that G_sum reads
+    GA, GB = G_sum("A", 11), G_sum("B", 11)
     for l in range(6):
         for m in range(6):
             want = 1 if m == 0 else 0
             assert b_triangle_coeff(0, m, l) == want
             assert a_triangle_coeff(0, m, l) == want
+            assert GB.coeff(m + l).coeff(0, l) == GA.coeff(m + l).coeff(0, l) == want
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -322,15 +388,13 @@ def test_GA_coefficients_match_diagram_triangles(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_GD_coefficients_match_diagram_triangles(n):
-    assert G_D_assembled(8).coeff(n) \
+    assert G_sum("D", 8).coeff(n) \
         == gamma_triangle_diagram(standard_diagram("D", n)).to_poly2()
 
 
 @pytest.mark.parametrize("kind", "ABD")
 def test_G_closed_route_agrees_with_sums(kind):
-    sums = {"A": G_sum("A", 10), "B": G_sum("B", 10),
-            "D": G_D_assembled(10)}[kind]
-    assert G_closed(kind, 10) == sums
+    assert G_closed(kind, 10) == G_sum(kind, 10)
 
 
 def test_substitutions():
@@ -380,7 +444,6 @@ def test_negative_control_detects_perturbation():
 
 def test_carlitz_example_value():
     # (k, m, l) = (1, 0, 0): the brute-force sum gives 2 on both routes
-    from gammatri.series import a_local_coeff
     conv = sum(a_local_coeff(k1, 0) * a_triangle_coeff(1 - k1, 0, 0)
                for k1 in range(2))
     assert conv == 2
@@ -390,7 +453,6 @@ def test_carlitz_example_value():
 
 def test_carlitz_zero_weight_rows():
     # k = 0 with m >= 1: both sides vanish
-    from gammatri.series import a_local_coeff
     for m in range(1, 6):
         for l in range(4):
             conv = sum(a_local_coeff(0, m1) * a_triangle_coeff(0, m - m1, l)
@@ -414,7 +476,6 @@ def test_binomial_identity_small():
 
 
 def test_binomial_identity_base_cases():
-    from gammatri.poly import binom
     # n = 4, i = 2: both sides 1; n = 2, i = 1 needs binom(-1, -1) = 1
     lhs = Fraction(binom(2, 1) * binom(0, 0) + binom(3, 2) * binom(0, 1), 2)
     rhs = Fraction(binom(2, 1) * binom(2, 2), 2)
@@ -425,10 +486,9 @@ def test_binomial_identity_base_cases():
 
 
 def test_series_coefficients_are_ints():
-    built = [g_base(24), eq_c_series(24), G_D_assembled(24)]
-    built += [route(k, 24) for route in (g_closed, g_sum) for k in "ABD"]
-    built += [route(k, 24) for route in (G_closed, G_sum) for k in "AB"]
-    built.append(G_closed("D", 24))
+    built = [g_base(24), eq_c_series(24)]
+    built += [route(k, 24) for route in (g_closed, g_sum, G_closed, G_sum)
+              for k in "ABD"]
     for s in built:
         assert all(type(v) is int for c in s.coeffs for _, v in c.items())
 
