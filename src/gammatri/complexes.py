@@ -104,20 +104,22 @@ class Complex:
 
 def first_supersets(sets) -> dict[frozenset, frozenset]:
     """Map each of `sets` that lies strictly inside another one to the first
-    such superset in the order given. A nonempty set is compared only with
-    the sets that hold its rarest element, since every superset holds it."""
-    sets = list(sets)
-    holders: dict[str, list[frozenset]] = {}
-    for g in sets:
+    such superset in the order given (repeats count once). Bit k of an
+    element's holder mask marks the k-th set as holding it, so the AND of a
+    set's holder masks, less its own bit, marks its strict supersets."""
+    sets = list(dict.fromkeys(sets))
+    holders: dict[str, int] = {}
+    for k, g in enumerate(sets):
         for v in g:
-            holders.setdefault(v, []).append(g)
+            holders[v] = holders.get(v, 0) | 1 << k
+    everyone = (1 << len(sets)) - 1
     out = {}
-    for f in sets:
-        pool = min((holders[v] for v in f), key=len) if f else sets
-        for g in pool:
-            if f < g:
-                out[f] = g
-                break
+    for k, f in enumerate(sets):
+        m = everyone & ~(1 << k)
+        for v in f:
+            m &= holders[v]
+        if m:
+            out[f] = sets[(m & -m).bit_length() - 1]
     return out
 
 

@@ -231,7 +231,7 @@ def local_gamma_poly(c: TypedComponent) -> Poly1:
     if c.kind == "A":
         return Poly1({
             k: quotient(comb(n, k) * comb(n - k - 1, k - 1), n - k + 1,
-                        f"local A{n} k={k}")
+                        "type A local gamma coefficient")
             for k in range(1, n // 2 + 1)})
     if c.kind == "B":
         return Poly1({k: comb(n, k) * comb(n - k - 1, k - 1)
@@ -239,7 +239,7 @@ def local_gamma_poly(c: TypedComponent) -> Poly1:
     if c.kind == "D":
         return Poly1({
             k: quotient((n - 2) * comb(2 * k - 2, k - 1) * comb(n - 2, 2 * k - 2),
-                        k, f"local D{n} k={k}")
+                        k, "type D local gamma coefficient")
             for k in range(1, n // 2 + 1)})
     if c.kind == "I2":
         return Poly1({1: c.m - 2})

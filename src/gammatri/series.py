@@ -428,6 +428,8 @@ def g_closed(kind: str, order: int) -> TruncSeries:
 def _rank_sum(kind: str, order: int, term) -> TruncSeries:
     """The sum over ranks n of term(n) t^n; types A and B start with the
     empty diagram's 1, type D at D2."""
+    if kind not in ("A", "B", "D"):
+        raise ValueError(f"unknown series kind {kind!r}")
     out = {n: term(n).to_poly2() for n in range(2 if kind == "D" else 1, order)}
     if kind != "D":
         out[0] = 1

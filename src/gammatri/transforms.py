@@ -1,17 +1,20 @@
 """Basis changes between face counts and their h/gamma refinements.
 
 Univariate: f <-> h at a prescribed degree d, and the gamma extraction
-h = sum_i gamma_i x^i (1+x)^(d-2i), defined exactly when h is symmetric.
+h = sum_i gamma_i x^i (1+x)^(d-2i), defined exactly when h_k = h_(d-k).
 
 Bivariate: F <-> H for a complex with a distinguished facet, and the
-triangle extraction H = sum_(i,j) gamma_(i,j) x^i (1+xy)^j (1+x)^(d-2i-j).
-All substitution formulas are implemented in their cleared polynomial
-form, so every step stays in exact integer arithmetic.
+triangle extraction H = sum_(i,j) gamma_(i,j) x^i (1+xy)^j (1+x)^(d-2i-j):
+the substitution y = (z-1)/x turns 1+xy into z, so row j is the gamma
+expansion of the z^j slice at degree d - j. All substitution formulas are
+implemented in their cleared polynomial form, so every step stays in exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .poly import (
     Poly1,
@@ -27,10 +30,9 @@ from .poly import (
 class NotGammaRepresentable(ValueError):
     """The input has no expansion in the gamma basis (non-symmetric data)."""
 
-    def __init__(self, message, j=None, residual=None):
+    def __init__(self, message, j=None):
         super().__init__(message)
         self.j = j
-        self.residual = residual
 
 
 def h_from_f(f: Poly1, d: int) -> Poly1:
@@ -48,21 +50,17 @@ def f_from_h(h: Poly1, d: int) -> Poly1:
 
 
 def gamma_from_h(h: Poly1, d: int) -> tuple:
-    """Extract (gamma_0, ..., gamma_(d//2)) with
-    h = sum_i gamma_i x^i (1+x)^(d-2i); raises NotGammaRepresentable when
-    the residual does not vanish (h not symmetric of degree d)."""
+    """(gamma_0, ..., gamma_(d//2)) with h = sum_i gamma_i x^i (1+x)^(d-2i),
+    solved from h_i = sum_(k<=i) gamma_k C(d-2k, i-k); raises
+    NotGammaRepresentable unless h is symmetric of degree d (Gal 2005)."""
     if h.degree() > d:
         raise ValueError(f"h has degree {h.degree()} > d = {d}")
-    residual = h
+    if any(h.coeff(d - k) != c for k, c in h.items()):
+        raise NotGammaRepresentable(f"h = {h} is not symmetric of degree {d}")
     out = []
     for i in range(d // 2 + 1):
-        gi = residual.coeff(i)
-        out.append(gi)
-        if gi:
-            residual = residual - (Poly1.term(gi, i) * one_plus_x(d - 2 * i))
-    if not residual.is_zero():
-        raise NotGammaRepresentable(
-            f"gamma extraction left residual {residual}", residual=residual)
+        out.append(h.coeff(i) - sum(g * comb(d - 2 * k, i - k)
+                                    for k, g in enumerate(out)))
     return tuple(out)
 
 
@@ -139,40 +137,25 @@ def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
     """Extract the triangle coefficients from
     H = sum gamma_(i,j) x^i (1+xy)^j (1+x)^(d-2i-j).
 
-    The basis is triangular when processed by descending j and then
-    ascending i: the y^j slice of the residual is x^j times an expansion
-    in the univariate gamma basis of effective degree d - j."""
+    y = (z-1)/x turns H into G(x,z) = sum H_(a,b) x^(a-b) (z-1)^b, which is
+    sum gamma_(i,j) x^i z^j (1+x)^(d-2i-j) and a polynomial iff every b <= a;
+    row j is gamma_from_h of G's z^j slice at degree d - j."""
     if H.deg_x() > d:
+        raise NotGammaRepresentable(f"x-degree {H.deg_x()} exceeds d = {d}")
+    j = max((b for (a, b), _ in H.items() if b > a), default=None)
+    if j is not None:
         raise NotGammaRepresentable(
-            f"x-degree {H.deg_x()} exceeds d = {d}")
-    residual = H
+            f"y^{j} slice {H.coeff_of_y(j)} not divisible by x^{j}", j=j)
+    G = Poly2(((a - b, k), c * comb(b, k) * (-1) ** (b - k))
+              for (a, b), c in H.items() for k in range(b + 1))
     coeffs = {}
     for j in range(d, -1, -1):
-        slice_j = residual.coeff_of_y(j)
-        if slice_j.is_zero():
-            continue
-        if min(e for e, _ in slice_j.items()) < j:
-            raise NotGammaRepresentable(
-                f"y^{j} slice {slice_j} not divisible by x^{j}",
-                j=j, residual=slice_j)
-        q = Poly1({e - j: c for e, c in slice_j.items()})
         try:
-            row = gamma_from_h(q, d - j)
+            row = gamma_from_h(G.coeff_of_y(j), d - j)
         except NotGammaRepresentable as exc:
             raise NotGammaRepresentable(
-                f"row j = {j} not representable: {exc}",
-                j=j, residual=exc.residual)
-        for i, gi in enumerate(row):
-            if gi:
-                coeffs[(i, j)] = gi
-                residual = residual - (
-                    Poly2.term(gi, i, 0)
-                    * one_plus_xy(j)
-                    * one_plus_x(d - 2 * i - j).to_poly2())
-    if not residual.is_zero():
-        raise NotGammaRepresentable(
-            f"triangle extraction left residual {residual}",
-            residual=residual)
+                f"row j = {j} not representable: {exc}", j=j)
+        coeffs.update(((i, j), gi) for i, gi in enumerate(row) if gi)
     return GammaTriangle.make(coeffs, d)
 
 

@@ -16,6 +16,7 @@ from .transforms import GammaTriangle
 
 DEFAULT_ORDER = 24
 DEFAULT_MAX_RANK = 6
+ROUNDTRIP_CASES = 200
 
 
 def tables_report() -> Report:
@@ -90,7 +91,7 @@ def _random_poly1(rng: random.Random, deg: int) -> Poly1:
     return Poly1({e: rng.randint(-5, 5) for e in range(deg + 1)})
 
 
-def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK, cases: int = 200) -> Report:
+def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK) -> Report:
     """Three-way triangle agreement on the type A models plus the module
     invariants: specializations, round trips, local-h properties, join
     multiplicativity, root-support counts and the sign observations."""
@@ -177,7 +178,7 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK, cases: int = 200) -> Rep
             "gamma_(0,j) = [j = d] on connected cluster types")
 
     ok_fh = ok_hg = ok_hgamma = True
-    for _ in range(cases):
+    for _ in range(ROUNDTRIP_CASES):
         d = rng.randint(0, 8)
         f = _random_poly1(rng, d)
         if transforms.f_from_h(transforms.h_from_f(f, d), d) != f:
@@ -194,9 +195,10 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK, cases: int = 200) -> Rep
         if transforms.poly_from_gamma(vec) != transforms.poly_from_gamma(
                 g.row_sums()):
             ok_hg = False
-    rep.add("roundtrip_f_h_F_H", ok_fh, f"{cases} randomized cases")
-    rep.add("roundtrip_gamma_triangle", ok_hgamma, f"{cases} randomized cases")
-    rep.add("gamma_vector_refinement", ok_hg, f"{cases} randomized cases")
+    detail = f"{ROUNDTRIP_CASES} randomized cases"
+    rep.add("roundtrip_f_h_F_H", ok_fh, detail)
+    rep.add("roundtrip_gamma_triangle", ok_hgamma, detail)
+    rep.add("gamma_vector_refinement", ok_hg, detail)
     return rep
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +371,15 @@ def test_verify_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "tables")
     assert code == 0
     assert "summary:" in out and "FAIL" not in out
+
+
+def test_verify_all_at_defaults_passes_all_177_checks(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    totals = re.findall(r"^summary: (\d+)/(\d+) passed$", out, re.M)
+    assert len(totals) == 3
+    assert sum(int(p) for p, _ in totals) == sum(int(t) for _, t in totals) == 177
+    assert out.count("[PASS]") == 177 and "[FAIL]" not in out
 
 
 def test_verify_series_small_order(capsys):

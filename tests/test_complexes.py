@@ -12,6 +12,7 @@ from gammatri.complexes import (
     f_vector,
     face_labels,
     face_set,
+    first_supersets,
     is_flag,
     is_pure,
     join,
@@ -189,6 +190,18 @@ def test_make_rejects_exactly_the_non_maximal_families(facets):
         assert pairwise and "stored facets must be maximal" in str(exc)
     else:
         assert not pairwise
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=4),
+                max_size=8))
+def test_first_supersets_matches_the_first_strict_superset_in_order(sets):
+    # repeats included: a repeated set is not a strict superset of itself
+    oracle = {}
+    for f in sets:
+        g = next((g for g in sets if f < g), None)
+        if g is not None:
+            oracle[f] = g
+    assert first_supersets(sets) == oracle
 
 
 def test_loader_rejects_unknown_vertices():

@@ -354,6 +354,14 @@ def test_g_sum_equals_closed(kind):
     assert g_sum(kind, 14) == g_closed(kind, 14)
 
 
+@pytest.mark.parametrize("build", [g_sum, G_sum, g_closed, G_closed])
+@pytest.mark.parametrize("kind", ["C", "a", "Q"])
+@pytest.mark.parametrize("order", [1, 4])
+def test_series_builders_accept_only_A_B_D(build, kind, order):
+    with pytest.raises(ValueError, match="unknown series kind"):
+        build(kind, order)
+
+
 def test_eq_c_matches_sqrt():
     assert is_zero_through(eq_c_series(14) - g_base(14), 13)
 

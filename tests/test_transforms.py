@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammatri.poly import Poly1, Poly2
+from gammatri.poly import Poly1, Poly2, one_plus_x, one_plus_xy
 from gammatri.transforms import (
     F_from_Gamma,
     F_from_H,
@@ -130,6 +130,12 @@ def test_Gamma_from_H_rejects_a_slice_not_divisible_by_x_to_the_j():
     assert exc.value.j == 1
 
 
+def test_Gamma_from_H_names_the_highest_slice_not_divisible_by_x_to_the_j():
+    with pytest.raises(NotGammaRepresentable, match=r"y\^2 slice") as exc:
+        Gamma_from_H(Poly2({(0, 1): 1, (1, 2): 1, (3, 3): 1}), 3)
+    assert exc.value.j == 2
+
+
 def test_Gamma_from_H_a3():
     assert Gamma_from_H(A3_H, 3) == A3_GAMMA
 
@@ -214,3 +220,104 @@ def test_gamma_triangle_serialization():
     d = A3_GAMMA.to_dict()
     entries = {(i, j): int(c) for i, j, c in d["entries"]}
     assert GammaTriangle.make(entries, d["degree"]) == A3_GAMMA
+
+
+# The residual-peeling extractions that gamma_from_h and Gamma_from_H
+# replaced, kept as oracles: subtract each gamma_i x^i (1+x)^(d-2i), and
+# each row's gamma_(i,j) x^i (1+xy)^j (1+x)^(d-2i-j), by descending j.
+def peeled_gamma_from_h(h: Poly1, d: int) -> tuple:
+    if h.degree() > d:
+        raise ValueError(f"h has degree {h.degree()} > d = {d}")
+    residual = h
+    out = []
+    for i in range(d // 2 + 1):
+        gi = residual.coeff(i)
+        out.append(gi)
+        if gi:
+            residual = residual - (Poly1.term(gi, i) * one_plus_x(d - 2 * i))
+    if not residual.is_zero():
+        raise NotGammaRepresentable(f"gamma extraction left residual {residual}")
+    return tuple(out)
+
+
+def peeled_Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
+    if H.deg_x() > d:
+        raise NotGammaRepresentable(f"x-degree {H.deg_x()} exceeds d = {d}")
+    residual = H
+    coeffs = {}
+    for j in range(d, -1, -1):
+        slice_j = residual.coeff_of_y(j)
+        if slice_j.is_zero():
+            continue
+        if min(e for e, _ in slice_j.items()) < j:
+            raise NotGammaRepresentable(
+                f"y^{j} slice {slice_j} not divisible by x^{j}", j=j)
+        q = Poly1({e - j: c for e, c in slice_j.items()})
+        try:
+            row = peeled_gamma_from_h(q, d - j)
+        except NotGammaRepresentable as exc:
+            raise NotGammaRepresentable(
+                f"row j = {j} not representable: {exc}", j=j)
+        for i, gi in enumerate(row):
+            if gi:
+                coeffs[(i, j)] = gi
+                residual = residual - (
+                    Poly2.term(gi, i, 0)
+                    * one_plus_xy(j)
+                    * one_plus_x(d - 2 * i - j).to_poly2())
+    if not residual.is_zero():
+        raise NotGammaRepresentable(
+            f"triangle extraction left residual {residual}")
+    return GammaTriangle.make(coeffs, d)
+
+
+def outcome(extract, *args):
+    """The value, or ("raised", j) for NotGammaRepresentable."""
+    try:
+        return extract(*args)
+    except NotGammaRepresentable as exc:
+        return "raised", exc.j
+
+
+# gamma-representable H triangles, some of them perturbed in a term or two
+# (a perturbation may break symmetry, x^j-divisibility or the degree bound)
+perturbed_H = st.tuples(
+    gamma_triangles,
+    st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                    st.integers(-2, 2), max_size=2),
+).map(lambda t: (H_from_Gamma(t[0]) + Poly2(t[1]), t[0].degree))
+
+
+@settings(max_examples=300)
+@given(perturbed_H)
+def test_Gamma_from_H_agrees_with_peeling(case):
+    H, d = case
+    new, old = outcome(Gamma_from_H, H, d), outcome(peeled_Gamma_from_H, H, d)
+    if isinstance(old, GammaTriangle):
+        assert new == old
+    else:
+        assert isinstance(new, tuple) and new[0] == "raised"
+        if all(b <= a for (a, b), _ in H.items()):
+            assert new[1] == old[1]
+
+
+polys_of_degree = st.integers(0, 8).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1),
+    st.booleans(), st.just(d)))
+
+
+@settings(max_examples=300)
+@given(polys_of_degree)
+def test_gamma_from_h_raises_exactly_on_asymmetric_h(case):
+    cs, symmetrize, d = case
+    if symmetrize:
+        cs = [cs[min(k, d - k)] for k in range(d + 1)]
+    h = Poly1(dict(enumerate(cs)))
+    symmetric = all(h.coeff(k) == h.coeff(d - k) for k in range(d + 1))
+    got = outcome(gamma_from_h, h, d)
+    assert outcome(peeled_gamma_from_h, h, d) == got
+    if symmetric:
+        assert Poly1.sum(Poly1.term(g, i) * one_plus_x(d - 2 * i)
+                         for i, g in enumerate(got)) == h
+    else:
+        assert got == ("raised", None)
