@@ -10,14 +10,16 @@ object instead of a new partial sum per term: the classmethod sum(polys),
 and Poly2.dot(pairs), the sum of a * b over the pairs (the product a * b
 itself is dot of one pair). The constructors add up repeated keys.
 
-Poly2.dot stays a sparse loop. The series layer packs x-polynomials into
-big ints once per series operation (series.py); packing inside dot would
-re-pack each operand on every call, and the transforms' many small
-monomial-by-binomial products are faster through the sparse loop.
+The transforms and the face-count sums, sums of c * x^a y^b (1 + s*x)^n,
+add the cached rows binomial_row(n, s) into one dict instead of building
+a polynomial per term. The series layer packs x-polynomials into big ints
+once per series operation (series.py), not in Poly2.dot, which would
+re-pack each operand on every call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 
@@ -30,6 +32,14 @@ def binom(a: int, b: int) -> int:
     if b < 0 or a < b:
         return 0
     return comb(a, b)
+
+
+@lru_cache(maxsize=None)
+def binomial_row(n: int, s: int) -> tuple:
+    """The coefficients of (1 + s*x)^n, constant term first; () for n < 0.
+    Cached by (n, s): the callers use s in {-1, 1, 2} and n up to the
+    largest degree, so the cache holds O(n^2) ints."""
+    return tuple(comb(n, k) * s**k for k in range(n + 1))
 
 
 def quotient(num: int, den: int, what: str = "") -> int:
@@ -166,10 +176,6 @@ class Poly1(_Poly):
                     data.pop(e, None)
         self._c = data
 
-    @classmethod
-    def term(cls, c, e: int) -> "Poly1":
-        return cls({e: c})
-
     def coeff(self, e: int):
         return self._c.get(e, 0)
 
@@ -218,10 +224,6 @@ class Poly2(_Poly):
                 else:
                     data.pop(key, None)
         self._c = data
-
-    @classmethod
-    def term(cls, c, i: int, j: int) -> "Poly2":
-        return cls({(i, j): c})
 
     def coeff(self, i: int, j: int):
         return self._c.get((i, j), 0)
@@ -272,37 +274,6 @@ class Poly2(_Poly):
     def to_triples(self):
         """Serialization: [i, j, decimal-string] sorted lexicographically."""
         return [[i, j, str(c)] for (i, j), c in self.items()]
-
-
-# expansions of the binomial-power building blocks used by the transforms
-
-def one_plus_x(n: int) -> Poly1:
-    """(1+x)^n."""
-    return Poly1({k: comb(n, k) for k in range(n + 1)})
-
-
-def one_minus_x(n: int) -> Poly1:
-    """(1-x)^n."""
-    return Poly1({k: (-1) ** k * comb(n, k) for k in range(n + 1)})
-
-
-def one_plus_xy(n: int) -> Poly2:
-    """(1+xy)^n."""
-    return Poly2({(k, k): comb(n, k) for k in range(n + 1)})
-
-
-def one_plus_2x(n: int) -> Poly2:
-    """(1+2x)^n."""
-    return Poly2({(k, 0): comb(n, k) * 2**k for k in range(n + 1)})
-
-
-def one_plus_x_plus_y(n: int) -> Poly2:
-    """(1+x+y)^n."""
-    out = {}
-    for a in range(n + 1):
-        for b in range(n + 1 - a):
-            out[(a, b)] = comb(n, a) * comb(n - a, b)
-    return Poly2(out)
 
 
 def _mono(key):

@@ -18,7 +18,8 @@ k = |carrier(F)| lies in the restriction to K exactly when K contains its
 carrier, so with n = |index set| it lies in C(n-k, r-k) of the
 restrictions to r-subsets K. Each of the three routes is therefore one
 pass over the faces counted by (a, k), with that binomial weight; no
-restriction is built.
+restriction is built, and each sum accumulates the shifted cached rows
+of (1-x)^m (poly.binomial_row) into one dict.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .complexes import (
     join,
     label_list,
 )
-from .poly import Poly1, Poly2, binom, one_minus_x
+from .poly import Poly1, Poly2, binom, binomial_row
 from .transforms import (
     Gamma_from_H,
     GammaTriangle,
@@ -221,8 +222,13 @@ def h_of_complex(c: Complex, d: int) -> Poly1:
 def _local_h_sum(counts, n: int, r: int) -> Poly1:
     """Sum of local h over the restrictions to the r-subsets K, each a
     subdivision of K: a face adds its weight times (-x)^(r-k) x^a (1-x)^(k-a)."""
-    return Poly1.sum(Poly1.term(c * binom(n - k, r - k) * (-1) ** (r - k), r - k + a)
-                     * one_minus_x(k - a) for (a, k), c in counts.items() if k <= r)
+    out = {}
+    for (a, k), c in counts.items():
+        if k <= r:
+            w = c * binom(n - k, r - k) * (-1) ** (r - k)
+            for e, t in enumerate(binomial_row(k - a, -1), r - k + a):
+                out[e] = out.get(e, 0) + w * t
+    return Poly1(out)
 
 
 def local_h(s: Subdivision) -> Poly1:
@@ -285,9 +291,13 @@ def h_triangle_direct(s: Subdivision) -> Poly2:
     weight times x^a (1-x)^(r-a) to rank r = |I - J|; an independent route
     for cross-checking the F-triangle pipeline."""
     n = len(s.index_set)
-    return Poly2.sum((Poly1.term(c * binom(n - k, r - k), a) * one_minus_x(r - a))
-                     .to_poly2().shift(n - r, n - r)
-                     for (a, k), c in s._face_counts.items() for r in range(k, n + 1))
+    out = {}
+    for (a, k), c in s._face_counts.items():
+        for r in range(k, n + 1):
+            w = c * binom(n - k, r - k)
+            for e, t in enumerate(binomial_row(r - a, -1), a + n - r):
+                out[e, n - r] = out.get((e, n - r), 0) + w * t
+    return Poly2(out)
 
 
 def gamma_from_local_sum(s: Subdivision) -> GammaTriangle:

@@ -8,7 +8,8 @@ triangle extraction H = sum_(i,j) gamma_(i,j) x^i (1+xy)^j (1+x)^(d-2i-j):
 the substitution y = (z-1)/x turns 1+xy into z, so row j is the gamma
 expansion of the z^j slice at degree d - j. All substitution formulas are
 implemented in their cleared polynomial form, so every step stays in exact
-integer arithmetic.
+integer arithmetic, and each expansion is one accumulation of c * row[k],
+row = poly.binomial_row(n, s), into a single dict at the shifted key.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .poly import (
-    Poly1,
-    Poly2,
-    one_minus_x,
-    one_plus_2x,
-    one_plus_x,
-    one_plus_x_plus_y,
-    one_plus_xy,
-)
+from .poly import Poly1, Poly2, binomial_row
 
 
 class NotGammaRepresentable(ValueError):
@@ -35,18 +28,27 @@ class NotGammaRepresentable(ValueError):
         self.j = j
 
 
+def _times_rows(p: Poly1, d: int, s: int) -> Poly1:
+    """sum_a p_a x^a (1 + s*x)^(d-a)."""
+    out = {}
+    for a, c in p.items():
+        for k, r in enumerate(binomial_row(d - a, s), a):
+            out[k] = out.get(k, 0) + c * r
+    return Poly1(out)
+
+
 def h_from_f(f: Poly1, d: int) -> Poly1:
     """h(x) = sum_a f_a x^a (1-x)^(d-a) where f = sum_a f_a x^a."""
     if f.degree() > d:
         raise ValueError(f"f has degree {f.degree()} > d = {d}")
-    return Poly1.sum(Poly1.term(c, a) * one_minus_x(d - a) for a, c in f.items())
+    return _times_rows(f, d, -1)
 
 
 def f_from_h(h: Poly1, d: int) -> Poly1:
     """f(x) = sum_a h_a x^a (1+x)^(d-a); inverse of h_from_f."""
     if h.degree() > d:
         raise ValueError(f"h has degree {h.degree()} > d = {d}")
-    return Poly1.sum(Poly1.term(c, a) * one_plus_x(d - a) for a, c in h.items())
+    return _times_rows(h, d, 1)
 
 
 def gamma_from_h(h: Poly1, d: int) -> tuple:
@@ -114,23 +116,27 @@ class GammaTriangle:
 def H_from_F(F: Poly2, d: int) -> Poly2:
     """H(x,y) = sum F_(i,j) x^(i+j) y^j (1-x)^(d-i-j), the cleared form of
     (1-x)^d F(x/(1-x), xy/(1-x))."""
-    for (i, j), _ in F.items():
+    out = {}
+    for (i, j), c in F.items():
         if i + j > d:
             raise ValueError(f"F entry ({i}, {j}) has i + j > d = {d}")
-    return Poly2.dot((Poly2.term(c, i + j, j), one_minus_x(d - i - j).to_poly2())
-                     for (i, j), c in F.items())
+        for k, r in enumerate(binomial_row(d - i - j, -1), i + j):
+            out[k, j] = out.get((k, j), 0) + c * r
+    return Poly2(out)
 
 
 def F_from_H(H: Poly2, d: int) -> Poly2:
     """F(x,y) = sum H_(a,b) x^(a-b) y^b (1+x)^(d-a); inverse of H_from_F."""
-    for (a, b), _ in H.items():
+    out = {}
+    for (a, b), c in H.items():
         if b > a:
             raise ValueError(
                 f"H entry ({a}, {b}) has y-degree exceeding x-degree")
         if a > d:
             raise ValueError(f"H entry ({a}, {b}) has x-degree > d = {d}")
-    return Poly2.dot((Poly2.term(c, a - b, b), one_plus_x(d - a).to_poly2())
-                     for (a, b), c in H.items())
+        for k, r in enumerate(binomial_row(d - a, 1), a - b):
+            out[k, b] = out.get((k, b), 0) + c * r
+    return Poly2(out)
 
 
 def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
@@ -146,12 +152,16 @@ def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
     if j is not None:
         raise NotGammaRepresentable(
             f"y^{j} slice {H.coeff_of_y(j)} not divisible by x^{j}", j=j)
-    G = Poly2(((a - b, k), c * comb(b, k) * (-1) ** (b - k))
-              for (a, b), c in H.items() for k in range(b + 1))
+    slices = [{} for _ in range(d + 1)]  # G's z^j slice, x-power -> coeff
+    for (a, b), c in H.items():
+        # the z^(b-l) coefficient of (z-1)^b is the z^l one of (1-z)^b
+        for l, r in enumerate(binomial_row(b, -1)):
+            zs = slices[b - l]
+            zs[a - b] = zs.get(a - b, 0) + c * r
     coeffs = {}
     for j in range(d, -1, -1):
         try:
-            row = gamma_from_h(G.coeff_of_y(j), d - j)
+            row = gamma_from_h(Poly1(slices[j]), d - j)
         except NotGammaRepresentable as exc:
             raise NotGammaRepresentable(
                 f"row j = {j} not representable: {exc}", j=j)
@@ -161,17 +171,24 @@ def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
 
 def H_from_Gamma(g: GammaTriangle) -> Poly2:
     """Expand sum gamma_(i,j) x^i (1+xy)^j (1+x)^(d-2i-j)."""
-    d = g.degree
-    return Poly2.dot((Poly2.term(c, i, 0) * one_plus_xy(j),
-                      one_plus_x(d - 2 * i - j).to_poly2())
-                     for (i, j), c in g.items())
+    out = {}
+    for (i, j), c in g.items():
+        tail = binomial_row(g.degree - 2 * i - j, 1)
+        for b, cb in enumerate(binomial_row(j, 1)):
+            for k, r in enumerate(tail, i + b):
+                out[k, b] = out.get((k, b), 0) + c * cb * r
+    return Poly2(out)
 
 
 def F_from_Gamma(g: GammaTriangle) -> Poly2:
-    """Expand sum gamma_(i,j) (x(1+x))^i (1+x+y)^j (1+2x)^(d-2i-j);
-    identical to F_from_H(H_from_Gamma(g))."""
-    d = g.degree
-    x_one_plus_x = Poly2({(1, 0): 1, (2, 0): 1})
-    return Poly2.dot(((x_one_plus_x ** i).scale(c) * one_plus_x_plus_y(j),
-                      one_plus_2x(d - 2 * i - j))
-                     for (i, j), c in g.items())
+    """Expand sum gamma_(i,j) (x(1+x))^i (1+x+y)^j (1+2x)^(d-2i-j), that is
+    sum_b C(j,b) y^b x^i (1+x)^(i+j-b) (1+2x)^(d-2i-j); identical to
+    F_from_H(H_from_Gamma(g))."""
+    out = {}
+    for (i, j), c in g.items():
+        tail = binomial_row(g.degree - 2 * i - j, 2)
+        for b, cb in enumerate(binomial_row(j, 1)):
+            for k, r in enumerate(binomial_row(i + j - b, 1), i):
+                for l, t in enumerate(tail, k):
+                    out[l, b] = out.get((l, b), 0) + c * cb * r * t
+    return Poly2(out)

@@ -127,11 +127,9 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK) -> Report:
     for name, s in models.items():
         d = len(s.index_set)
         sph, F, H, gt, by_local = routes[name]
-        rep.add(f"F(x,x)=f_{name}",
-                F.substitute_y("x") == f_polynomial(sph.complex))
-        rep.add(f"H(x,1)=h_{name}",
-                H.substitute_y(1)
-                == subdivisions.h_of_complex(sph.complex, d))
+        f = f_polynomial(sph.complex)
+        rep.add(f"F(x,x)=f_{name}", F.substitute_y("x") == f)
+        rep.add(f"H(x,1)=h_{name}", H.substitute_y(1) == transforms.h_from_f(f, d))
         rep.add(f"H_two_routes_{name}",
                 H == subdivisions.h_triangle_direct(s))
         lh = subdivisions.local_h(s)

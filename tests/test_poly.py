@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gammatri
-from gammatri.poly import Poly1, Poly2, binom, one_minus_x, one_plus_x, one_plus_xy
+from gammatri.poly import Poly1, Poly2, binom, binomial_row
 
 
 def test_binomial_square():
@@ -27,7 +27,7 @@ def test_one_plus_xy_cubed_by_repeated_mul():
     q = Poly2({(0, 0): 1, (1, 1): 1})
     cube = q * q * q
     assert cube == Poly2({(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1})
-    assert cube == one_plus_xy(3)
+    assert cube == Poly2({(k, k): c for k, c in enumerate(binomial_row(3, 1))})
 
 
 @pytest.mark.parametrize("a, b, want", [
@@ -93,7 +93,7 @@ def dict_total(ps):
 
 
 def term_products(a, b):
-    return [Poly2.term(c1 * c2, i1 + i2, j1 + j2)
+    return [Poly2({(i1 + i2, j1 + j2): c1 * c2})
             for (i1, j1), c1 in a.items() for (i2, j2), c2 in b.items()]
 
 
@@ -164,9 +164,19 @@ def test_coeff_of():
 
 
 def test_binomial_powers():
-    assert one_plus_x(2) == Poly1({0: 1, 1: 2, 2: 1})
-    assert one_minus_x(2) == Poly1({0: 1, 1: -2, 2: 1})
-    assert one_plus_x(0) == Poly1.one()
+    assert binomial_row(2, 1) == (1, 2, 1)
+    assert binomial_row(2, -1) == (1, -2, 1)
+    assert binomial_row(3, 2) == (1, 6, 12, 8)
+    assert binomial_row(0, 1) == (1,)
+    assert binomial_row(-1, 1) == ()
+
+
+@given(st.integers(0, 40), st.sampled_from([-1, 1, 2]))
+def test_binomial_row_is_the_expanded_power(n, s):
+    row = binomial_row(n, s)
+    assert row == tuple(comb(n, k) * s**k for k in range(n + 1))
+    assert Poly1(dict(enumerate(row))) == Poly1({0: 1, 1: s}) ** n
+    assert binomial_row(n, s) is row  # cached, not rebuilt
 
 
 def test_serialization_round_trip():

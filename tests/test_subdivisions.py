@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,7 @@ from gammatri.complexes import (
     face_set,
     is_pure,
 )
-from gammatri.poly import Poly1, Poly2
+from gammatri.poly import Poly1, Poly2, binom
 from gammatri.subdivisions import (
     InvalidSubdivision,
     SphereWithFacet,
@@ -357,6 +358,52 @@ def carried_complexes(draw):
     carriers = st.frozensets(st.sampled_from(index_set), min_size=1)
     sigma = {v: draw(carriers) for v in verts}
     return Subdivision.make(Complex.make(verts, maximal), index_set, sigma)
+
+
+# The Poly-product forms of the two face-count sums, kept as oracles for
+# their accumulations over poly.binomial_row: each (|F|, |carrier|) count
+# adds a monomial times a power of (1 - x), multiplied out and summed.
+def one_minus_x(n):
+    return Poly1({k: (-1) ** k * comb(n, k) for k in range(n + 1)})
+
+
+def product_local_h_sum(counts, n, r):
+    return Poly1.sum(Poly1({r - k + a: c * binom(n - k, r - k) * (-1) ** (r - k)})
+                     * one_minus_x(k - a) for (a, k), c in counts.items() if k <= r)
+
+
+def product_h_triangle_direct(s):
+    n = len(s.index_set)
+    return Poly2.sum((Poly1({a: c * binom(n - k, r - k)}) * one_minus_x(r - a))
+                     .to_poly2().shift(n - r, n - r)
+                     for (a, k), c in s._face_counts.items() for r in range(k, n + 1))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# (a, k) -> count with a <= k <= n, the shape of Subdivision._face_counts
+face_counts = st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.dictionaries(
+        st.integers(0, n).flatmap(lambda k: st.tuples(st.integers(0, k), st.just(k))),
+        st.integers(-20, 20), max_size=8),
+    st.just(n), st.integers(0, n)))
+
+
+@given(face_counts)
+def test_local_h_sum_matches_its_product_form(case):
+    counts, n, r = case
+    assert subdivisions._local_h_sum(counts, n, r) == product_local_h_sum(counts, n, r)
+
+
+@given(carried_complexes())
+def test_h_triangle_direct_matches_its_product_form(s):
+    # a face larger than its carrier raises the same error in both
+    assert _outcome(h_triangle_direct, s) == _outcome(product_h_triangle_direct, s)
 
 
 @given(carried_complexes())

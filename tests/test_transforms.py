@@ -1,7 +1,9 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammatri.poly import Poly1, Poly2, one_plus_x, one_plus_xy
+from gammatri.poly import Poly1, Poly2
 from gammatri.transforms import (
     F_from_Gamma,
     F_from_H,
@@ -29,6 +31,37 @@ A3_H = Poly2({(0, 0): 1, (1, 0): 3, (2, 0): 1,
               (1, 1): 3, (2, 1): 2,
               (2, 2): 3, (3, 3): 1})
 A3_GAMMA = GammaTriangle.make({(0, 3): 1, (1, 1): 2, (1, 0): 1}, 3)
+
+
+# Test-only building blocks for the oracles below: monomials and binomial
+# powers as polynomials, written from the binomial theorem.
+def mono1(c, e):
+    return Poly1({e: c})
+
+
+def mono2(c, i, j):
+    return Poly2({(i, j): c})
+
+
+def one_plus_x(n):
+    return Poly1({k: comb(n, k) for k in range(n + 1)})
+
+
+def one_minus_x(n):
+    return Poly1({k: (-1) ** k * comb(n, k) for k in range(n + 1)})
+
+
+def one_plus_xy(n):
+    return Poly2({(k, k): comb(n, k) for k in range(n + 1)})
+
+
+def one_plus_2x(n):
+    return Poly2({(k, 0): comb(n, k) * 2**k for k in range(n + 1)})
+
+
+def one_plus_x_plus_y(n):
+    return Poly2({(a, b): comb(n, a) * comb(n - a, b)
+                  for a in range(n + 1) for b in range(n + 1 - a)})
 
 
 def test_h_from_f_pentagon():
@@ -234,7 +267,7 @@ def peeled_gamma_from_h(h: Poly1, d: int) -> tuple:
         gi = residual.coeff(i)
         out.append(gi)
         if gi:
-            residual = residual - (Poly1.term(gi, i) * one_plus_x(d - 2 * i))
+            residual = residual - (mono1(gi, i) * one_plus_x(d - 2 * i))
     if not residual.is_zero():
         raise NotGammaRepresentable(f"gamma extraction left residual {residual}")
     return tuple(out)
@@ -262,7 +295,7 @@ def peeled_Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
             if gi:
                 coeffs[(i, j)] = gi
                 residual = residual - (
-                    Poly2.term(gi, i, 0)
+                    mono2(gi, i, 0)
                     * one_plus_xy(j)
                     * one_plus_x(d - 2 * i - j).to_poly2())
     if not residual.is_zero():
@@ -317,7 +350,157 @@ def test_gamma_from_h_raises_exactly_on_asymmetric_h(case):
     got = outcome(gamma_from_h, h, d)
     assert outcome(peeled_gamma_from_h, h, d) == got
     if symmetric:
-        assert Poly1.sum(Poly1.term(g, i) * one_plus_x(d - 2 * i)
+        assert Poly1.sum(mono1(g, i) * one_plus_x(d - 2 * i)
                          for i, g in enumerate(got)) == h
     else:
         assert got == ("raised", None)
+
+
+# The Poly-product expansions that the binomial-row accumulations replaced,
+# kept as oracles: each term is a monomial times binomial powers, multiplied
+# out as polynomials and summed.
+def product_h_from_f(f, d):
+    if f.degree() > d:
+        raise ValueError(f"f has degree {f.degree()} > d = {d}")
+    return Poly1.sum(mono1(c, a) * one_minus_x(d - a) for a, c in f.items())
+
+
+def product_f_from_h(h, d):
+    if h.degree() > d:
+        raise ValueError(f"h has degree {h.degree()} > d = {d}")
+    return Poly1.sum(mono1(c, a) * one_plus_x(d - a) for a, c in h.items())
+
+
+def product_H_from_F(F, d):
+    for (i, j), _ in F.items():
+        if i + j > d:
+            raise ValueError(f"F entry ({i}, {j}) has i + j > d = {d}")
+    return Poly2.dot((mono2(c, i + j, j), one_minus_x(d - i - j).to_poly2())
+                     for (i, j), c in F.items())
+
+
+def product_F_from_H(H, d):
+    for (a, b), _ in H.items():
+        if b > a:
+            raise ValueError(
+                f"H entry ({a}, {b}) has y-degree exceeding x-degree")
+        if a > d:
+            raise ValueError(f"H entry ({a}, {b}) has x-degree > d = {d}")
+    return Poly2.dot((mono2(c, a - b, b), one_plus_x(d - a).to_poly2())
+                     for (a, b), c in H.items())
+
+
+def product_Gamma_from_H(H, d):
+    """G = sum H_(a,b) x^(a-b) (z-1)^b as one Poly2, rows read off it."""
+    if H.deg_x() > d:
+        raise NotGammaRepresentable(f"x-degree {H.deg_x()} exceeds d = {d}")
+    j = max((b for (a, b), _ in H.items() if b > a), default=None)
+    if j is not None:
+        raise NotGammaRepresentable(
+            f"y^{j} slice {H.coeff_of_y(j)} not divisible by x^{j}", j=j)
+    G = Poly2(((a - b, k), c * comb(b, k) * (-1) ** (b - k))
+              for (a, b), c in H.items() for k in range(b + 1))
+    coeffs = {}
+    for j in range(d, -1, -1):
+        try:
+            row = gamma_from_h(G.coeff_of_y(j), d - j)
+        except NotGammaRepresentable as exc:
+            raise NotGammaRepresentable(
+                f"row j = {j} not representable: {exc}", j=j)
+        coeffs.update(((i, j), gi) for i, gi in enumerate(row) if gi)
+    return GammaTriangle.make(coeffs, d)
+
+
+def product_H_from_Gamma(g):
+    d = g.degree
+    return Poly2.dot((mono2(c, i, 0) * one_plus_xy(j),
+                      one_plus_x(d - 2 * i - j).to_poly2())
+                     for (i, j), c in g.items())
+
+
+def product_F_from_Gamma(g):
+    d = g.degree
+    x_one_plus_x = Poly2({(1, 0): 1, (2, 0): 1})
+    return Poly2.dot(((x_one_plus_x ** i).scale(c) * one_plus_x_plus_y(j),
+                      one_plus_2x(d - 2 * i - j))
+                     for (i, j), c in g.items())
+
+
+def result(fn, *args):
+    """The value, or the exception's type, message and j."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "j", None)
+
+
+def same_result(new, old, *args):
+    got, want = result(new, *args), result(old, *args)
+    assert got == want
+    return got
+
+
+degrees = st.integers(0, 8)
+any_poly1 = st.dictionaries(st.integers(0, 10), st.integers(-9, 9),
+                            max_size=6).map(Poly1)
+any_poly2 = st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                            st.integers(-9, 9), max_size=6).map(Poly2)
+
+
+@settings(max_examples=300)
+@given(any_poly1, degrees)
+def test_univariate_transforms_match_their_product_forms(p, d):
+    same_result(h_from_f, product_h_from_f, p, d)
+    same_result(f_from_h, product_f_from_h, p, d)
+
+
+@settings(max_examples=300)
+@given(any_poly2, degrees)
+def test_bivariate_transforms_match_their_product_forms(P, d):
+    same_result(H_from_F, product_H_from_F, P, d)
+    same_result(F_from_H, product_F_from_H, P, d)
+    same_result(Gamma_from_H, product_Gamma_from_H, P, d)
+
+
+@settings(max_examples=300)
+@given(perturbed_H)
+def test_Gamma_from_H_matches_its_product_form(case):
+    same_result(Gamma_from_H, product_Gamma_from_H, *case)
+
+
+# the triangles that make() accepts, and raw ones with entries outside the
+# triangle, whose negative binomial powers both forms expand to zero
+raw_gamma_triangles = st.builds(
+    GammaTriangle,
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 8)),
+                    st.integers(-4, 4), max_size=8),
+    degrees)
+
+
+@settings(max_examples=300)
+@given(st.one_of(gamma_triangles, raw_gamma_triangles))
+def test_gamma_expansions_match_their_product_forms(g):
+    assert H_from_Gamma(g) == product_H_from_Gamma(g)
+    assert F_from_Gamma(g) == product_F_from_Gamma(g)
+
+
+@pytest.mark.parametrize("fn, oracle, args, match", [
+    (h_from_f, product_h_from_f, (Poly1({5: 1}), 4), "f has degree 5 > d = 4"),
+    (f_from_h, product_f_from_h, (Poly1({3: 2}), 2), "h has degree 3 > d = 2"),
+    (H_from_F, product_H_from_F, (Poly2({(0, 0): 1, (2, 1): 1}), 2),
+     r"F entry \(2, 1\) has i \+ j > d = 2"),
+    (F_from_H, product_F_from_H, (Poly2({(1, 2): 1}), 3),
+     r"H entry \(1, 2\) has y-degree exceeding x-degree"),
+    (F_from_H, product_F_from_H, (Poly2({(4, 1): 1}), 3),
+     r"H entry \(4, 1\) has x-degree > d = 3"),
+])
+def test_out_of_domain_input_raises_as_the_product_forms_do(fn, oracle, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)
+    same_result(fn, oracle, *args)
+
+
+def test_Gamma_from_H_divisibility_error_matches_its_product_form():
+    H = Poly2({(0, 1): 1, (1, 2): 1, (3, 3): 1})
+    assert same_result(Gamma_from_H, product_Gamma_from_H, H, 3) == (
+        NotGammaRepresentable, "y^2 slice x not divisible by x^2", 2)
