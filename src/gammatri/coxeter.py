@@ -375,10 +375,11 @@ def parse_type(kind: str, rank: int | None = None,
     kind = kind.upper()
     if kind == "C":
         kind = "B"
-    if kind.startswith("I2(") and kind.endswith(")") and kind[3:-1].isdigit():
-        if m not in (None, int(kind[3:-1])):
+    label = kind[3:-1]  # m in I2(m), in ASCII digits only
+    if kind == f"I2({label})" and label.isascii() and label.isdigit():
+        if m not in (None, int(label)):
             raise ClassificationError(f"{kind} conflicts with m = {m}")
-        kind, m = "I2", int(kind[3:-1])
+        kind, m = "I2", int(label)
     if kind in ("E", "F", "H"):
         if rank is None:
             raise ClassificationError(f"type {kind} needs a rank")

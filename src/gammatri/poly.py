@@ -5,15 +5,15 @@ int scalars only: every quantity in this package is an integer, and every
 division (quotient, the power-series halving) is exact and raises on a
 remainder. Zero coefficients are never stored.
 
-Sums of many polynomials go through one of two kernels, each building one
-object instead of a new partial sum per term: the classmethod sum(polys),
-and Poly2.dot(pairs), the sum of a * b over the pairs (the product a * b
-itself is dot of one pair). The constructors add up repeated keys.
+A polynomial is built from one mapping: exponent (Poly1) or (x, y)
+exponent pair (Poly2) -> coefficient. The constructor rejects a negative
+key, drops zero entries and adds nothing up, so callers collect terms in
+one dict first; sum(polys) does so for whole polynomials.
 
 The transforms and the face-count sums, sums of c * x^a y^b (1 + s*x)^n,
 add the cached rows binomial_row(n, s) into one dict instead of building
 a polynomial per term. The series layer packs x-polynomials into big ints
-once per series operation (series.py), not in Poly2.dot, which would
+once per series operation (series.py), not in Poly2.__mul__, which would
 re-pack each operand on every call.
 """
 
@@ -54,8 +54,9 @@ def quotient(num: int, den: int, what: str = "") -> int:
 
 class _Poly:
     """The operations of Poly1 and Poly2 that do not depend on the key
-    shape. Subclasses validate and add up keys in __init__, multiply in
-    __mul__, and name the key of the constant term in _ONE_KEY."""
+    shape. Subclasses check the keys of their mapping and keep its nonzero
+    entries in __init__, multiply in __mul__, and name the key of the
+    constant term in _ONE_KEY."""
 
     __slots__ = ("_c",)
 
@@ -163,18 +164,11 @@ class Poly1(_Poly):
     _ONE_KEY = 0
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for e, c in items:
-                if e < 0:
-                    raise ValueError(f"negative exponent {e}")
-                c = data.get(e, 0) + c
-                if c:
-                    data[e] = c
-                else:
-                    data.pop(e, None)
-        self._c = data
+        coeffs = coeffs or {}
+        for e in coeffs:
+            if e < 0:
+                raise ValueError(f"negative exponent {e}")
+        self._c = {e: c for e, c in coeffs.items() if c}
 
     def coeff(self, e: int):
         return self._c.get(e, 0)
@@ -211,19 +205,11 @@ class Poly2(_Poly):
     _ONE_KEY = (0, 0)
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for key, c in items:  # the caller's key tuples are kept, not rebuilt
-                i, j = key
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent pair ({i}, {j})")
-                c = data.get(key, 0) + c
-                if c:
-                    data[key] = c
-                else:
-                    data.pop(key, None)
-        self._c = data
+        coeffs = coeffs or {}
+        for i, j in coeffs:
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent pair ({i}, {j})")
+        self._c = {key: c for key, c in coeffs.items() if c}  # keys not rebuilt
 
     def coeff(self, i: int, j: int):
         return self._c.get((i, j), 0)
@@ -239,37 +225,31 @@ class Poly2(_Poly):
         return Poly1({i: c for (i, jj), c in self._c.items() if jj == j})
 
     def substitute_y(self, value) -> Poly1:
-        """Specialize y to 0, 1 or x; y := x sends x^i y^j to x^(i+j)."""
-        if value == 0:
-            return self.coeff_of_y(0)
-        if value == 1:
-            return Poly1([(i, c) for (i, _), c in self._c.items()])
-        if value == "x":
-            return Poly1([(i + j, c) for (i, j), c in self._c.items()])
-        raise ValueError("y can only be specialized to 0, 1 or 'x'")
+        """Specialize y to 1 or x; y := x sends x^i y^j to x^(i+j)."""
+        if value not in (1, "x"):
+            raise ValueError("y can only be specialized to 1 or 'x'")
+        out = {}
+        for (i, j), c in self._c.items():
+            e = i + j if value == "x" else i
+            out[e] = out.get(e, 0) + c
+        return Poly1(out)
 
     def shift(self, i: int, j: int) -> "Poly2":
         """Multiply by x^i y^j."""
         return Poly2({(a + i, b + j): c for (a, b), c in self._c.items()})
-
-    @classmethod
-    def dot(cls, pairs) -> "Poly2":
-        """The sum of a * b over the (a, b) pairs, accumulated in one dict."""
-        out = {}
-        for a, b in pairs:
-            terms = b._c.items()
-            for (i1, j1), c1 in a._c.items():
-                for (i2, j2), c2 in terms:
-                    k = (i1 + i2, j1 + j2)
-                    out[k] = out.get(k, 0) + c1 * c2
-        return cls(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return Poly2.dot(((self, other),))
+        out = {}
+        terms = other._c.items()
+        for (i1, j1), c1 in self._c.items():
+            for (i2, j2), c2 in terms:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return Poly2(out)
 
     def to_triples(self):
         """Serialization: [i, j, decimal-string] sorted lexicographically."""

@@ -15,8 +15,8 @@ big-int products so that CPython's multiplication does the x-convolution,
 and unpacks each output coefficient once. w is proven to hold every digit
 before the first multiply: from the operands' coefficient sizes for a
 product, from an l1 majorant of the result for inverse and sqrt. The
-packing lives here, not in Poly2.dot, because a series operation packs each
-coefficient once for all its uses.
+packing lives here, not in Poly2.__mul__, because a series operation packs
+each coefficient once for all its uses.
 
 Series, closed route (g and gX have polynomial-in-x coefficients):
   g    = sqrt((1-t)^2 - 4xt^2)
@@ -367,7 +367,7 @@ def substitute_x_over_t_times_t(s: TruncSeries) -> TruncSeries:
     the result is complete through t^j exactly when the source is known
     through t^(2j-2), which the returned order reflects."""
     new_order = (s.order + 1) // 2 + 1
-    terms = [[] for _ in range(new_order)]
+    terms = [{} for _ in range(new_order)]  # a target's source is unique
     for n, c in enumerate(s.coeffs):
         if c.deg_y() > 0:
             raise ValueError("substitution defined for y-free series only")
@@ -378,19 +378,19 @@ def substitute_x_over_t_times_t(s: TruncSeries) -> TruncSeries:
                     "condition of the substitution")
             target = n - k + 1
             if target < new_order:
-                terms[target].append(((k, 0), v))
+                terms[target][(k, 0)] = v
     return TruncSeries(new_order, [Poly2(t) for t in terms])
 
 
 def substitute_x_to_xt(s: TruncSeries) -> TruncSeries:
     """s(xt, t): the monomial x^k t^n moves to x^k t^(n+k)."""
-    terms = [[] for _ in range(s.order)]
+    terms = [{} for _ in range(s.order)]  # a target's source is unique
     for n, c in enumerate(s.coeffs):
         if c.deg_y() > 0:
             raise ValueError("substitution defined for y-free series only")
         for (k, _), v in c.items():
             if n + k < s.order:
-                terms[n + k].append(((k, 0), v))
+                terms[n + k][(k, 0)] = v
     return TruncSeries(s.order, [Poly2(t) for t in terms])
 
 

@@ -236,6 +236,8 @@ DIAGNOSTICS = {
     "missing_edges.json": "missing field 'edges' in diagram data",
     UNWRITABLE: "model.json: cannot write (",
     "point.json": "--facet goes with --complex only",
+    "I2(\u0663)": "error: unknown type 'I2(\u0663)'",
+    "I2(\u00b2)": "error: unknown type 'I2(\u00b2)'",
 }
 
 
@@ -263,6 +265,8 @@ DIAGNOSTICS = {
     ["cluster", "A", "2", "--method", "model", "--export", UNWRITABLE],
     ["cluster", "A", "3", "--m", "5"],
     ["cluster", "E6", "--m", "3"],
+    ["cluster", "I2(\u0663)"],
+    ["cluster", "I2(\u00b2)"],
     ["local", "deep_nesting.json"],
     ["diagram", "not_utf8.json"],
     ["triangles", "--complex", "not_utf8.json", "--facet", "a"],

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from gammatri.coxeter import (
     gamma_triangle_D,
     gamma_triangle_diagram,
     local_gamma_poly,
+    parse_type,
     pell_discriminant_check,
     rank23_formula,
     reference_tables,
@@ -309,6 +312,28 @@ ALIAS_NAMES = [
 def test_closed_triangle_matches_diagram_sum(kind, rank, m):
     assert closed_triangle(kind, rank, m) \
         == gamma_triangle_diagram(standard_diagram(kind, rank, m))
+
+
+# names parse_type refuses, with the diagnostic; the I2(m) label takes
+# ASCII digits only, not other Unicode digits
+BAD_NAMES = [
+    ("X", 3, None, "unknown type 'X'"),
+    ("I2(\u0663)", None, None, "unknown type 'I2(\u0663)'"),
+    ("I2(\u00b2)", None, None, "unknown type 'I2(\u00b2)'"),
+    ("I2()", None, None, "unknown type 'I2()'"),
+    ("I2(5)", None, 6, "conflicts with m = 6"),
+    ("I2", None, None, "needs its edge label"),
+    ("E", None, None, "needs a rank"),
+    ("E6", 7, None, "has rank 6"),
+    ("D", 1, None, "needs rank >= 2"),
+    ("A", 3, 4, "takes no edge label"),
+]
+
+
+@pytest.mark.parametrize("kind, rank, m, message", BAD_NAMES)
+def test_parse_type_rejects(kind, rank, m, message):
+    with pytest.raises(ClassificationError, match=re.escape(message)):
+        parse_type(kind, rank, m)
 
 
 CATALOG = (

@@ -108,16 +108,13 @@ def test_sum_matches_oracles(ps):
     assert cls.sum(ps + [-p for p in reversed(ps)]).is_zero()
 
 
-@given(st.lists(st.tuples(small_poly2, small_poly2), max_size=5))
-def test_dot_matches_oracles(pairs):
-    total = Poly2.dot(pairs)
-    terms = [t for a, b in pairs for t in term_products(a, b)]
-    assert dict(total.items()) == dict_total(terms)
-    assert total == reduce(add, (a * b for a, b in pairs), Poly2.zero())
-    for a, b in pairs:
-        assert dict((a * b).items()) == dict_total(term_products(a, b))
-    # every product cancels against its negation
-    assert Poly2.dot(pairs + [(-a, b) for a, b in pairs]).is_zero()
+@given(small_poly2, small_poly2)
+def test_mul_matches_term_products(a, b):
+    terms = term_products(a, b)
+    assert dict((a * b).items()) == dict_total(terms)
+    assert a * b == reduce(add, terms, Poly2.zero()) == Poly2.sum(terms)
+    # the product cancels against its negation
+    assert (a * b + (-a) * b).is_zero()
 
 
 @given(small_poly1)
@@ -153,9 +150,66 @@ def test_specialize_y():
     p = Poly2({(0, 0): 1, (1, 1): 2, (2, 2): 1})
     assert p.substitute_y(1) == Poly1({0: 1, 1: 2, 2: 1})
     assert Poly2({(2, 1): 1}).substitute_y("x") == Poly1({3: 1})
-    assert p.substitute_y(0) == Poly1({0: 1})
-    with pytest.raises(ValueError):
-        p.substitute_y(2)
+    # y := 0 is coeff_of_y(0), not a substitution
+    assert p.coeff_of_y(0) == Poly1({0: 1})
+    for value in (0, 2):
+        with pytest.raises(ValueError):
+            p.substitute_y(value)
+
+
+def substituted(p, value):
+    """Test-only oracle: y := 1 or x, one monomial at a time."""
+    return Poly1.sum(Poly1({i + j if value == "x" else i: c})
+                     for (i, j), c in p.items())
+
+
+def test_specialize_y_adds_up_colliding_exponents():
+    x_plus_y = Poly2({(1, 0): 1, (0, 1): 1})
+    xy_plus_x = Poly2({(1, 1): 1, (1, 0): 1})
+    assert x_plus_y.substitute_y("x") == Poly1({1: 2})
+    assert xy_plus_x.substitute_y(1) == Poly1({1: 2})
+    assert Poly2({(1, 0): 1, (0, 1): -1}).substitute_y("x").is_zero()
+
+
+@given(small_poly2, st.sampled_from([1, "x"]))
+def test_specialize_y_matches_its_oracle(p, value):
+    assert p.substitute_y(value) == substituted(p, value)
+
+
+def test_constructors_drop_zero_entries():
+    assert Poly1({0: 0, 2: 5, 3: 0}).items() == [(2, 5)]
+    assert Poly2({(0, 0): 0, (1, 2): -1}).items() == [((1, 2), -1)]
+    assert Poly1({1: 0}).is_zero() and Poly2({(4, 4): 0}).is_zero()
+
+
+@pytest.mark.parametrize("cls, coeffs, message", [
+    (Poly1, {-1: 0}, "negative exponent -1"),
+    (Poly1, {2: 1, -3: 0, -1: 5}, "negative exponent -3"),
+    (Poly2, {(0, -1): 0}, r"negative exponent pair \(0, -1\)"),
+    (Poly2, {(1, 1): 1, (-2, 0): 0, (0, -5): 7},
+     r"negative exponent pair \(-2, 0\)"),
+])
+def test_negative_key_raises_even_with_zero_coefficient(cls, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        cls(coeffs)
+
+
+def test_constructors_take_a_mapping_only():
+    with pytest.raises(TypeError):
+        Poly1([(1, 2)])
+    with pytest.raises(TypeError):
+        Poly2([((0, 0), 1)])
+
+
+@given(st.one_of(
+    st.tuples(st.just(Poly1),
+              st.dictionaries(st.integers(0, 6), st.integers(-2, 2))),
+    st.tuples(st.just(Poly2),
+              st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                              st.integers(-2, 2)))))
+def test_constructor_keeps_the_nonzero_part(case):
+    cls, d = case
+    assert dict(cls(d).items()) == {k: c for k, c in d.items() if c}
 
 
 def test_coeff_of():

@@ -375,7 +375,7 @@ def product_H_from_F(F, d):
     for (i, j), _ in F.items():
         if i + j > d:
             raise ValueError(f"F entry ({i}, {j}) has i + j > d = {d}")
-    return Poly2.dot((mono2(c, i + j, j), one_minus_x(d - i - j).to_poly2())
+    return Poly2.sum(mono2(c, i + j, j) * one_minus_x(d - i - j).to_poly2()
                      for (i, j), c in F.items())
 
 
@@ -386,7 +386,7 @@ def product_F_from_H(H, d):
                 f"H entry ({a}, {b}) has y-degree exceeding x-degree")
         if a > d:
             raise ValueError(f"H entry ({a}, {b}) has x-degree > d = {d}")
-    return Poly2.dot((mono2(c, a - b, b), one_plus_x(d - a).to_poly2())
+    return Poly2.sum(mono2(c, a - b, b) * one_plus_x(d - a).to_poly2()
                      for (a, b), c in H.items())
 
 
@@ -398,8 +398,8 @@ def product_Gamma_from_H(H, d):
     if j is not None:
         raise NotGammaRepresentable(
             f"y^{j} slice {H.coeff_of_y(j)} not divisible by x^{j}", j=j)
-    G = Poly2(((a - b, k), c * comb(b, k) * (-1) ** (b - k))
-              for (a, b), c in H.items() for k in range(b + 1))
+    G = Poly2.sum(mono2(c * comb(b, k) * (-1) ** (b - k), a - b, k)
+                  for (a, b), c in H.items() for k in range(b + 1))
     coeffs = {}
     for j in range(d, -1, -1):
         try:
@@ -413,16 +413,16 @@ def product_Gamma_from_H(H, d):
 
 def product_H_from_Gamma(g):
     d = g.degree
-    return Poly2.dot((mono2(c, i, 0) * one_plus_xy(j),
-                      one_plus_x(d - 2 * i - j).to_poly2())
+    return Poly2.sum(mono2(c, i, 0) * one_plus_xy(j)
+                     * one_plus_x(d - 2 * i - j).to_poly2()
                      for (i, j), c in g.items())
 
 
 def product_F_from_Gamma(g):
     d = g.degree
     x_one_plus_x = Poly2({(1, 0): 1, (2, 0): 1})
-    return Poly2.dot(((x_one_plus_x ** i).scale(c) * one_plus_x_plus_y(j),
-                      one_plus_2x(d - 2 * i - j))
+    return Poly2.sum((x_one_plus_x ** i).scale(c) * one_plus_x_plus_y(j)
+                     * one_plus_2x(d - 2 * i - j)
                      for (i, j), c in g.items())
 
 
