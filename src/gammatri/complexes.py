@@ -5,8 +5,10 @@ of facets, the empty face included. The trivial complex {[]} is stored as
 the single facet frozenset() on an empty vertex set.
 
 Faces are int masks over the positions of c.vertices (bit i stands for
-c.vertices[i]), listed once by face_set; face_labels turns one back into
-labels where a caller needs them.
+c.vertices[i]), listed once by face_set, whose search makes no call for
+a face that cannot grow; face_labels turns one back into labels where a
+caller needs them. The maximality check of Complex.make, first_supersets,
+has nothing to test when every facet has the same size.
 """
 
 from __future__ import annotations
@@ -104,22 +106,29 @@ class Complex:
 
 def first_supersets(sets) -> dict[frozenset, frozenset]:
     """Map each of `sets` that lies strictly inside another one to the first
-    such superset in the order given (repeats count once). Bit k of an
-    element's holder mask marks the k-th set as holding it, so the AND of a
-    set's holder masks, less its own bit, marks its strict supersets."""
+    such superset in the order given (repeats count once). Only a set
+    smaller than the largest can lie inside another, so a family of equal
+    sizes, such as the facets of a pure complex, maps to {} at once. Bit k
+    of an element's holder mask marks the k-th set as holding it, so the
+    AND of a smaller set's holder masks, less its own bit, marks its strict
+    supersets."""
     sets = list(dict.fromkeys(sets))
+    top = max(map(len, sets), default=0)
+    smaller = [k for k, f in enumerate(sets) if len(f) < top]
+    if not smaller:
+        return {}
     holders: dict[str, int] = {}
     for k, g in enumerate(sets):
         for v in g:
             holders[v] = holders.get(v, 0) | 1 << k
     everyone = (1 << len(sets)) - 1
     out = {}
-    for k, f in enumerate(sets):
+    for k in smaller:
         m = everyone & ~(1 << k)
-        for v in f:
+        for v in sets[k]:
             m &= holders[v]
         if m:
-            out[f] = sets[(m & -m).bit_length() - 1]
+            out[sets[k]] = sets[(m & -m).bit_length() - 1]
     return out
 
 
@@ -127,8 +136,10 @@ def face_set(c: Complex) -> list[int]:
     """Every face of c once, as a mask over the positions of c.vertices: a
     depth-first search that carries the facets holding the current face and
     adds a higher vertex only while one of them holds it too (Kaibel and
-    Pfetsch, 2002). The empty face 0 comes first, and every other face
-    comes after the face that drops its top vertex."""
+    Pfetsch, 2002). A face with no higher candidate left is listed without
+    a search of its own, and so is a face's only extension. The empty face
+    0 comes first, and every other face comes after the face that drops its
+    top vertex."""
     pos = {v: i for i, v in enumerate(c.vertices)}
     inc = [0] * len(pos)
     for j, facet in enumerate(c.facets):
@@ -137,11 +148,16 @@ def face_set(c: Complex) -> list[int]:
     out = [0]
 
     def extend(face: int, m: int, candidates: list[int]) -> None:
-        for i, w in enumerate(candidates):
+        for i, w in enumerate(candidates, 1):
             g = face | 1 << w
             out.append(g)
-            m2 = m & inc[w]
-            extend(g, m2, [x for x in candidates[i + 1:] if inc[x] & m2])
+            if i < len(candidates):
+                m2 = m & inc[w]
+                rest = [x for x in candidates[i:] if inc[x] & m2]
+                if len(rest) > 1:
+                    extend(g, m2, rest)
+                elif rest:
+                    out.append(g | 1 << rest[0])
 
     extend(0, (1 << len(c.facets)) - 1, list(range(len(inc))))
     return out
@@ -157,8 +173,14 @@ def all_faces(c: Complex) -> dict[int, list[int]]:
 
 
 def face_labels(vertices, face: int) -> frozenset[str]:
-    """The labels of a face mask over the positions of `vertices`."""
-    return frozenset(v for i, v in enumerate(vertices) if face >> i & 1)
+    """The labels of a face mask over the positions of `vertices`, read off
+    its set bits only."""
+    labels = []
+    while face:
+        low = face & -face
+        labels.append(vertices[low.bit_length() - 1])
+        face ^= low
+    return frozenset(labels)
 
 
 def dimension(c: Complex) -> int:

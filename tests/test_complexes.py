@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from gammatri.cluster import type_a_subdivision
 from gammatri.complexes import (
     Complex,
     InvalidComplex,
@@ -18,6 +19,7 @@ from gammatri.complexes import (
     join,
 )
 from gammatri.poly import Poly1
+from gammatri.subdivisions import restrict, sphere
 
 
 def evaluate(p: Poly1, v):
@@ -204,6 +206,22 @@ def test_first_supersets_matches_the_first_strict_superset_in_order(sets):
     assert first_supersets(sets) == oracle
 
 
+def test_first_supersets_of_an_equal_sized_family_is_empty():
+    facets = sphere(type_a_subdivision(4)).complex.facets
+    assert len({len(f) for f in facets}) == 1
+    assert first_supersets(facets) == {}
+    assert first_supersets([]) == {}
+
+
+def test_first_supersets_reports_the_first_superset_in_order():
+    ab, abc, abd, c = map(frozenset, ("ab", "abc", "abd", "c"))
+    assert first_supersets([abc, c, ab]) == {c: abc, ab: abc}  # listed earlier
+    assert first_supersets([ab, abd, abc]) == {ab: abd}
+    assert first_supersets([abc, ab, abd]) == {ab: abc}
+    sets = [abd, ab, abd, ab, c, abc]
+    assert first_supersets(iter(sets)) == first_supersets(sets) == {ab: abd, c: abc}
+
+
 def test_loader_rejects_unknown_vertices():
     with pytest.raises(InvalidComplex, match="unknown"):
         Complex.from_dict({"vertices": ["a"], "facets": [["a", "b"]]})
@@ -226,6 +244,31 @@ def faces_by_subsets(c):
     """Every subset of every facet, deduplicated through a set."""
     return {frozenset(combo) for facet in c.facets
             for r in range(len(facet) + 1) for combo in combinations(sorted(facet), r)}
+
+
+def face_set_by_one_call_per_face(c):
+    """The face search with one recursive call per face, in the order that
+    face_set keeps."""
+    pos = {v: i for i, v in enumerate(c.vertices)}
+    inc = [0] * len(pos)
+    for j, facet in enumerate(c.facets):
+        for v in facet:
+            inc[pos[v]] |= 1 << j
+    out = [0]
+
+    def extend(face, m, candidates):
+        for i, w in enumerate(candidates):
+            g = face | 1 << w
+            out.append(g)
+            m2 = m & inc[w]
+            extend(g, m2, [x for x in candidates[i + 1:] if inc[x] & m2])
+
+    extend(0, (1 << len(c.facets)) - 1, list(range(len(inc))))
+    return out
+
+
+def face_labels_by_position_scan(vertices, face):
+    return frozenset(v for i, v in enumerate(vertices) if face >> i & 1)
 
 
 def is_flag_by_clique_growth(c):
@@ -280,3 +323,30 @@ def test_face_set_lists_each_face_once_after_its_prefix(c):
         k: sorted(f for f in faces if f.bit_count() == k)
         for k in {f.bit_count() for f in faces}}
     assert is_flag(c) == is_flag_by_clique_growth(c)
+
+
+@given(complexes())
+def test_face_set_keeps_the_order_of_one_call_per_face(c):
+    assert face_set(c) == face_set_by_one_call_per_face(c)
+
+
+def test_face_set_keeps_the_order_on_fixed_complexes():
+    simplex6 = Complex.make("abcdef", [set("abcdef")])  # one extension at every depth
+    a4 = type_a_subdivision(4)
+    cases = {"trivial": Complex.trivial(), "point": POINT, "simplex6": simplex6,
+             "pentagon": PENTAGON, "A4 sphere": sphere(a4).complex}
+    for r in range(len(a4.index_set) + 1):
+        for J in combinations(a4.index_set, r):
+            cases[f"A4 restricted to {J}"] = restrict(a4, J)
+    for name, c in cases.items():
+        assert face_set(c) == face_set_by_one_call_per_face(c), name
+    assert len(face_set(simplex6)) == 64
+
+
+VERTEX_LABELS = tuple(f"v{i}" for i in range(40))
+
+
+@given(st.integers(0, 2**40 - 1))
+def test_face_labels_matches_the_position_scan(face):
+    assert face_labels(VERTEX_LABELS, face) == face_labels_by_position_scan(
+        VERTEX_LABELS, face)
