@@ -1,19 +1,16 @@
 """Finite abstract simplicial complexes stored by their maximal faces.
 
-A complex is a list of facets over named vertices; faces are all subsets
-of facets, the empty face included. The trivial complex {[]} is stored as
-the single facet frozenset() on an empty vertex set.
-
-Faces are int masks over the positions of c.vertices (bit i stands for
-c.vertices[i]), listed once by face_set, whose search makes no call for
-a face that cannot grow; face_labels turns one back into labels where a
-caller needs them. The maximality check of Complex.make, first_supersets,
-has nothing to test when every facet has the same size.
+Faces are all subsets of facets, the empty face included. Every face and
+facet is an int mask over the positions of c.vertices (bit i stands for
+c.vertices[i]); labels appear only in make, from_dict, to_dict and error
+messages. The trivial complex {[]} is the single facet 0 on no vertices.
+face_set searches a complex's faces once and keeps the list on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 from .poly import Poly1
 
@@ -44,53 +41,85 @@ def _json_fields(data, what: str, keys, error: type[Exception]) -> list:
     return [data[key] for key in keys]
 
 
-def _facet_key(f):
-    return (len(f), tuple(sorted(f)))
-
-
 @dataclass(frozen=True)
 class Complex:
     vertices: tuple[str, ...]
-    facets: tuple[frozenset[str], ...]
+    facets: tuple[int, ...]  # masks over the positions of vertices
 
     @classmethod
     def make(cls, vertices, facets) -> "Complex":
-        """Validating constructor. Facets must be maximal, be subsets of the
-        vertex set, and jointly cover every vertex."""
+        """Validating constructor from label sets: a label outside `vertices`
+        raises InvalidComplex, and from_masks checks the rest."""
         verts = tuple(vertices)
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        fsets = {frozenset(f) for f in facets}
+        unknown = {f for f in fsets if not f <= bit.keys()}
+        if unknown and len(bit) == len(verts):  # from_masks names duplicates first
+            f = min(unknown, key=lambda f: (len(f), sorted(f)))
+            raise InvalidComplex(
+                f"facet {sorted(f)} uses unknown vertices {sorted(f - bit.keys())}")
+        return cls.from_masks(verts, [sum(map(bit.get, f)) for f in fsets - unknown])
+
+    @classmethod
+    def from_masks(cls, vertices, facets) -> "Complex":
+        """The constructor behind every other; facets are int masks over the
+        positions of `vertices`. Duplicate labels, then a facet inside another,
+        then a vertex in no facet raise InvalidComplex. Facets are kept once
+        each, by size and then sorted labels; none at all leaves the empty face."""
+        verts = tuple(vertices)
+
+        def labels(f: int) -> list[str]:
+            return sorted([verts[i] for i in _bits(f)])
+
         if len(set(verts)) != len(verts):
             raise InvalidComplex("duplicate vertex labels")
-        vset = set(verts)
-        fsets = sorted({frozenset(f) for f in facets}, key=_facet_key)
-        if not fsets:
-            fsets = [frozenset()]
-        for f in fsets:
-            extra = f - vset
-            if extra:
-                raise InvalidComplex(
-                    f"facet {sorted(f)} uses unknown vertices {sorted(extra)}")
-        contained = first_supersets(fsets)
+        masks = sorted(set(facets), key=lambda f: (f.bit_count(), labels(f))) or [0]
+        contained = first_supersets(masks)
         if contained:
             small, big = next(iter(contained.items()))
-            raise InvalidComplex(
-                f"facet {sorted(small)} is contained in facet {sorted(big)}"
-                " (stored facets must be maximal)")
-        covered = set().union(*fsets) if fsets else set()
-        missing = vset - covered
+            raise InvalidComplex(f"facet {labels(small)} is contained in facet "
+                                 f"{labels(big)} (stored facets must be maximal)")
+        missing = (1 << len(verts)) - 1 & ~reduce(int.__or__, masks)
         if missing:
-            raise InvalidComplex(
-                f"vertices {sorted(missing)} appear in no facet")
-        return cls(verts, tuple(fsets))
+            raise InvalidComplex(f"vertices {labels(missing)} appear in no facet")
+        return cls(verts, tuple(masks))
 
     @classmethod
     def trivial(cls) -> "Complex":
         """The complex whose only face is the empty face."""
-        return cls.make((), [frozenset()])
+        return cls.from_masks((), [0])
+
+    @cached_property
+    def _faces(self) -> list[int]:
+        """face_set's search, run once per complex: depth first, carrying the
+        facets that hold the current face and adding a higher vertex only
+        while one of them holds it too (Kaibel and Pfetsch, 2002). A face
+        with no higher candidate left is listed without a search of its own,
+        and so is a face's only extension. The empty face 0 comes first, and
+        every other face comes after the face that drops its top vertex."""
+        inc = _transpose(self.facets, len(self.vertices))
+        out = [0]
+
+        def extend(face: int, m: int, candidates: list[int]) -> None:
+            for i, w in enumerate(candidates, 1):
+                g = face | 1 << w
+                out.append(g)
+                if i < len(candidates):
+                    m2 = m & inc[w]
+                    rest = [x for x in candidates[i:] if inc[x] & m2]
+                    if len(rest) > 1:
+                        extend(g, m2, rest)
+                    elif rest:
+                        out.append(g | 1 << rest[0])
+
+        extend(0, (1 << len(self.facets)) - 1, list(range(len(inc))))
+        return out
 
     def to_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
-            "facets": [sorted(f) for f in self.facets if f],
+            "facets": [sorted(self.vertices[i] for i in _bits(f))
+                       for f in self.facets if f],
         }
 
     @classmethod
@@ -100,67 +129,57 @@ class Complex:
         label_list(vertices, "vertices", InvalidComplex)
         if not isinstance(facets, list):
             raise InvalidComplex(f"facets must be a list, got {type(facets).__name__}")
-        return cls.make(vertices, [frozenset(label_list(f, "facet", InvalidComplex))
-                                   for f in facets])
+        return cls.make(vertices, [label_list(f, "facet", InvalidComplex) for f in facets])
 
 
-def first_supersets(sets) -> dict[frozenset, frozenset]:
-    """Map each of `sets` that lies strictly inside another one to the first
-    such superset in the order given (repeats count once). Only a set
-    smaller than the largest can lie inside another, so a family of equal
-    sizes, such as the facets of a pure complex, maps to {} at once. Bit k
-    of an element's holder mask marks the k-th set as holding it, so the
-    AND of a smaller set's holder masks, less its own bit, marks its strict
-    supersets."""
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _transpose(masks, width: int) -> list[int]:
+    """Entry i has bit k set when masks[k] holds position i < width. The
+    rows of bits are transposed as binary strings: OR-ing in 1 << k bit by
+    bit costs time quadratic in len(masks), since the ints grow as wide."""
+    return [int("".join(col)[::-1], 2)
+            for col in zip(*[format(f | 1 << width, "b")[:0:-1] for f in masks])]
+
+
+def first_supersets(sets) -> dict[int, int]:
+    """Map each of the masks `sets` that lies strictly inside another one to
+    the first such superset in the order given (repeats count once). Only a
+    set smaller than the largest can lie inside another, so a family of
+    equal sizes, such as the facets of a pure complex, maps to {} at once.
+    Bit k of a position's holder mask marks the k-th set as holding it, so
+    the AND of a smaller set's holder masks, less its own bit, marks its
+    strict supersets."""
     sets = list(dict.fromkeys(sets))
-    top = max(map(len, sets), default=0)
-    smaller = [k for k, f in enumerate(sets) if len(f) < top]
+    top = max((f.bit_count() for f in sets), default=0)
+    smaller = [k for k, f in enumerate(sets) if f.bit_count() < top]
     if not smaller:
         return {}
-    holders: dict[str, int] = {}
-    for k, g in enumerate(sets):
-        for v in g:
-            holders[v] = holders.get(v, 0) | 1 << k
+    holders = _transpose(sets, max(sets).bit_length())
     everyone = (1 << len(sets)) - 1
     out = {}
     for k in smaller:
-        m = everyone & ~(1 << k)
-        for v in sets[k]:
-            m &= holders[v]
+        m, f = everyone ^ 1 << k, sets[k]
+        while f:
+            m &= holders[(f & -f).bit_length() - 1]
+            f &= f - 1
         if m:
             out[sets[k]] = sets[(m & -m).bit_length() - 1]
     return out
 
 
 def face_set(c: Complex) -> list[int]:
-    """Every face of c once, as a mask over the positions of c.vertices: a
-    depth-first search that carries the facets holding the current face and
-    adds a higher vertex only while one of them holds it too (Kaibel and
-    Pfetsch, 2002). A face with no higher candidate left is listed without
-    a search of its own, and so is a face's only extension. The empty face
-    0 comes first, and every other face comes after the face that drops its
-    top vertex."""
-    pos = {v: i for i, v in enumerate(c.vertices)}
-    inc = [0] * len(pos)
-    for j, facet in enumerate(c.facets):
-        for v in facet:
-            inc[pos[v]] |= 1 << j
-    out = [0]
-
-    def extend(face: int, m: int, candidates: list[int]) -> None:
-        for i, w in enumerate(candidates, 1):
-            g = face | 1 << w
-            out.append(g)
-            if i < len(candidates):
-                m2 = m & inc[w]
-                rest = [x for x in candidates[i:] if inc[x] & m2]
-                if len(rest) > 1:
-                    extend(g, m2, rest)
-                elif rest:
-                    out.append(g | 1 << rest[0])
-
-    extend(0, (1 << len(c.facets)) - 1, list(range(len(inc))))
-    return out
+    """Every face of c once, as a mask over the positions of c.vertices; the
+    search (Complex._faces) runs on the first call and its list is kept on c."""
+    return c._faces
 
 
 def all_faces(c: Complex) -> dict[int, list[int]]:
@@ -172,24 +191,13 @@ def all_faces(c: Complex) -> dict[int, list[int]]:
     return grouped
 
 
-def face_labels(vertices, face: int) -> frozenset[str]:
-    """The labels of a face mask over the positions of `vertices`, read off
-    its set bits only."""
-    labels = []
-    while face:
-        low = face & -face
-        labels.append(vertices[low.bit_length() - 1])
-        face ^= low
-    return frozenset(labels)
-
-
 def dimension(c: Complex) -> int:
     """Max facet cardinality minus 1 (-1 for the trivial complex)."""
-    return max(len(f) for f in c.facets) - 1
+    return max(f.bit_count() for f in c.facets) - 1
 
 
 def is_pure(c: Complex) -> bool:
-    sizes = {len(f) for f in c.facets}
+    sizes = {f.bit_count() for f in c.facets}
     return len(sizes) <= 1
 
 
@@ -206,27 +214,19 @@ def f_polynomial(c: Complex) -> Poly1:
 
 
 def is_flag(c: Complex) -> bool:
-    """True iff every clique of the 1-skeleton is a face."""
+    """True iff every clique of the 1-skeleton is a face. A nonempty face is
+    F + v for a face F and a vertex v above F's top that is on an edge with
+    each vertex of F; the complex is flag iff every such pair (F, v) gives a
+    face, that is iff the pairs are exactly as many as the nonempty faces."""
     faces = face_set(c)
-    nbrs = [0] * len(c.vertices)
-    for f in faces:
-        if f.bit_count() == 2:
-            lo, hi = (f & -f).bit_length() - 1, f.bit_length() - 1
-            nbrs[lo] |= 1 << hi
-            nbrs[hi] |= 1 << lo
-    known = set(faces)
-
-    def grow(clique: int, candidates: int) -> bool:
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            bigger = clique | low
-            if bigger not in known or not grow(
-                    bigger, candidates & nbrs[low.bit_length() - 1]):
-                return False
-        return True
-
-    return grow(0, (1 << len(c.vertices)) - 1)
+    up = [0] * len(c.vertices)  # up[i]: i and the vertices above i on an edge with it
+    for f in all_faces(c).get(2, ()):
+        up[(f & -f).bit_length() - 1] |= f
+    joined = {0: (1 << len(c.vertices)) - 1}  # F: vertices above F joined to all of F
+    for f in faces[1:]:
+        top = f.bit_length() - 1
+        joined[f] = joined[f ^ 1 << top] & up[top] & -(2 << top)
+    return sum(m.bit_count() for m in joined.values()) == len(faces) - 1
 
 
 def fresh_labels(taken, labels) -> dict[str, str]:
@@ -248,7 +248,5 @@ def join(a: Complex, b: Complex) -> Complex:
     """Simplicial join: facets are unions of a facet of a with one of b.
     Colliding vertex labels of b get a deterministic prime suffix."""
     rename = fresh_labels(a.vertices, b.vertices)
-    b_verts = tuple(rename[v] for v in b.vertices)
-    b_facets = [frozenset(rename[v] for v in f) for f in b.facets]
-    facets = [fa | fb for fa in a.facets for fb in b_facets]
-    return Complex.make(a.vertices + b_verts, facets)
+    facets = [fa | fb << len(a.vertices) for fa in a.facets for fb in b.facets]
+    return Complex.from_masks(a.vertices + tuple(rename[v] for v in b.vertices), facets)

@@ -8,9 +8,10 @@ which for genuine subdivision data is a simplicial ball of dimension
 characteristic of every nonempty restriction are checked, full topology is
 not; validate() reports which checks ran.
 
-Every route reads one cached face pass per subdivision: each face of the
-complex (a complexes.face_set mask) with its carrier, a mask over the
-positions of the index set.
+Every route reads one cached face pass per subdivision (a Subdivision is
+frozen, so the pass cannot go stale): each face of the complex (a
+complexes.face_set mask) with its carrier, a mask over the positions of
+the index set. sphere() builds its facets as masks from that pass.
 
 Local h, the local-sum triangle and the direct H-triangle are sums of
 per-face terms over restrictions. A face F with a = |F| and
@@ -32,11 +33,11 @@ from itertools import combinations
 from .complexes import (
     Complex,
     InvalidComplex,
+    _bits,
     _json_fields,
     all_faces,
     dimension,
     f_polynomial,
-    face_labels,
     face_set,
     first_supersets,
     fresh_labels,
@@ -68,7 +69,7 @@ class InvalidSubdivision(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Subdivision:
     complex: Complex
     index_set: tuple[str, ...]
@@ -126,7 +127,7 @@ class Subdivision:
         """Each face of the complex mapped to its carrier, in face_set's
         order: the carrier of F is that of F minus its top vertex, listed
         earlier, plus the top vertex's carrier. Kept after the first use (a
-        subdivision is not changed once built)."""
+        Subdivision is frozen)."""
         bit = {i: 1 << k for k, i in enumerate(self.index_set)}
         try:
             sig = [sum(bit[i] for i in self.sigma[v]) for v in self.complex.vertices]
@@ -190,7 +191,8 @@ class SphereWithFacet:
     @classmethod
     def make(cls, complex: Complex, facet) -> "SphereWithFacet":
         f = frozenset(facet)
-        if f not in complex.facets:
+        bit = {v: 1 << i for i, v in enumerate(complex.vertices)}
+        if not f <= bit.keys() or sum(map(bit.get, f)) not in complex.facets:
             raise InvalidComplex(
                 f"{sorted(f)} is not a facet of the complex")
         return cls(complex, f)
@@ -201,10 +203,12 @@ def restrict(s: Subdivision, J) -> Complex:
     J = frozenset(J)
     if not J <= set(s.index_set):
         raise ValueError(f"{sorted(J)} is not a subset of the index set")
-    inside = {v for v in s.complex.vertices if s.sigma[v] <= J}
-    cut = {f & inside for f in s.complex.facets}
-    contained = first_supersets(cut)
-    return Complex.make(sorted(inside), [f for f in cut if f not in contained])
+    inside = sorted((v, i) for i, v in enumerate(s.complex.vertices) if s.sigma[v] <= J)
+    bit = {i: 1 << k for k, (_, i) in enumerate(inside)}  # renumbered by label
+    keep = sum(1 << i for i in bit)
+    cut = {f & keep for f in s.complex.facets}
+    return Complex.from_masks([v for v, _ in inside], [
+        sum(map(bit.__getitem__, _bits(f))) for f in cut - first_supersets(cut).keys()])
 
 
 def sub_subdivision(s: Subdivision, K) -> Subdivision:
@@ -262,11 +266,10 @@ def sphere(s: Subdivision) -> SphereWithFacet:
             if carrier[g ^ low] == cg:
                 extendable.add(g ^ low)
             rest ^= low
-    verts = tuple(s.complex.vertices) + tuple(s.index_set)
     shift, full = len(s.complex.vertices), (1 << len(s.index_set)) - 1
-    maximal = [face_labels(verts, f | (full & ~c) << shift)
-               for f, c in carrier.items() if f not in extendable]
-    cpx = Complex.make(verts, maximal)
+    cpx = Complex.from_masks(s.complex.vertices + tuple(s.index_set),
+                             [f | (full & ~c) << shift for f, c in carrier.items()
+                              if f not in extendable])
     return SphereWithFacet.make(cpx, s.index_set)
 
 
@@ -318,9 +321,7 @@ def join_subdivisions(a: Subdivision, b: Subdivision) -> Subdivision:
     index labels) get a deterministic prime suffix."""
     rename = fresh_labels(set(a.complex.vertices) | set(a.index_set),
                           tuple(b.complex.vertices) + tuple(b.index_set))
-    b_cpx = Complex.make(
-        tuple(rename[v] for v in b.complex.vertices),
-        [frozenset(rename[v] for v in f) for f in b.complex.facets])
+    b_cpx = Complex.from_masks([rename[v] for v in b.complex.vertices], b.complex.facets)
     sigma = dict(a.sigma)
     for v, s in b.sigma.items():
         sigma[rename[v]] = frozenset(rename[i] for i in s)

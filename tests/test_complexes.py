@@ -7,11 +7,11 @@ from gammatri.cluster import type_a_subdivision
 from gammatri.complexes import (
     Complex,
     InvalidComplex,
+    _bits,
     all_faces,
     dimension,
     f_polynomial,
     f_vector,
-    face_labels,
     face_set,
     first_supersets,
     is_flag,
@@ -32,6 +32,21 @@ def cycle(labels):
                                  for i in range(n)])
 
 
+def labels_at(vertices, face):
+    """The labels of a face mask, by a scan over every position."""
+    return frozenset(v for i, v in enumerate(vertices) if face >> i & 1)
+
+
+def facet_labels(c):
+    """The facets of c as label sets, read off its vertices."""
+    return [labels_at(c.vertices, f) for f in c.facets]
+
+
+def masks_over(labels, sets):
+    """Each label set as a mask over the positions of `labels`."""
+    return [sum(1 << labels.index(v) for v in f) for f in sets]
+
+
 PENTAGON = cycle("abcde")
 TRIANGLE = cycle("abc")
 POINT = Complex.make("a", [{"a"}])
@@ -41,7 +56,7 @@ SIMPLEX3 = Complex.make("abc", [{"a", "b", "c"}])
 def test_pentagon_faces():
     assert f_vector(PENTAGON) == (1, 5, 5)
     grouped = all_faces(PENTAGON)
-    assert {face_labels(PENTAGON.vertices, f) for f in grouped[0]} == {frozenset()}
+    assert {labels_at(PENTAGON.vertices, f) for f in grouped[0]} == {frozenset()}
     assert len(grouped[1]) == 5 and len(grouped[2]) == 5
 
 
@@ -85,7 +100,7 @@ def test_join_zero_spheres_is_4_cycle():
     assert f_vector(square) == (1, 4, 4)
     assert is_pure(square) and dimension(square) == 1
     assert {frozenset(("a", "b")), frozenset(("c", "d"))}.isdisjoint(
-        set(square.facets))
+        facet_labels(square))
 
 
 def test_join_with_trivial_is_identity():
@@ -203,18 +218,20 @@ def test_first_supersets_matches_the_first_strict_superset_in_order(sets):
         g = next((g for g in sets if f < g), None)
         if g is not None:
             oracle[f] = g
-    assert first_supersets(sets) == oracle
+    found = first_supersets(masks_over("abcdef", sets))
+    assert {labels_at("abcdef", f): labels_at("abcdef", g)
+            for f, g in found.items()} == oracle
 
 
 def test_first_supersets_of_an_equal_sized_family_is_empty():
     facets = sphere(type_a_subdivision(4)).complex.facets
-    assert len({len(f) for f in facets}) == 1
+    assert len({f.bit_count() for f in facets}) == 1
     assert first_supersets(facets) == {}
     assert first_supersets([]) == {}
 
 
 def test_first_supersets_reports_the_first_superset_in_order():
-    ab, abc, abd, c = map(frozenset, ("ab", "abc", "abd", "c"))
+    ab, abc, abd, c = masks_over("abcd", ("ab", "abc", "abd", "c"))
     assert first_supersets([abc, c, ab]) == {c: abc, ab: abc}  # listed earlier
     assert first_supersets([ab, abd, abc]) == {ab: abd}
     assert first_supersets([abc, ab, abd]) == {ab: abc}
@@ -242,7 +259,7 @@ def test_loader_rejects_uncovered_vertices():
 
 def faces_by_subsets(c):
     """Every subset of every facet, deduplicated through a set."""
-    return {frozenset(combo) for facet in c.facets
+    return {frozenset(combo) for facet in facet_labels(c)
             for r in range(len(facet) + 1) for combo in combinations(sorted(facet), r)}
 
 
@@ -251,7 +268,7 @@ def face_set_by_one_call_per_face(c):
     face_set keeps."""
     pos = {v: i for i, v in enumerate(c.vertices)}
     inc = [0] * len(pos)
-    for j, facet in enumerate(c.facets):
+    for j, facet in enumerate(facet_labels(c)):
         for v in facet:
             inc[pos[v]] |= 1 << j
     out = [0]
@@ -267,14 +284,10 @@ def face_set_by_one_call_per_face(c):
     return out
 
 
-def face_labels_by_position_scan(vertices, face):
-    return frozenset(v for i, v in enumerate(vertices) if face >> i & 1)
-
-
 def is_flag_by_clique_growth(c):
     """Grow every clique of the 1-skeleton and look each one up."""
     faces = faces_by_subsets(c)
-    verts = sorted({v for f in c.facets for v in f})
+    verts = sorted({v for f in facet_labels(c) for v in f})
     nbrs = {v: set() for v in verts}
     for f in faces:
         if len(f) == 2:
@@ -314,7 +327,7 @@ def test_face_set_lists_each_face_once_after_its_prefix(c):
     faces = face_set(c)
     assert faces[0] == 0
     assert len(set(faces)) == len(faces)
-    assert {face_labels(c.vertices, f) for f in faces} == faces_by_subsets(c)
+    assert {labels_at(c.vertices, f) for f in faces} == faces_by_subsets(c)
     seen = set()
     for f in faces:
         assert not f or f ^ 1 << (f.bit_length() - 1) in seen
@@ -343,10 +356,47 @@ def test_face_set_keeps_the_order_on_fixed_complexes():
     assert len(face_set(simplex6)) == 64
 
 
-VERTEX_LABELS = tuple(f"v{i}" for i in range(40))
-
-
 @given(st.integers(0, 2**40 - 1))
-def test_face_labels_matches_the_position_scan(face):
-    assert face_labels(VERTEX_LABELS, face) == face_labels_by_position_scan(
-        VERTEX_LABELS, face)
+def test_bits_match_the_position_scan(face):
+    assert _bits(face) == [i for i in range(40) if face >> i & 1]
+
+
+@given(complexes())
+def test_dict_round_trip(c):
+    assert Complex.from_dict(c.to_dict()) == c
+
+
+def test_facets_are_ordered_by_size_then_sorted_labels():
+    # positions d, c, b, a: {c, d} is the smaller mask, {b, d} the smaller labels
+    c = Complex.make("dcba", [{"c", "d"}, {"a", "b", "c"}, {"b", "d"}])
+    assert c.to_dict()["facets"] == [["b", "d"], ["c", "d"], ["a", "b", "c"]]
+    assert facet_labels(c) == [frozenset("bd"), frozenset("cd"), frozenset("abc")]
+    assert Complex.from_masks("dcba", [0b0011, 0b1110, 0b0101]) == c
+
+
+def test_mask_input_gets_the_label_input_messages():
+    # positions c, b, a: by labels, {a} inside {a, b} comes before {c} inside {b, c}
+    with pytest.raises(InvalidComplex,
+                       match=r"^facet \['a'\] is contained in facet \['a', 'b'\] "
+                             r"\(stored facets must be maximal\)$"):
+        Complex.from_masks("cba", [0b001, 0b100, 0b110, 0b011])
+    with pytest.raises(InvalidComplex, match=r"^vertices \['a'\] appear in no facet$"):
+        Complex.from_masks("cba", [0b011])
+    with pytest.raises(InvalidComplex, match="^duplicate vertex labels$"):
+        Complex.from_masks("cbc", [0b010])  # named before the uncovered vertex
+
+
+@given(st.lists(st.sampled_from("abcdef"), max_size=7),
+       st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=4), max_size=6))
+def test_mask_input_is_checked_as_label_input(verts, facets):
+    facets = [f & set(verts) for f in facets]  # unknown labels are make's own check
+    pos = {v: i for i, v in enumerate(verts)}
+
+    def built(make, *args):
+        try:
+            return make(*args)
+        except InvalidComplex as exc:
+            return str(exc)
+
+    assert built(Complex.make, verts, facets) == built(
+        Complex.from_masks, verts, [sum(1 << pos[v] for v in f) for f in facets])

@@ -1,17 +1,21 @@
+import dataclasses
+import json
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gammatri import subdivisions
+from gammatri import subdivisions, verify
 from gammatri.cluster import dihedral_subdivision, type_a_subdivision
 from gammatri.complexes import (
     Complex,
+    InvalidComplex,
+    all_faces,
     f_polynomial,
     f_vector,
-    face_labels,
     face_set,
+    is_flag,
     is_pure,
 )
 from gammatri.poly import Poly1, Poly2, binom
@@ -53,7 +57,9 @@ def test_restrict_full_a2_is_path():
 def test_restrict_empty():
     r = restrict(A2, frozenset())
     assert f_polynomial(r) == Poly1.one()
-    assert r.facets == (frozenset(),)
+    assert r.vertices == ()
+    assert [frozenset(v for i, v in enumerate(r.vertices) if f >> i & 1)
+            for f in r.facets] == [frozenset()]
 
 
 def test_restrict_singleton_a2():
@@ -309,7 +315,9 @@ def carrier(s, face):
 def sphere_by_pairwise_maximality(s):
     """The faces F + (I - carrier(F)) that lie inside no other one."""
     iset = frozenset(s.index_set)
-    faces = [face_labels(s.complex.vertices, f) for f in face_set(s.complex)]
+    verts = s.complex.vertices
+    faces = [frozenset(v for i, v in enumerate(verts) if f >> i & 1)
+             for f in face_set(s.complex)]
     candidates = {f | (iset - carrier(s, f)) for f in faces}
     maximal = [f for f in candidates if not any(f < g for g in candidates)]
     cpx = Complex.make(tuple(s.complex.vertices) + tuple(s.index_set), maximal)
@@ -481,3 +489,78 @@ def test_routes_count_the_faces_once(monkeypatch, n):
     for route in routes:
         route(fresh[0])
     assert calls["face_set"] == 0  # the count is kept on the subdivision
+
+
+def counted_searches(monkeypatch) -> list:
+    """The complexes whose face search runs from here on, in call order."""
+    searched = []
+    search = Complex.__dict__["_faces"]  # the cached_property
+    run = search.func
+
+    def counted(c):
+        searched.append(c)
+        return run(c)
+
+    monkeypatch.setattr(search, "func", counted)
+    return searched
+
+
+def test_a_sphere_searches_its_faces_once(monkeypatch):
+    sph = sphere(type_a_subdivision(4))
+    searched = counted_searches(monkeypatch)
+    F = f_triangle(sph)
+    assert F.substitute_y("x") == f_polynomial(sph.complex)
+    assert is_flag(sph.complex)
+    assert sum(map(len, all_faces(sph.complex).values())) == len(face_set(sph.complex))
+    assert len(searched) == 1 and searched[0] is sph.complex
+
+
+def test_crosscheck_searches_each_complex_at_most_once(monkeypatch):
+    searched = counted_searches(monkeypatch)
+    assert verify.crosscheck_report(2).ok
+    assert searched  # the list keeps every complex alive, so ids stay distinct
+    assert len({id(c) for c in searched}) == len(searched)
+
+
+# to_dict of two models, pinned: vertex order, facets by size and then
+# sorted labels, sigma by vertex
+PINNED_DICTS = {
+    "A3": (A3, {
+        "complex": {
+            "vertices": ["0-2", "0-3", "0-4", "1-3", "2-5", "3-5"],
+            "facets": [["0-2", "0-3", "0-4"], ["0-2", "0-3", "3-5"],
+                       ["0-2", "2-5", "3-5"], ["0-3", "0-4", "1-3"],
+                       ["0-3", "1-3", "3-5"]]},
+        "index_set": ["s1", "s2", "s3"],
+        "sigma": {"0-2": ["s1", "s2"], "0-3": ["s1", "s2", "s3"], "0-4": ["s1"],
+                  "1-3": ["s3"], "2-5": ["s2"], "3-5": ["s2", "s3"]}}),
+    "I2(4)": (dihedral_subdivision(4), {
+        "complex": {"vertices": ["p1", "p2", "p3", "p4"],
+                    "facets": [["p1", "p2"], ["p2", "p3"], ["p3", "p4"]]},
+        "index_set": ["s1", "s2"],
+        "sigma": {"p1": ["s1"], "p2": ["s1", "s2"], "p3": ["s1", "s2"],
+                  "p4": ["s2"]}}),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DICTS)
+def test_to_dict_is_pinned(name):
+    s, want = PINNED_DICTS[name]
+    assert json.dumps(s.to_dict()) == json.dumps(want)
+
+
+def test_sphere_rejects_a_label_shared_by_a_vertex_and_an_index():
+    s = Subdivision.make(Complex.make("ab", [{"a", "b"}]), ["a"],
+                         {"a": {"a"}, "b": {"a"}})  # not validated
+    with pytest.raises(InvalidComplex, match="^duplicate vertex labels$"):
+        sphere(s)
+
+
+def test_subdivision_fields_cannot_be_assigned():
+    s = type_a_subdivision(2)
+    assert local_h(s) == Poly1({1: 1})  # the face pass is cached now
+    for field, value in (("complex", Complex.trivial()), ("index_set", ()),
+                         ("sigma", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, value)
+    assert local_h(s) == Poly1({1: 1})
