@@ -12,11 +12,12 @@ Series products, inverse() and sqrt() run through one packed kernel
 (Kronecker substitution in x): each operation packs every t^n coefficient
 of its operands once, as {y-power: int} with one x-slot every w bits, sums
 big-int products so that CPython's multiplication does the x-convolution,
-and unpacks each output coefficient once. w is proven to hold every digit
-before the first multiply: from the operands' coefficient sizes for a
-product, from an l1 majorant of the result for inverse and sqrt. The
-packing lives here, not in Poly2.__mul__, because a series operation packs
-each coefficient once for all its uses.
+and unpacks each output coefficient once. One width rule serves all
+three: before the first multiply, each operation bounds the l1 norm of
+every coefficient it packs or unpacks by a majorant B (|digit| <= l1 norm
+<= B), and w = bit_length(B) + 1 holds every digit. The packing lives here,
+not in Poly2.__mul__, because a series operation packs each coefficient
+once for all its uses.
 
 Series, closed route (g and gX have polynomial-in-x coefficients):
   g    = sqrt((1-t)^2 - 4xt^2)
@@ -112,36 +113,20 @@ def _packed_dot(pairs) -> dict:
     return out
 
 
-def _bits(c: Poly2) -> int:
-    """Bit length of the largest |coefficient|; 0 for the zero polynomial."""
-    return max((abs(v) for _, v in c.items()), default=0).bit_length()
-
-
 def _l1(c: Poly2) -> int:
     return sum(abs(v) for _, v in c.items())
 
 
-def _product_bits(a: list, b: list) -> int:
-    """A slot width that holds every digit of the product of the series with
-    coefficients a and b, through t^(n-1), n = len(a) = len(b).
-
-    A digit of the t^m coefficient at x^k y^j is a sum over the t-pairs
-    i + i' = m (at most n), the y-splits of j (at most min y-degree + 1) and
-    the x-splits of k (at most min x-degree + 1) of one product of a
-    coefficient of a_i, below 2^ba_i, and one of b_i', below 2^bb_i', in
-    absolute value. With S the product of the three counts and top the
-    largest ba_i + bb_i' over nonzero pairs, |digit| < S * 2^top <
-    2^(top + bit_length(S)) <= 2^(w - 1), the range of a balanced w-bit
-    digit; the max over every ba_i and bb_i' keeps the inputs in range."""
-    n = len(a)
-    ba = [_bits(c) for c in a]
-    bb = [_bits(c) for c in b]
-    top = max([ba[i] + bb[j] for i in range(n) if ba[i]
-               for j in range(n - i) if bb[j]] + ba + bb)
-    dx = min(max(c.deg_x() for c in a), max(c.deg_x() for c in b))
-    dy = min(max(c.deg_y() for c in a), max(c.deg_y() for c in b))
-    summands = n * (dy + 1) * (dx + 1)
-    return top + summands.bit_length() + 1
+def _product_bound(a: list, b: list) -> int:
+    """An l1 majorant of the product of the series with coefficients a and
+    b, through t^(n-1), n = len(a) = len(b): the t^m coefficient is
+    sum_i a_i b_(m-i), whose l1 norm is at most sum_i |a_i|_1 |b_(m-i)|_1
+    (the l1 norm is submultiplicative). The max also covers every |a_i|_1
+    and |b_i|_1, so the inputs fit their slots too."""
+    la = [_l1(c) for c in a]
+    lb = [_l1(c) for c in b]
+    return max([sum(la[i] * lb[m - i] for i in range(m + 1))
+                for m in range(len(a))] + la + lb)
 
 
 def _packed_product(a: list, b: list, bits: int) -> list:
@@ -181,7 +166,7 @@ class TruncSeries:
         return cls.from_map({0: 1}, order)
 
     def coeff(self, n: int) -> Poly2:
-        if n >= self.order:
+        if not 0 <= n < self.order:
             raise ValueError(f"coefficient of t^{n} unknown at order {self.order}")
         return self.coeffs[n]
 
@@ -235,7 +220,8 @@ class TruncSeries:
             long = TruncSeries(n, b)
             return sum(((long * c).shift_t(k).truncate(n)
                         for k, c in enumerate(a) if c), TruncSeries(n))
-        return TruncSeries(n, _packed_product(a, b, _product_bits(a, b)))
+        bits = _product_bound(a, b).bit_length() + 1
+        return TruncSeries(n, _packed_product(a, b, bits))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -245,12 +231,13 @@ class TruncSeries:
         return TruncSeries(self.order + k, [Poly2.zero()] * k + self.coeffs)
 
     def div_t(self, k: int = 1) -> "TruncSeries":
-        """Divide by t^k; the first k coefficients must vanish."""
+        """Divide by t^k, 0 <= k < order; the first k coefficients must
+        vanish."""
+        if not 0 <= k < self.order:
+            raise ValueError(f"cannot divide by t^{k} at order {self.order}")
         for n in range(k):
             if not self.coeffs[n].is_zero():
                 raise ValueError(f"coefficient of t^{n} is nonzero, cannot divide by t^{k}")
-        if self.order - k < 1:
-            raise ValueError("nothing left after dividing by t")
         return TruncSeries(self.order - k, self.coeffs[k:])
 
     def d_dt(self) -> "TruncSeries":

@@ -26,7 +26,8 @@ from gammatri.series import (
     two_minus_theta,
     verify_identities,
 )
-from gammatri.series import _packed_product, _product_bits, _Slots
+from gammatri import series
+from gammatri.series import _packed_product, _product_bound, _Slots
 
 
 def xp(mapping):
@@ -260,22 +261,62 @@ def test_product_matches_running_total_oracle(a, b):
 
 
 def test_product_width_is_tight_at_the_extremes():
-    # order 7 with x- and y-degree 2: the t^6 x^2 y^2 digit is a sum of
-    # S = 7 * 3 * 3 = 63 = 2^6 - 1 products of -(2^100 - 1) and 2^94 - 1,
-    # which needs 100 + 94 + 6 bits and a sign bit
-    def full(v):
-        return Poly2({(i, j): v for i in range(3) for j in range(3)})
-    a, b = [full(-(2**100 - 1))] * 7, [full(2**94 - 1)] * 7
+    # order 7, constant coefficients: the t^6 digit is a sum of 7 products
+    # of -(2^100 - 1) and 2^97 - 1, and the bound is exactly its size,
+    # 200 bits, plus a sign bit
+    a = [Poly2({(0, 0): -(2**100 - 1)})] * 7
+    b = [Poly2({(0, 0): 2**97 - 1})] * 7
     want = sparse_product(TruncSeries(7, a), TruncSeries(7, b))
-    extreme = want.coeff(6).coeff(2, 2)
-    assert extreme == -63 * (2**100 - 1) * (2**94 - 1)
-    assert (-extreme).bit_length() == 200
-    bits = _product_bits(a, b)
-    assert bits == 201
+    extreme = want.coeff(6).coeff(0, 0)
+    bound = _product_bound(a, b)
+    assert bound == -extreme == 7 * (2**100 - 1) * (2**97 - 1)
+    assert bound.bit_length() == 200
     assert TruncSeries(7, a) * TruncSeries(7, b) == want
-    assert TruncSeries(7, _packed_product(a, b, bits)) == want
+    assert TruncSeries(7, _packed_product(a, b, 201)) == want
     # 200 bits is whole bytes, so nothing rounds the narrower width back up
-    assert TruncSeries(7, _packed_product(a, b, bits - 1)) != want
+    assert TruncSeries(7, _packed_product(a, b, 200)) != want
+
+
+def digits(cs):
+    return [abs(v) for c in cs for _, v in c.items()]
+
+
+@settings(max_examples=150)
+@given(any_series, any_series)
+def test_product_bound_holds_every_digit(a, b):
+    n = min(a.order, b.order)
+    bound = _product_bound(a.coeffs[:n], b.coeffs[:n])
+    assert all(d <= bound for d in digits(sparse_product(a, b).coeffs))
+    assert all(d <= bound for d in digits(a.coeffs[:n] + b.coeffs[:n]))
+
+
+def product_bits_by_size(a, b):
+    """The slot width from the coefficient sizes: the largest ba_i + bb_i'
+    over nonzero pairs (ba, bb the bit lengths of the largest |coefficient|)
+    plus the bit length of the summand count n * (min y-degree + 1) *
+    (min x-degree + 1), plus a sign bit."""
+    n = len(a)
+    ba, bb = ([max(digits([c]), default=0).bit_length() for c in cs]
+              for cs in (a, b))
+    top = max([ba[i] + bb[j] for i in range(n) if ba[i]
+               for j in range(n - i) if bb[j]] + ba + bb)
+    dx = min(max(c.deg_x() for c in a), max(c.deg_x() for c in b))
+    dy = min(max(c.deg_y() for c in a), max(c.deg_y() for c in b))
+    return top + (n * (dy + 1) * (dx + 1)).bit_length() + 1
+
+
+def test_products_are_never_packed_wider_than_by_coefficient_sizes(monkeypatch):
+    widths = []
+
+    def recording(a, b, bits):
+        widths.append((-(-bits // 8), -(-product_bits_by_size(a, b) // 8)))
+        return _packed_product(a, b, bits)
+
+    monkeypatch.setattr(series, "_packed_product", recording)
+    assert all(c.ok for c in verify_identities(24))
+    assert G_closed("A", 12) == G_sum("A", 12)
+    assert len(widths) > 10
+    assert all(new <= old for new, old in widths)
 
 
 # a top digit 1 in slot D >= 2 over lower digits of -2^(w-1) packs to an
@@ -513,3 +554,18 @@ def test_order_bookkeeping():
     assert t.div_t().order == 4
     with pytest.raises(ValueError):
         t.div_t(2)
+
+
+def test_coeff_rejects_a_negative_power():
+    with pytest.raises(ValueError, match=r"t\^-1 "):
+        TruncSeries(3, [1, 2, 5]).coeff(-1)
+
+
+def test_div_t_rejects_a_negative_power():
+    with pytest.raises(ValueError, match=r"t\^-1 "):
+        TruncSeries(3, [1, 2, 5]).div_t(-1)
+
+
+def test_div_t_rejects_a_power_beyond_the_order():
+    with pytest.raises(ValueError, match=r"t\^3 at order 2"):
+        TruncSeries(2).div_t(3)
