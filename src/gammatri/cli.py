@@ -75,7 +75,7 @@ def cmd_triangles(args) -> None:
                     lambda data: SphereWithFacet.make(Complex.from_dict(data), facet))
     else:  # the distinguished facet of a subdivision's sphere is its index set
         sph = subdivisions.sphere(_load(args.subdivision, Subdivision.from_dict))
-    d = len(sph.facet)
+    d = sph.facet.bit_count()
     F = subdivisions.f_triangle(sph)
     H = transforms.H_from_F(F, d)
     gt = transforms.Gamma_from_H(H, d)

@@ -78,16 +78,10 @@ def type_a_subdivision(n: int) -> Subdivision:
     facets = [frozenset(_diag_label(d) for d in tri)
               for tri in polygon_triangulations(size)
               if not (tri & snake_set)]
-    labels = [_diag_label(d) for d in positive]
-    sigma = {}
-    for d in positive:
-        carrier = frozenset(f"s{i}" for i, s in enumerate(snake, start=1)
-                            if crosses(d, s))
-        if not carrier:
-            raise AssertionError(f"positive diagonal {d} crosses no snake diagonal")
-        sigma[_diag_label(d)] = carrier
+    sigma = {_diag_label(d): {f"s{i}" for i, s in enumerate(snake, start=1) if crosses(d, s)}
+             for d in positive}
     index_set = [f"s{i}" for i in range(1, n + 1)]
-    return Subdivision.make(Complex.make(labels, facets), index_set, sigma)
+    return Subdivision.make(Complex.make(list(sigma), facets), index_set, sigma)
 
 
 def dihedral_subdivision(m: int) -> Subdivision:

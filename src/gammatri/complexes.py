@@ -3,7 +3,9 @@
 Faces are all subsets of facets, the empty face included. Every face and
 facet is an int mask over the positions of c.vertices (bit i stands for
 c.vertices[i]); labels appear only in make, from_dict, to_dict and error
-messages. The trivial complex {[]} is the single facet 0 on no vertices.
+messages. Facets are stored by size and then mask; to_dict lists them by
+size and then sorted labels. The trivial complex {[]} is the single facet 0
+on no vertices.
 face_set searches a complex's faces once and keeps the list on it.
 """
 
@@ -63,20 +65,23 @@ class Complex:
     @classmethod
     def from_masks(cls, vertices, facets) -> "Complex":
         """The constructor behind every other; facets are int masks over the
-        positions of `vertices`. Duplicate labels, then a facet inside another,
-        then a vertex in no facet raise InvalidComplex. Facets are kept once
-        each, by size and then sorted labels; none at all leaves the empty face."""
+        positions of `vertices`. A mask outside [0, 2^|vertices|), then
+        duplicate labels, then a facet inside another, then a vertex in no
+        facet raise InvalidComplex. Facets are kept once each, by size and
+        then mask; none at all leaves the empty face."""
         verts = tuple(vertices)
 
         def labels(f: int) -> list[str]:
             return sorted([verts[i] for i in _bits(f)])
 
+        masks = sorted(set(facets), key=lambda f: (f.bit_count(), f)) or [0]
+        if stray := [f for f in masks if f < 0 or f >> len(verts)]:
+            raise InvalidComplex(f"facet mask {stray[0]} is outside [0, 2^{len(verts)})")
         if len(set(verts)) != len(verts):
             raise InvalidComplex("duplicate vertex labels")
-        masks = sorted(set(facets), key=lambda f: (f.bit_count(), labels(f))) or [0]
-        contained = first_supersets(masks)
-        if contained:
-            small, big = next(iter(contained.items()))
+        if first_supersets(masks):  # named by the first pair in label order
+            masks.sort(key=lambda f: (f.bit_count(), labels(f)))
+            small, big = next(iter(first_supersets(masks).items()))
             raise InvalidComplex(f"facet {labels(small)} is contained in facet "
                                  f"{labels(big)} (stored facets must be maximal)")
         missing = (1 << len(verts)) - 1 & ~reduce(int.__or__, masks)
@@ -118,8 +123,8 @@ class Complex:
     def to_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
-            "facets": [sorted(self.vertices[i] for i in _bits(f))
-                       for f in self.facets if f],
+            "facets": sorted((sorted(self.vertices[i] for i in _bits(f))
+                              for f in self.facets if f), key=lambda f: (len(f), f)),
         }
 
     @classmethod

@@ -227,7 +227,9 @@ class TruncSeries:
         return self.__mul__(other)
 
     def shift_t(self, k: int = 1) -> "TruncSeries":
-        """Multiply by t^k; the known order grows by k."""
+        """Multiply by t^k, k >= 0; the known order grows by k."""
+        if k < 0:
+            raise ValueError(f"cannot multiply by t^{k}: the power must be >= 0")
         return TruncSeries(self.order + k, [Poly2.zero()] * k + self.coeffs)
 
     def div_t(self, k: int = 1) -> "TruncSeries":
@@ -327,10 +329,9 @@ class TruncSeries:
 
     def first_nonzero(self, through: int):
         """(n, coefficient) of the first nonzero term with n <= through,
-        or None; raises if the series is not known that far."""
-        if through >= self.order:
-            raise ValueError(
-                f"series only known through t^{self.order - 1}, asked t^{through}")
+        or None; raises unless 0 <= through < order."""
+        if not 0 <= through < self.order:
+            raise ValueError(f"cannot search through t^{through} at order {self.order}")
         for n in range(through + 1):
             if not self.coeffs[n].is_zero():
                 return n, self.coeffs[n]
@@ -436,9 +437,9 @@ def G_sum(kind: str, order: int) -> TruncSeries:
 
 
 def times_yt(s: TruncSeries, k: int = 1) -> TruncSeries:
-    """(yt)^k * s: every coefficient shifted by y^k, then the series by t^k
-    (the known order grows by k)."""
-    return TruncSeries(s.order, [c.shift(0, k) for c in s.coeffs]).shift_t(k)
+    """(yt)^k * s, k >= 0: the series shifted by t^k (the known order grows
+    by k), then every coefficient by y^k."""
+    return TruncSeries(s.order + k, [c.shift(0, k) for c in s.shift_t(k).coeffs])
 
 
 def G_closed(kind: str, order: int) -> TruncSeries:

@@ -4,14 +4,16 @@ map from its vertices into an index set.
 The carrier of a face is the union of its vertices' carriers. For every
 subset J of the index set, the faces carried inside J form the restriction,
 which for genuine subdivision data is a simplicial ball of dimension
-|J| - 1. Validation is partial by design: purity, dimension and Euler
-characteristic of every nonempty restriction are checked, full topology is
-not; validate() reports which checks ran.
+|J| - 1. Validation is partial by design: make checks the carrier map, and
+validate() the purity, dimension and Euler characteristic of every nonempty
+restriction, not full topology; validate() reports which checks ran.
 
+Carriers are int masks over the positions of the index set, one per vertex;
+labels appear only in make, from_dict, to_dict, sigma and error messages.
 Every route reads one cached face pass per subdivision (a Subdivision is
 frozen, so the pass cannot go stale): each face of the complex (a
-complexes.face_set mask) with its carrier, a mask over the positions of
-the index set. sphere() builds its facets as masks from that pass.
+complexes.face_set mask) with its carrier. sphere() builds its facets from
+that pass, and its distinguished facet is the index set's mask.
 
 Local h, the local-sum triangle and the direct H-triangle are sums of
 per-face terms over restrictions. A face F with a = |F| and
@@ -73,37 +75,40 @@ class InvalidSubdivision(ValueError):
 class Subdivision:
     complex: Complex
     index_set: tuple[str, ...]
-    sigma: dict[str, frozenset[str]]
+    carriers: tuple[int, ...]  # per vertex, a mask over the positions of index_set
 
     @classmethod
     def make(cls, complex: Complex, index_set, sigma) -> "Subdivision":
-        """Structural construction; run validate() for the ball checks."""
-        idx = tuple(index_set)
+        """The validating constructor from vertex labels to carrier label
+        sets: raises InvalidSubdivision naming the first fault of the map.
+        validate() runs the ball checks."""
+        idx, vset = tuple(index_set), set(complex.vertices)
         if len(set(idx)) != len(idx):
             raise InvalidSubdivision("duplicate index labels")
+        if overlap := vset.intersection(idx):
+            raise InvalidSubdivision(f"index set overlaps vertices: {sorted(overlap)}")
         smap = {v: frozenset(s) for v, s in sigma.items()}
-        return cls(complex, idx, smap)
-
-    def validate(self) -> list[str]:
-        """Run the partial validation; returns the names of the checks that
-        ran, raises InvalidSubdivision naming the first violated one."""
-        iset = set(self.index_set)
-        overlap = iset & set(self.complex.vertices)
-        if overlap:
-            raise InvalidSubdivision(
-                f"index set overlaps vertices: {sorted(overlap)}")
-        vset = set(self.complex.vertices)
-        if set(self.sigma) != vset:
-            missing = vset - set(self.sigma)
-            extra = set(self.sigma) - vset
+        if smap.keys() != vset:
+            missing, extra = vset - smap.keys(), smap.keys() - vset
             what = f"missing {sorted(missing)}" if missing else f"extra {sorted(extra)}"
             raise InvalidSubdivision(f"carrier map domain mismatch: {what}")
-        for v, s in self.sigma.items():
-            if not s:
-                raise InvalidSubdivision(f"carrier of vertex {v!r} is empty")
-            if not s <= iset:
-                raise InvalidSubdivision(
-                    f"carrier of vertex {v!r} is not a subset of the index set")
+        bit = {i: 1 << k for k, i in enumerate(idx)}
+        for v, s in smap.items():
+            if not s or not s <= bit.keys():
+                what = "not a subset of the index set" if s else "empty"
+                raise InvalidSubdivision(f"carrier of vertex {v!r} is {what}")
+        return cls(complex, idx, tuple(sum(map(bit.get, smap[v])) for v in complex.vertices))
+
+    @property
+    def sigma(self) -> dict[str, frozenset[str]]:
+        """The carrier map by labels."""
+        return {v: frozenset(self.index_set[k] for k in _bits(c))
+                for v, c in zip(self.complex.vertices, self.carriers)}
+
+    def validate(self) -> list[str]:
+        """Run the ball checks on every nonempty restriction (make ran the
+        structural ones); returns the names of all the checks, raises
+        InvalidSubdivision naming the first violated one."""
         for r in range(1, len(self.index_set) + 1):
             for J in combinations(self.index_set, r):
                 sub = restrict(self, frozenset(J))
@@ -128,16 +133,10 @@ class Subdivision:
         order: the carrier of F is that of F minus its top vertex, listed
         earlier, plus the top vertex's carrier. Kept after the first use (a
         Subdivision is frozen)."""
-        bit = {i: 1 << k for k, i in enumerate(self.index_set)}
-        try:
-            sig = [sum(bit[i] for i in self.sigma[v]) for v in self.complex.vertices]
-        except KeyError as exc:
-            raise InvalidSubdivision(f"{exc} is missing from the carrier map or "
-                                     "the index set; validate() names the fault") from None
-        carrier = {0: 0}
+        carriers, carrier = self.carriers, {0: 0}
         for f in face_set(self.complex)[1:]:
             top = f.bit_length() - 1
-            carrier[f] = carrier[f ^ 1 << top] | sig[top]
+            carrier[f] = carrier[f ^ 1 << top] | carriers[top]
         return carrier
 
     @cached_property
@@ -175,7 +174,7 @@ class Subdivision:
             raise InvalidSubdivision("sigma must be a map from vertices to "
                                      f"carriers, got {type(sigma).__name__}")
         sub = cls.make(cpx, index_set, {
-            v: frozenset(label_list(s, f"carrier of {v!r}", InvalidSubdivision))
+            v: label_list(s, f"carrier of {v!r}", InvalidSubdivision)
             for v, s in sigma.items()})
         sub.validate()
         return sub
@@ -183,19 +182,19 @@ class Subdivision:
 
 @dataclass(frozen=True)
 class SphereWithFacet:
-    """A complex with a distinguished facet (required to be a stored facet)."""
+    """A complex with a distinguished facet, one of its stored facet masks."""
 
     complex: Complex
-    facet: frozenset[str]
+    facet: int
 
     @classmethod
     def make(cls, complex: Complex, facet) -> "SphereWithFacet":
         f = frozenset(facet)
         bit = {v: 1 << i for i, v in enumerate(complex.vertices)}
-        if not f <= bit.keys() or sum(map(bit.get, f)) not in complex.facets:
+        if not f <= bit.keys() or (mask := sum(map(bit.get, f))) not in complex.facets:
             raise InvalidComplex(
                 f"{sorted(f)} is not a facet of the complex")
-        return cls(complex, f)
+        return cls(complex, mask)
 
 
 def restrict(s: Subdivision, J) -> Complex:
@@ -203,7 +202,9 @@ def restrict(s: Subdivision, J) -> Complex:
     J = frozenset(J)
     if not J <= set(s.index_set):
         raise ValueError(f"{sorted(J)} is not a subset of the index set")
-    inside = sorted((v, i) for i, v in enumerate(s.complex.vertices) if s.sigma[v] <= J)
+    outside = sum(1 << k for k, i in enumerate(s.index_set) if i not in J)
+    inside = sorted((v, i) for i, (v, c) in enumerate(zip(s.complex.vertices, s.carriers))
+                    if not c & outside)
     bit = {i: 1 << k for k, (_, i) in enumerate(inside)}  # renumbered by label
     keep = sum(1 << i for i in bit)
     cut = {f & keep for f in s.complex.facets}
@@ -214,9 +215,8 @@ def restrict(s: Subdivision, J) -> Complex:
 def sub_subdivision(s: Subdivision, K) -> Subdivision:
     """The restriction to K viewed as a subdivision with index set K."""
     K = frozenset(K)
-    cpx = restrict(s, K)
-    sigma = {v: s.sigma[v] for v in cpx.vertices}
-    return Subdivision.make(cpx, sorted(K), sigma)
+    cpx, sigma = restrict(s, K), s.sigma
+    return Subdivision.make(cpx, sorted(K), {v: sigma[v] for v in cpx.vertices})
 
 
 def h_of_complex(c: Complex, d: int) -> Poly1:
@@ -270,13 +270,13 @@ def sphere(s: Subdivision) -> SphereWithFacet:
     cpx = Complex.from_masks(s.complex.vertices + tuple(s.index_set),
                              [f | (full & ~c) << shift for f, c in carrier.items()
                               if f not in extendable])
-    return SphereWithFacet.make(cpx, s.index_set)
+    return SphereWithFacet(cpx, full << shift)  # every carrier is nonempty
 
 
 def f_triangle(sph: SphereWithFacet) -> Poly2:
     """F_(i,j) counts faces with i vertices outside the distinguished facet
     and j vertices inside it."""
-    T = sum(1 << i for i, v in enumerate(sph.complex.vertices) if v in sph.facet)
+    T = sph.facet
     return Poly2(Counter(((f & ~T).bit_count(), (f & T).bit_count())
                          for f in face_set(sph.complex)))
 
@@ -316,14 +316,12 @@ def gamma_from_local_sum(s: Subdivision) -> GammaTriangle:
 
 
 def join_subdivisions(a: Subdivision, b: Subdivision) -> Subdivision:
-    """Join of the complexes with the union carrier map; local gamma is
-    multiplicative for this operation. Colliding labels in b (vertices or
-    index labels) get a deterministic prime suffix."""
+    """Join of the complexes with the union carrier map, b's shifted past
+    a's index set; local gamma is multiplicative for this operation.
+    Colliding labels in b (vertices or index labels) get a prime suffix."""
     rename = fresh_labels(set(a.complex.vertices) | set(a.index_set),
                           tuple(b.complex.vertices) + tuple(b.index_set))
     b_cpx = Complex.from_masks([rename[v] for v in b.complex.vertices], b.complex.facets)
-    sigma = dict(a.sigma)
-    for v, s in b.sigma.items():
-        sigma[rename[v]] = frozenset(rename[i] for i in s)
-    index_set = tuple(a.index_set) + tuple(rename[i] for i in b.index_set)
-    return Subdivision.make(join(a.complex, b_cpx), index_set, sigma)
+    return Subdivision(join(a.complex, b_cpx),
+                       a.index_set + tuple(rename[i] for i in b.index_set),
+                       a.carriers + tuple(c << len(a.index_set) for c in b.carriers))

@@ -367,11 +367,27 @@ def test_dict_round_trip(c):
 
 
 def test_facets_are_ordered_by_size_then_sorted_labels():
-    # positions d, c, b, a: {c, d} is the smaller mask, {b, d} the smaller labels
+    # stored by size and then mask, listed by to_dict by size and then sorted
+    # labels; positions d, c, b, a: {c, d} is the smaller mask, {b, d} the
+    # smaller labels
     c = Complex.make("dcba", [{"c", "d"}, {"a", "b", "c"}, {"b", "d"}])
+    assert c.facets == (0b0011, 0b0101, 0b1110)
+    assert facet_labels(c) == [frozenset("cd"), frozenset("bd"), frozenset("abc")]
     assert c.to_dict()["facets"] == [["b", "d"], ["c", "d"], ["a", "b", "c"]]
-    assert facet_labels(c) == [frozenset("bd"), frozenset("cd"), frozenset("abc")]
-    assert Complex.from_masks("dcba", [0b0011, 0b1110, 0b0101]) == c
+    assert Complex.from_masks("dcba", [0b1110, 0b0101, 0b0011]) == c
+
+
+def test_from_masks_rejects_a_mask_beyond_its_vertices():
+    with pytest.raises(InvalidComplex, match=r"^facet mask 3 is outside \[0, 2\^1\)$"):
+        Complex.from_masks(["a"], [0b11])
+    # named before any other fault: here duplicate labels and a non-maximal facet
+    with pytest.raises(InvalidComplex, match=r"^facet mask 4 is outside \[0, 2\^2\)$"):
+        Complex.from_masks("aa", [0b01, 0b11, 0b100])
+
+
+def test_from_masks_rejects_a_negative_mask():
+    with pytest.raises(InvalidComplex, match=r"^facet mask -1 is outside \[0, 2\^1\)$"):
+        Complex.from_masks(["a"], [0b1, -1])
 
 
 def test_mask_input_gets_the_label_input_messages():

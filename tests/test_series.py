@@ -23,6 +23,7 @@ from gammatri.series import (
     gB_via_substitution,
     substitute_x_over_t_times_t,
     substitute_x_to_xt,
+    times_yt,
     two_minus_theta,
     verify_identities,
 )
@@ -564,6 +565,22 @@ def test_coeff_rejects_a_negative_power():
 def test_div_t_rejects_a_negative_power():
     with pytest.raises(ValueError, match=r"t\^-1 "):
         TruncSeries(3, [1, 2, 5]).div_t(-1)
+
+
+def test_first_nonzero_rejects_a_negative_power():
+    with pytest.raises(ValueError, match=r"t\^-1 at order 3"):
+        TruncSeries(3, [1, 2, 5]).first_nonzero(-1)
+
+
+def test_shift_t_rejects_a_negative_power():
+    with pytest.raises(ValueError, match=r"t\^-1: "):
+        TruncSeries(3, [1, 2, 5]).shift_t(-1)
+
+
+def test_times_yt_rejects_a_negative_power():
+    # before any coefficient is shifted, so Poly2's exponent check never runs
+    with pytest.raises(ValueError, match=r"t\^-1: "):
+        times_yt(TruncSeries(3, [1, 2, 5]), -1)
 
 
 def test_div_t_rejects_a_power_beyond_the_order():

@@ -1,6 +1,6 @@
 import dataclasses
 import json
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -15,8 +15,10 @@ from gammatri.complexes import (
     f_polynomial,
     f_vector,
     face_set,
+    fresh_labels,
     is_flag,
     is_pure,
+    join,
 )
 from gammatri.poly import Poly1, Poly2, binom
 from gammatri.subdivisions import (
@@ -100,7 +102,8 @@ def test_local_gamma_dihedral(m):
 def test_sphere_a1_is_two_points():
     sph = sphere(A1)
     assert f_vector(sph.complex) == (1, 2)
-    assert sph.facet == frozenset(["s1"])
+    assert sph.complex.vertices == A1.complex.vertices + ("s1",)
+    assert sph.facet == 0b10  # the mask of the index set, placed after the vertices
 
 
 def test_sphere_a2_is_pentagon():
@@ -249,22 +252,23 @@ def test_validate_rejects_impure_restriction():
         s.validate()
 
 
+# The structural faults are make's: a Subdivision that holds one cannot be
+# built, so validate() never sees it.
+
 def test_validate_rejects_empty_carrier():
-    s = _invalid(("p", [{"p"}]), ["s"], {"p": set()})
-    with pytest.raises(InvalidSubdivision, match="empty"):
-        s.validate()
+    with pytest.raises(InvalidSubdivision, match="^carrier of vertex 'p' is empty$"):
+        _invalid(("p", [{"p"}]), ["s"], {"p": set()})
 
 
 def test_validate_rejects_label_overlap():
-    s = _invalid(("p", [{"p"}]), ["p"], {"p": {"p"}})
-    with pytest.raises(InvalidSubdivision, match="overlap"):
-        s.validate()
+    with pytest.raises(InvalidSubdivision, match=r"^index set overlaps vertices: \['p'\]$"):
+        _invalid(("p", [{"p"}]), ["p"], {"p": {"p"}})
 
 
 def test_validate_rejects_missing_carrier():
-    s = _invalid(("pq", [{"p", "q"}]), ["s1", "s2"], {"p": {"s1"}})
-    with pytest.raises(InvalidSubdivision, match="domain"):
-        s.validate()
+    with pytest.raises(InvalidSubdivision,
+                       match=r"^carrier map domain mismatch: missing \['q'\]$"):
+        _invalid(("pq", [{"p", "q"}]), ["s1", "s2"], {"p": {"s1"}})
 
 
 def test_loader_runs_validation():
@@ -432,6 +436,95 @@ def test_weighted_face_routes_match_their_definitions_on_any_carrier_map(s):
     assert got == want or want is ValueError
 
 
+# Test-only oracles: the label-level structural checks that make took over
+# from validate(), and the label-built join that join_subdivisions replaced
+# by shifting b's carrier masks.
+
+def structural_fault_by_labels(cpx, index_set, sigma):
+    """The message of the first structural fault, or None: the old make's
+    duplicate-label check, then the structural half of the old validate()."""
+    idx = tuple(index_set)
+    if len(set(idx)) != len(idx):
+        return "duplicate index labels"
+    smap = {v: frozenset(s) for v, s in sigma.items()}
+    iset = set(idx)
+    overlap = iset & set(cpx.vertices)
+    if overlap:
+        return f"index set overlaps vertices: {sorted(overlap)}"
+    vset = set(cpx.vertices)
+    if set(smap) != vset:
+        missing = vset - set(smap)
+        extra = set(smap) - vset
+        what = f"missing {sorted(missing)}" if missing else f"extra {sorted(extra)}"
+        return f"carrier map domain mismatch: {what}"
+    for v, s in smap.items():
+        if not s:
+            return f"carrier of vertex {v!r} is empty"
+        if not s <= iset:
+            return f"carrier of vertex {v!r} is not a subset of the index set"
+    return None
+
+
+CORRUPTIONS = ("drop a vertex", "add a foreign label", "empty a carrier",
+               "reuse a vertex label as an index label", "repeat an index label")
+
+
+@given(carried_complexes(), st.lists(st.booleans(), min_size=5, max_size=5), st.data())
+def test_make_raises_exactly_the_faults_of_the_label_checks(s, chosen, data):
+    # each corruption drawn on its own, so that any two faults often come
+    # together and the order in which they are named is checked; the
+    # carrier map is listed in a drawn order
+    corruptions = [c for c, yes in zip(CORRUPTIONS, chosen) if yes]
+    index_set = list(s.index_set)
+    sigma = dict(data.draw(st.permutations(list(s.sigma.items()))))
+    for corruption in corruptions:
+        v = data.draw(st.sampled_from(s.complex.vertices))
+        at = data.draw(st.integers(0, len(index_set)))
+        if corruption == "drop a vertex":
+            del sigma[v]
+        elif corruption == "add a foreign label":
+            sigma[v] = sigma.get(v, frozenset()) | {"t"}
+        elif corruption == "empty a carrier":
+            sigma[v] = frozenset()
+        elif corruption == "reuse a vertex label as an index label":
+            index_set.insert(at, v)
+        else:
+            index_set.insert(at, index_set[-1])
+    want = structural_fault_by_labels(s.complex, index_set, sigma)
+    assert (want is None) == (not corruptions)
+    try:
+        got = Subdivision.make(s.complex, index_set, sigma)
+    except InvalidSubdivision as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert got == s and got.sigma == s.sigma
+
+
+def join_by_labels(a, b):
+    """b's labels renamed away from a's, the carrier map merged label by
+    label and the result built through make."""
+    rename = fresh_labels(set(a.complex.vertices) | set(a.index_set),
+                          tuple(b.complex.vertices) + tuple(b.index_set))
+    b_cpx = Complex.from_masks([rename[v] for v in b.complex.vertices], b.complex.facets)
+    sigma = dict(a.sigma)
+    for v, s in b.sigma.items():
+        sigma[rename[v]] = frozenset(rename[i] for i in s)
+    index_set = tuple(a.index_set) + tuple(rename[i] for i in b.index_set)
+    return Subdivision.make(join(a.complex, b_cpx), index_set, sigma)
+
+
+JOIN_CASES = {"A1": A1, "A2": A2, "A3": A3,
+              **{f"I2({m})": dihedral_subdivision(m) for m in range(2, 6)}}
+
+
+@pytest.mark.parametrize("a, b", product(JOIN_CASES, repeat=2),
+                         ids=[f"{a}*{b}" for a, b in product(JOIN_CASES, repeat=2)])
+def test_join_shifts_carriers_as_the_label_join_renames_them(a, b):
+    assert join_subdivisions(JOIN_CASES[a], JOIN_CASES[b]) == join_by_labels(
+        JOIN_CASES[a], JOIN_CASES[b])
+
+
 def test_local_sum_expects_validated_data():
     # edges ac and bc, a and b carried to {s1}: validate() rejects the
     # Euler characteristic 2 at {s1}; the restriction to {s1} has no gamma
@@ -446,14 +539,13 @@ def test_local_sum_expects_validated_data():
 
 
 def test_face_pass_rejects_labels_outside_the_carrier_map_or_index_set():
-    # unvalidated data: a carrier label outside the index set, a vertex
-    # without a carrier
-    foreign = _invalid(("p", [{"p"}]), ["s"], {"p": {"s", "t"}})
-    uncarried = _invalid(("pq", [{"p", "q"}]), ["s1", "s2"], {"p": {"s1"}})
-    for s, label in ((foreign, "'t'"), (uncarried, "'q'")):
-        for route in (local_h, sphere):
-            with pytest.raises(InvalidSubdivision, match=f"{label} is missing"):
-                route(s)
+    # a carrier label outside the index set, a vertex without a carrier:
+    # make names both, so the face pass only ever reads well-formed masks
+    with pytest.raises(InvalidSubdivision,
+                       match="^carrier of vertex 'p' is not a subset of the index set$"):
+        _invalid(("p", [{"p"}]), ["s"], {"p": {"s", "t"}})
+    with pytest.raises(InvalidSubdivision, match="^carrier map domain mismatch: missing"):
+        _invalid(("pq", [{"p", "q"}]), ["s1", "s2"], {"p": {"s1"}})
 
 
 def test_local_h_rejects_a_face_larger_than_its_carrier():
@@ -550,17 +642,17 @@ def test_to_dict_is_pinned(name):
 
 
 def test_sphere_rejects_a_label_shared_by_a_vertex_and_an_index():
-    s = Subdivision.make(Complex.make("ab", [{"a", "b"}]), ["a"],
-                         {"a": {"a"}, "b": {"a"}})  # not validated
-    with pytest.raises(InvalidComplex, match="^duplicate vertex labels$"):
-        sphere(s)
+    # make rejects the shared label, so no sphere can be built with one
+    with pytest.raises(InvalidSubdivision, match=r"^index set overlaps vertices: \['a'\]$"):
+        Subdivision.make(Complex.make("ab", [{"a", "b"}]), ["a"],
+                         {"a": {"a"}, "b": {"a"}})
 
 
 def test_subdivision_fields_cannot_be_assigned():
     s = type_a_subdivision(2)
     assert local_h(s) == Poly1({1: 1})  # the face pass is cached now
     for field, value in (("complex", Complex.trivial()), ("index_set", ()),
-                         ("sigma", {})):
+                         ("carriers", ()), ("sigma", {})):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, field, value)
     assert local_h(s) == Poly1({1: 1})
