@@ -5,15 +5,17 @@ numbered 0 .. n+2. The snake triangulation fixes the negative copy of the
 index set: snake diagonal s_i joins ceil(i/2) and n+2 - floor(i/2), a
 zig-zag starting next to vertex 0. The remaining ("positive") diagonals
 are the model's vertices, faces are pairwise noncrossing sets, and the
-carrier of a diagonal is the set of snake diagonals it crosses.
+carrier of a diagonal is the set of snake diagonals it crosses; the facets
+are the maximal cliques of the noncrossing graph (a flag complex).
 
 The dihedral model of parameter m is a path on m vertices whose endpoints
 carry one index label each and whose interior vertices carry both.
+Both models are built as masks, which the Subdivision constructor checks.
 """
 
 from __future__ import annotations
 
-from .complexes import Complex
+from .complexes import Complex, maximal_cliques
 from .subdivisions import Subdivision
 
 
@@ -39,49 +41,19 @@ def polygon_diagonals(size: int) -> list[tuple[int, int]]:
     return out
 
 
-def polygon_triangulations(size: int) -> list[frozenset[tuple[int, int]]]:
-    """All triangulations of the convex polygon 0 .. size-1, each as a
-    frozenset of size-3 pairwise noncrossing diagonals."""
-
-    def rec(i, j):
-        if j - i < 2:
-            yield frozenset()
-            return
-        for k in range(i + 1, j):
-            for left in rec(i, k):
-                for right in rec(k, j):
-                    diags = set(left) | set(right)
-                    if k - i >= 2:
-                        diags.add((i, k))
-                    if j - k >= 2:
-                        diags.add((k, j))
-                    yield frozenset(diags)
-
-    return list(rec(0, size - 1))
-
-
-def _diag_label(d) -> str:
-    a, b = sorted(d)
-    return f"{a}-{b}"
-
-
 def type_a_subdivision(n: int) -> Subdivision:
     """Positive part of the type A rank n cluster complex with its carrier
-    map; facets are the triangulations avoiding every snake diagonal."""
+    map; facets are the maximal sets of pairwise noncrossing positive
+    diagonals, the triangulations avoiding every snake diagonal."""
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
-    size = n + 3
     snake = snake_diagonals(n)
-    snake_set = set(snake)
-    positive = [d for d in polygon_diagonals(size) if d not in snake_set]
-
-    facets = [frozenset(_diag_label(d) for d in tri)
-              for tri in polygon_triangulations(size)
-              if not (tri & snake_set)]
-    sigma = {_diag_label(d): {f"s{i}" for i, s in enumerate(snake, start=1) if crosses(d, s)}
-             for d in positive}
-    index_set = [f"s{i}" for i in range(1, n + 1)]
-    return Subdivision.make(Complex.make(list(sigma), facets), index_set, sigma)
+    positive = [d for d in polygon_diagonals(n + 3) if d not in snake]
+    adj = [sum(1 << j for j, e in enumerate(positive) if e != d and not crosses(d, e))
+           for d in positive]
+    carriers = [sum(1 << k for k, s in enumerate(snake) if crosses(d, s)) for d in positive]
+    cpx = Complex.from_masks([f"{a}-{b}" for a, b in positive], maximal_cliques(adj))
+    return Subdivision(cpx, tuple(f"s{i}" for i in range(1, n + 1)), tuple(carriers))
 
 
 def dihedral_subdivision(m: int) -> Subdivision:
@@ -89,12 +61,9 @@ def dihedral_subdivision(m: int) -> Subdivision:
     interior carriers are {s1, s2}. Its sphere is the (m+2)-gon boundary."""
     if m < 2:
         raise ValueError(f"dihedral parameter must be >= 2, got {m}")
-    labels = [f"p{i}" for i in range(1, m + 1)]
-    facets = [frozenset((labels[i], labels[i + 1])) for i in range(m - 1)]
-    sigma = {v: frozenset(("s1", "s2")) for v in labels}
-    sigma[labels[0]] = frozenset(("s1",))
-    sigma[labels[-1]] = frozenset(("s2",))
-    return Subdivision.make(Complex.make(labels, facets), ["s1", "s2"], sigma)
+    cpx = Complex.from_masks([f"p{i}" for i in range(1, m + 1)],
+                             [3 << i for i in range(m - 1)])
+    return Subdivision(cpx, ("s1", "s2"), (1,) + (3,) * (m - 2) + (2,))
 
 
 def count_roots_by_support(n: int) -> dict[int, int]:

@@ -6,7 +6,8 @@ c.vertices[i]); labels appear only in make, from_dict, to_dict and error
 messages. Facets are stored by size and then mask; to_dict lists them by
 size and then sorted labels. The trivial complex {[]} is the single facet 0
 on no vertices.
-face_set searches a complex's faces once and keeps the list on it.
+face_set searches a complex's faces once and keeps the list on it. The flag
+models and is_flag read facets off maximal_cliques, with no face search.
 """
 
 from __future__ import annotations
@@ -218,20 +219,35 @@ def f_polynomial(c: Complex) -> Poly1:
     return Poly1(dict(enumerate(f_vector(c))))
 
 
+def maximal_cliques(adj) -> list[int]:
+    """The maximal cliques, as masks, of the graph where adj[i] is vertex i's
+    neighbour mask without bit i: Bron-Kerbosch with Tomita's pivot, a vertex
+    of P | X with the most neighbours in P. No vertex gives the one clique 0."""
+    out = []
+
+    def expand(clique: int, p: int, x: int) -> None:
+        if not p | x:
+            out.append(clique)
+        elif p:
+            pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+            for v in _bits(p & ~adj[pivot]):
+                expand(clique | 1 << v, p & adj[v], x & adj[v])
+                p, x = p ^ 1 << v, x | 1 << v
+
+    expand(0, (1 << len(adj)) - 1, 0)
+    return out
+
+
 def is_flag(c: Complex) -> bool:
-    """True iff every clique of the 1-skeleton is a face. A nonempty face is
-    F + v for a face F and a vertex v above F's top that is on an edge with
-    each vertex of F; the complex is flag iff every such pair (F, v) gives a
-    face, that is iff the pairs are exactly as many as the nonempty faces."""
-    faces = face_set(c)
-    up = [0] * len(c.vertices)  # up[i]: i and the vertices above i on an edge with it
-    for f in all_faces(c).get(2, ()):
-        up[(f & -f).bit_length() - 1] |= f
-    joined = {0: (1 << len(c.vertices)) - 1}  # F: vertices above F joined to all of F
-    for f in faces[1:]:
-        top = f.bit_length() - 1
-        joined[f] = joined[f ^ 1 << top] & up[top] & -(2 << top)
-    return sum(m.bit_count() for m in joined.values()) == len(faces) - 1
+    """True iff every clique of the 1-skeleton is a face, that is iff the
+    facets are the maximal cliques of the 1-skeleton, where vertex i's
+    neighbours are the other vertices of the facets that hold i."""
+    adj = [0] * len(c.vertices)
+    for f in c.facets:
+        for i in _bits(f):
+            adj[i] |= f ^ 1 << i
+    cliques = sorted(maximal_cliques(adj), key=lambda f: (f.bit_count(), f))
+    return tuple(cliques) == c.facets
 
 
 def fresh_labels(taken, labels) -> dict[str, str]:

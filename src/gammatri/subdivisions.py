@@ -77,6 +77,16 @@ class Subdivision:
     index_set: tuple[str, ...]
     carriers: tuple[int, ...]  # per vertex, a mask over the positions of index_set
 
+    def __post_init__(self):
+        """One carrier per vertex, each a nonzero mask over the index set."""
+        verts, width = self.complex.vertices, len(self.index_set)
+        if len(self.carriers) != len(verts):
+            raise InvalidSubdivision(
+                f"{len(self.carriers)} carriers for {len(verts)} vertices")
+        for v, c in zip(verts, self.carriers):
+            if not 0 < c < 1 << width:
+                raise InvalidSubdivision(f"carrier {c} of {v!r} is outside [1, 2^{width})")
+
     @classmethod
     def make(cls, complex: Complex, index_set, sigma) -> "Subdivision":
         """The validating constructor from vertex labels to carrier label
@@ -186,6 +196,10 @@ class SphereWithFacet:
 
     complex: Complex
     facet: int
+
+    def __post_init__(self):
+        if self.facet not in self.complex.facets:
+            raise InvalidComplex(f"mask {self.facet} is not a facet of the complex")
 
     @classmethod
     def make(cls, complex: Complex, facet) -> "SphereWithFacet":

@@ -7,14 +7,14 @@ from gammatri.cluster import (
     crosses,
     dihedral_subdivision,
     polygon_diagonals,
-    polygon_triangulations,
     snake_diagonals,
     type_a_subdivision,
 )
-from gammatri.complexes import f_vector, is_flag
+from gammatri.complexes import Complex, f_vector, is_flag
 from gammatri.coxeter import closed_gamma_triangle, local_gamma_poly, TypedComponent
 from gammatri.poly import Poly1
 from gammatri.subdivisions import (
+    Subdivision,
     f_triangle,
     local_gamma,
     sphere,
@@ -26,6 +26,73 @@ from gammatri.verify import model_gamma
 
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
+
+
+# Test-only oracles: the label-built models that the clique search replaced.
+
+def polygon_triangulations(size: int) -> list[frozenset[tuple[int, int]]]:
+    """All triangulations of the convex polygon 0 .. size-1, each as a
+    frozenset of size-3 pairwise noncrossing diagonals."""
+
+    def rec(i, j):
+        if j - i < 2:
+            yield frozenset()
+            return
+        for k in range(i + 1, j):
+            for left in rec(i, k):
+                for right in rec(k, j):
+                    diags = set(left) | set(right)
+                    if k - i >= 2:
+                        diags.add((i, k))
+                    if j - k >= 2:
+                        diags.add((k, j))
+                    yield frozenset(diags)
+
+    return list(rec(0, size - 1))
+
+
+def diag_label(d) -> str:
+    a, b = sorted(d)
+    return f"{a}-{b}"
+
+
+def type_a_by_triangulations(n: int) -> Subdivision:
+    """The type A model with the triangulations avoiding the snake as its
+    facets, built from labels through Complex.make and Subdivision.make."""
+    size = n + 3
+    snake = snake_diagonals(n)
+    snake_set = set(snake)
+    positive = [d for d in polygon_diagonals(size) if d not in snake_set]
+    facets = [frozenset(diag_label(d) for d in tri)
+              for tri in polygon_triangulations(size)
+              if not (tri & snake_set)]
+    sigma = {diag_label(d): {f"s{i}" for i, s in enumerate(snake, start=1) if crosses(d, s)}
+             for d in positive}
+    index_set = [f"s{i}" for i in range(1, n + 1)]
+    return Subdivision.make(Complex.make(list(sigma), facets), index_set, sigma)
+
+
+def dihedral_by_labels(m: int) -> Subdivision:
+    """The dihedral path model built from labels through Complex.make and
+    Subdivision.make."""
+    labels = [f"p{i}" for i in range(1, m + 1)]
+    facets = [frozenset((labels[i], labels[i + 1])) for i in range(m - 1)]
+    sigma = {v: frozenset(("s1", "s2")) for v in labels}
+    sigma[labels[0]] = frozenset(("s1",))
+    sigma[labels[-1]] = frozenset(("s2",))
+    return Subdivision.make(Complex.make(labels, facets), ["s1", "s2"], sigma)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_type_a_model_equals_the_label_built_model(n):
+    # equal vertices, index set and carriers, each in the same order, and the
+    # facets are the triangulations avoiding the snake, in the same order
+    assert type_a_subdivision(n) == type_a_by_triangulations(n)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_dihedral_model_equals_the_label_built_model(m):
+    assert dihedral_subdivision(m) == dihedral_by_labels(m)
 
 
 def test_crossing_rule():
@@ -157,7 +224,6 @@ def test_parabolic_restrictions_factor(n):
 
 
 def test_export_round_trips_through_json():
-    from gammatri.subdivisions import Subdivision
     s = type_a_subdivision(3)
     again = Subdivision.from_dict(s.to_dict())
     assert model_gamma(again) == model_gamma(s)

@@ -17,6 +17,7 @@ from gammatri.complexes import (
     is_flag,
     is_pure,
     join,
+    maximal_cliques,
 )
 from gammatri.poly import Poly1
 from gammatri.subdivisions import restrict, sphere
@@ -166,6 +167,19 @@ def _clique_complex(edges):
         frontier = nxt
     maximal = [c for c in set(cliques) if not any(c < d for d in set(cliques))]
     return Complex.make(verts, maximal)
+
+
+@given(GRAPHS)
+def test_maximal_cliques_span_the_clique_complex(edges):
+    verts = sorted(set().union(*edges)) if edges else ["a"]
+    nbrs = {v: set().union(*(e - {v} for e in edges if v in e)) for v in verts}
+    adj = [sum(1 << verts.index(w) for w in nbrs[v]) for v in verts]
+    assert Complex.from_masks(verts, maximal_cliques(adj)) == _clique_complex(edges)
+
+
+def test_maximal_cliques_without_edges():
+    assert maximal_cliques([]) == [0]  # no vertex: the empty clique only
+    assert sorted(maximal_cliques([0, 0])) == [1, 2]  # two isolated vertices
 
 
 @given(GRAPHS, GRAPHS)

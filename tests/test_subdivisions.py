@@ -656,3 +656,38 @@ def test_subdivision_fields_cannot_be_assigned():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, field, value)
     assert local_h(s) == Poly1({1: 1})
+
+
+# The raw constructors check the masks they are given; make checks labels
+# first and keeps its own messages.
+EDGE_AB = Complex.make("ab", [{"a", "b"}])
+
+
+def test_raw_subdivision_rejects_a_carrier_count_off_the_vertex_count():
+    with pytest.raises(InvalidSubdivision, match=r"^1 carriers for 2 vertices$"):
+        Subdivision(EDGE_AB, ("s",), (1,))
+    with pytest.raises(InvalidSubdivision, match=r"^3 carriers for 2 vertices$"):
+        Subdivision(EDGE_AB, ("s",), (1, 1, 1))
+
+
+def test_raw_subdivision_rejects_a_carrier_beyond_the_index_set():
+    with pytest.raises(InvalidSubdivision,
+                       match=r"^carrier 4 of 'b' is outside \[1, 2\^1\)$"):
+        Subdivision(EDGE_AB, ("s",), (1, 4))
+
+
+@pytest.mark.parametrize("mask", [0, -1])
+def test_raw_subdivision_rejects_an_empty_or_negative_carrier(mask):
+    with pytest.raises(InvalidSubdivision,
+                       match=rf"^carrier {mask} of 'a' is outside \[1, 2\^1\)$"):
+        Subdivision(EDGE_AB, ("s",), (mask, 1))
+
+
+def test_raw_sphere_with_facet_rejects_a_mask_that_is_not_a_facet():
+    pentagon = Complex.make("abcde", [set(p) for p in ("ab", "bc", "cd", "de", "ae")])
+    with pytest.raises(InvalidComplex, match=r"^mask 5 is not a facet of the complex$"):
+        SphereWithFacet(pentagon, 0b101)
+    with pytest.raises(InvalidComplex,
+                       match=r"^\['a', 'c'\] is not a facet of the complex$"):
+        SphereWithFacet.make(pentagon, {"a", "c"})
+    assert SphereWithFacet(pentagon, 0b11) == SphereWithFacet.make(pentagon, {"a", "b"})
