@@ -6,7 +6,8 @@ index set: snake diagonal s_i joins ceil(i/2) and n+2 - floor(i/2), a
 zig-zag starting next to vertex 0. The remaining ("positive") diagonals
 are the model's vertices, faces are pairwise noncrossing sets, and the
 carrier of a diagonal is the set of snake diagonals it crosses; the facets
-are the maximal cliques of the noncrossing graph (a flag complex).
+are the maximal cliques of the noncrossing graph (a flag complex, built by
+Complex.from_graph, so its restrictions and sphere take the flag path).
 
 The dihedral model of parameter m is a path on m vertices whose endpoints
 carry one index label each and whose interior vertices carry both.
@@ -15,7 +16,7 @@ Both models are built as masks, which the Subdivision constructor checks.
 
 from __future__ import annotations
 
-from .complexes import Complex, maximal_cliques
+from .complexes import Complex
 from .subdivisions import Subdivision
 
 
@@ -52,7 +53,7 @@ def type_a_subdivision(n: int) -> Subdivision:
     adj = [sum(1 << j for j, e in enumerate(positive) if e != d and not crosses(d, e))
            for d in positive]
     carriers = [sum(1 << k for k, s in enumerate(snake) if crosses(d, s)) for d in positive]
-    cpx = Complex.from_masks([f"{a}-{b}" for a, b in positive], maximal_cliques(adj))
+    cpx = Complex.from_graph([f"{a}-{b}" for a, b in positive], adj)
     return Subdivision(cpx, tuple(f"s{i}" for i in range(1, n + 1)), tuple(carriers))
 
 

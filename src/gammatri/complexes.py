@@ -6,8 +6,15 @@ c.vertices[i]); labels appear only in make, from_dict, to_dict and error
 messages. Facets are stored by size and then mask; to_dict lists them by
 size and then sorted labels. The trivial complex {[]} is the single facet 0
 on no vertices.
-face_set searches a complex's faces once and keeps the list on it. The flag
-models and is_flag read facets off maximal_cliques, with no face search.
+face_set searches a complex's faces once and keeps the list on it. A flag
+complex lists them by a clique walk on its 1-skeleton's neighbour masks,
+one bit per vertex; any other complex by a search through its facets.
+Flagness is decided at most once per loaded complex: from_graph builds a
+clique complex and records it as flag with no test, and _generic marks a
+restriction or sphere built on the generic path from a complex that is not
+flag; any other complex runs is_flag once, when a face search (or a
+restriction or sphere built from it) first needs it. The flag models and
+is_flag read facets off maximal_cliques, with no face search.
 """
 
 from __future__ import annotations
@@ -49,6 +56,14 @@ class Complex:
     vertices: tuple[str, ...]
     facets: tuple[int, ...]  # masks over the positions of vertices
 
+    def __post_init__(self):
+        """Facet masks lie in [0, 2^|vertices|) and come in stored (size,
+        mask) order, each once; from_masks names its faults first."""
+        _check_range(self.facets, len(self.vertices))
+        keys = [(f.bit_count(), f) for f in self.facets]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise InvalidComplex("facet masks are not in (size, mask) order, each once")
+
     @classmethod
     def make(cls, vertices, facets) -> "Complex":
         """Validating constructor from label sets: a label outside `vertices`
@@ -76,8 +91,7 @@ class Complex:
             return sorted([verts[i] for i in _bits(f)])
 
         masks = sorted(set(facets), key=lambda f: (f.bit_count(), f)) or [0]
-        if stray := [f for f in masks if f < 0 or f >> len(verts)]:
-            raise InvalidComplex(f"facet mask {stray[0]} is outside [0, 2^{len(verts)})")
+        _check_range(masks, len(verts))
         if len(set(verts)) != len(verts):
             raise InvalidComplex("duplicate vertex labels")
         if first_supersets(masks):  # named by the first pair in label order
@@ -91,35 +105,43 @@ class Complex:
         return cls(verts, tuple(masks))
 
     @classmethod
+    def from_graph(cls, vertices, adj) -> "Complex":
+        """The clique complex of the graph on `vertices` where adj[i] is
+        vertex i's neighbour mask, symmetric and without bit i (its callers
+        build it so): the facets are the maximal cliques. It is flag by
+        construction, so it keeps adj as its 1-skeleton and its face search
+        needs no flag test."""
+        adj = list(adj)
+        c = cls.from_masks(vertices, maximal_cliques(adj))
+        c.__dict__.update(neighbours=adj, _flag=True)  # the cached properties below
+        return c
+
+    @classmethod
     def trivial(cls) -> "Complex":
         """The complex whose only face is the empty face."""
         return cls.from_masks((), [0])
 
     @cached_property
+    def neighbours(self) -> list[int]:
+        """The 1-skeleton: entry i masks the other vertices of the facets
+        that hold vertex i."""
+        return _skeleton(self.facets, len(self.vertices))
+
+    @cached_property
+    def _flag(self) -> bool:
+        """The route gate of _faces, restrict and sphere: True for a complex
+        that from_graph built, False for one that _generic marked, and
+        otherwise is_flag, run at most once per complex."""
+        return is_flag(self)
+
+    @cached_property
     def _faces(self) -> list[int]:
-        """face_set's search, run once per complex: depth first, carrying the
-        facets that hold the current face and adding a higher vertex only
-        while one of them holds it too (Kaibel and Pfetsch, 2002). A face
-        with no higher candidate left is listed without a search of its own,
-        and so is a face's only extension. The empty face 0 comes first, and
-        every other face comes after the face that drops its top vertex."""
-        inc = _transpose(self.facets, len(self.vertices))
-        out = [0]
-
-        def extend(face: int, m: int, candidates: list[int]) -> None:
-            for i, w in enumerate(candidates, 1):
-                g = face | 1 << w
-                out.append(g)
-                if i < len(candidates):
-                    m2 = m & inc[w]
-                    rest = [x for x in candidates[i:] if inc[x] & m2]
-                    if len(rest) > 1:
-                        extend(g, m2, rest)
-                    elif rest:
-                        out.append(g | 1 << rest[0])
-
-        extend(0, (1 << len(self.facets)) - 1, list(range(len(inc))))
-        return out
+        """face_set's search, run once per complex: the clique walk for a
+        flag complex, the facet search otherwise. On a flag complex the two
+        give the same list, in the same order."""
+        if self._flag:
+            return _clique_faces(self.neighbours)
+        return _facet_faces(self.facets, len(self.vertices))
 
     def to_dict(self) -> dict:
         return {
@@ -146,6 +168,81 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _check_range(masks, width: int) -> None:
+    """A facet mask outside [0, 2^width) raises InvalidComplex."""
+    if stray := [f for f in masks if f < 0 or f >> width]:
+        raise InvalidComplex(f"facet mask {stray[0]} is outside [0, 2^{width})")
+
+
+def _generic(c: Complex) -> Complex:
+    """c marked to take the generic paths of _faces, restrict and sphere,
+    with no flag test: for a complex that restrict or sphere built on the
+    generic path from one that is not flag. Those paths are right for any
+    complex, so the restrictions and sphere of a complex that is not flag
+    inherit its route as a flag complex's inherit theirs."""
+    c.__dict__["_flag"] = False  # the cached property of Complex
+    return c
+
+
+def _facet_faces(facets, width: int) -> list[int]:
+    """Every face of the complex with these facets over `width` vertices:
+    depth first, carrying the facets that hold the current face and adding a
+    higher vertex only while one of them holds it too (Kaibel and Pfetsch,
+    2002). A face with no higher candidate left is listed without a search
+    of its own, and so is a face's only extension. The empty face 0 comes
+    first, and every other face comes after the face that drops its top
+    vertex."""
+    inc = _transpose(facets, width)
+    out = [0]
+
+    def extend(face: int, m: int, candidates: list[int]) -> None:
+        for i, w in enumerate(candidates, 1):
+            g = face | 1 << w
+            out.append(g)
+            if i < len(candidates):
+                m2 = m & inc[w]
+                rest = [x for x in candidates[i:] if inc[x] & m2]
+                if len(rest) > 1:
+                    extend(g, m2, rest)
+                elif rest:
+                    out.append(g | 1 << rest[0])
+
+    extend(0, (1 << len(facets)) - 1, list(range(len(inc))))
+    return out
+
+
+def _clique_faces(adj) -> list[int]:
+    """Every clique of the graph where adj[i] is vertex i's neighbour mask,
+    in _facet_faces's order: depth first, a clique's candidates are the
+    higher vertices adjacent to all of it, so each step ANDs one
+    vertex-wide mask. On a flag complex's 1-skeleton these are its faces."""
+    out = [0]
+
+    def extend(face: int, candidates: int) -> None:
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            g = face | low
+            out.append(g)
+            rest = candidates & adj[low.bit_length() - 1]
+            if rest & (rest - 1):
+                extend(g, rest)
+            elif rest:
+                out.append(g | rest)
+
+    extend(0, (1 << len(adj)) - 1)
+    return out
+
+
+def _skeleton(facets, width: int) -> list[int]:
+    """Entry i masks the other vertices of the facets that hold position i."""
+    adj = [0] * width
+    for f in facets:
+        for i in _bits(f):
+            adj[i] |= f ^ 1 << i
+    return adj
 
 
 def _transpose(masks, width: int) -> list[int]:
@@ -184,7 +281,8 @@ def first_supersets(sets) -> dict[int, int]:
 
 def face_set(c: Complex) -> list[int]:
     """Every face of c once, as a mask over the positions of c.vertices; the
-    search (Complex._faces) runs on the first call and its list is kept on c."""
+    search (Complex._faces: a clique walk when c is flag) runs on the first
+    call and its list is kept on c."""
     return c._faces
 
 
@@ -241,11 +339,9 @@ def maximal_cliques(adj) -> list[int]:
 def is_flag(c: Complex) -> bool:
     """True iff every clique of the 1-skeleton is a face, that is iff the
     facets are the maximal cliques of the 1-skeleton, where vertex i's
-    neighbours are the other vertices of the facets that hold i."""
-    adj = [0] * len(c.vertices)
-    for f in c.facets:
-        for i in _bits(f):
-            adj[i] |= f ^ 1 << i
+    neighbours are the other vertices of the facets that hold i. Decided
+    from c.facets on every call, never from how c was built."""
+    adj = _skeleton(c.facets, len(c.vertices))
     cliques = sorted(maximal_cliques(adj), key=lambda f: (f.bit_count(), f))
     return tuple(cliques) == c.facets
 

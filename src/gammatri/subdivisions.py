@@ -10,10 +10,19 @@ restriction, not full topology; validate() reports which checks ran.
 
 Carriers are int masks over the positions of the index set, one per vertex;
 labels appear only in make, from_dict, to_dict, sigma and error messages.
-Every route reads one cached face pass per subdivision (a Subdivision is
-frozen, so the pass cannot go stale): each face of the complex (a
-complexes.face_set mask) with its carrier. sphere() builds its facets from
-that pass, and its distinguished facet is the index set's mask.
+The face-count routes read one cached face pass per subdivision (a
+Subdivision is frozen, so the pass cannot go stale): each face of the
+complex (a complexes.face_set mask) with its carrier.
+
+A flag complex is a clique complex, and so are its restrictions (induced
+subcomplexes) and its sphere, so restrict() and sphere() build them with
+Complex.from_graph from the complex's 1-skeleton and its carriers, with no
+face pass; they are flag by construction, and their face searches are
+clique walks. For any other complex restrict() cuts the facets and sphere()
+builds its facets from the face pass; what they build is marked to take
+those generic paths in turn (complexes._generic), so flagness is decided
+once per loaded complex either way. The sphere's distinguished facet is
+the index set's mask.
 
 Local h, the local-sum triangle and the direct H-triangle are sums of
 per-face terms over restrictions. A face F with a = |F| and
@@ -36,6 +45,7 @@ from .complexes import (
     Complex,
     InvalidComplex,
     _bits,
+    _generic,
     _json_fields,
     all_faces,
     dimension,
@@ -221,9 +231,16 @@ def restrict(s: Subdivision, J) -> Complex:
                     if not c & outside)
     bit = {i: 1 << k for k, (_, i) in enumerate(inside)}  # renumbered by label
     keep = sum(1 << i for i in bit)
-    cut = {f & keep for f in s.complex.facets}
-    return Complex.from_masks([v for v, _ in inside], [
-        sum(map(bit.__getitem__, _bits(f))) for f in cut - first_supersets(cut).keys()])
+
+    def renumber(f: int) -> int:
+        return sum(map(bit.__getitem__, _bits(f & keep)))
+
+    cpx, labels = s.complex, [v for v, _ in inside]
+    if cpx._flag:  # the induced subgraph's clique complex
+        return Complex.from_graph(labels, [renumber(cpx.neighbours[i]) for _, i in inside])
+    cut = {f & keep for f in cpx.facets}
+    cut -= first_supersets(cut).keys()
+    return _generic(Complex.from_masks(labels, map(renumber, cut)))
 
 
 def sub_subdivision(s: Subdivision, K) -> Subdivision:
@@ -266,6 +283,19 @@ def local_gamma(s: Subdivision) -> Poly1:
 def sphere(s: Subdivision) -> SphereWithFacet:
     """The complex on vertices(C) + I whose faces are F + J with the
     carrier of F disjoint from J; the distinguished facet is I."""
+    cpx, n = s.complex, len(s.index_set)
+    shift, full = len(cpx.vertices), (1 << n) - 1
+    verts = cpx.vertices + tuple(s.index_set)
+    if cpx._flag:
+        # F + J is a clique exactly when F is one of C and J misses the
+        # carrier of each vertex of F: C's edges, v ~ i for i outside
+        # carrier(v), and every pair of index vertices
+        avoid = [full & ~c for c in s.carriers]
+        index_adj = [sum(1 << v for v, a in enumerate(avoid) if a >> k & 1)
+                     | (full ^ 1 << k) << shift for k in range(n)]
+        return SphereWithFacet(Complex.from_graph(verts, [
+            e | a << shift for e, a in zip(cpx.neighbours, avoid)] + index_adj),
+            full << shift)  # every carrier is nonempty
     carrier = s._face_pass
     # F + (I - carrier(F)) lies inside F' + (I - carrier(F')) only when F is
     # inside F' and both have the same carrier; such an F' contains some
@@ -280,11 +310,9 @@ def sphere(s: Subdivision) -> SphereWithFacet:
             if carrier[g ^ low] == cg:
                 extendable.add(g ^ low)
             rest ^= low
-    shift, full = len(s.complex.vertices), (1 << len(s.index_set)) - 1
-    cpx = Complex.from_masks(s.complex.vertices + tuple(s.index_set),
-                             [f | (full & ~c) << shift for f, c in carrier.items()
-                              if f not in extendable])
-    return SphereWithFacet(cpx, full << shift)  # every carrier is nonempty
+    return SphereWithFacet(_generic(Complex.from_masks(verts, [
+        f | (full & ~c) << shift for f, c in carrier.items() if f not in extendable])),
+        full << shift)
 
 
 def f_triangle(sph: SphereWithFacet) -> Poly2:

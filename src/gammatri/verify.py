@@ -117,7 +117,7 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK) -> Report:
 
     for n in range(1, max_rank + 1):
         *_, by_model, by_local = routes[f"A{n}"]
-        by_formula = coxeter.closed_gamma_triangle("A", n)
+        by_formula = coxeter.closed_triangle("A", n)
         ok = by_model == by_local == by_formula
         rep.add(f"three_way_A{n}", ok,
                 "model == local-sum == closed form" if ok else
@@ -156,7 +156,7 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK) -> Report:
 
     for n in range(1, max_rank + 1):
         counts = cluster.count_roots_by_support(n)
-        gt = coxeter.closed_gamma_triangle("A", n)
+        gt = coxeter.closed_triangle("A", n)
         ok = all(gt.entry(1, l) == counts.get(n - l, 0)
                  for l in range(0, max(n - 1, 0)))
         rep.add(f"root_support_counts_A{n}", ok)

@@ -3,11 +3,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from gammatri import complexes as complexes_module
 from gammatri.cluster import type_a_subdivision
 from gammatri.complexes import (
     Complex,
     InvalidComplex,
     _bits,
+    _clique_faces,
+    _facet_faces,
+    _skeleton,
     all_faces,
     dimension,
     f_polynomial,
@@ -175,6 +179,7 @@ def test_maximal_cliques_span_the_clique_complex(edges):
     nbrs = {v: set().union(*(e - {v} for e in edges if v in e)) for v in verts}
     adj = [sum(1 << verts.index(w) for w in nbrs[v]) for v in verts]
     assert Complex.from_masks(verts, maximal_cliques(adj)) == _clique_complex(edges)
+    assert Complex.from_graph(verts, adj) == _clique_complex(edges)
 
 
 def test_maximal_cliques_without_edges():
@@ -430,3 +435,54 @@ def test_mask_input_is_checked_as_label_input(verts, facets):
 
     assert built(Complex.make, verts, facets) == built(
         Complex.from_masks, verts, [sum(1 << pos[v] for v in f) for f in facets])
+
+
+# The flag path: from_graph records a complex as flag, face_set walks the
+# cliques of a flag complex, and the facet search (Kaibel-Pfetsch) and
+# is_flag stay the oracles, decided from the facets alone.
+
+@given(complexes())
+def test_face_set_walks_cliques_exactly_on_flag_complexes(c):
+    facet_search = _facet_faces(c.facets, len(c.vertices))
+    assert face_set(c) == facet_search
+    assert (_clique_faces(c.neighbours) == facet_search) == is_flag(c)
+    assert c._flag == is_flag(c)
+
+
+@given(complexes())
+def test_from_graph_rebuilds_exactly_the_flag_complexes(c):
+    rebuilt = Complex.from_graph(c.vertices, c.neighbours)
+    assert (rebuilt == c) == is_flag(c)
+    # the recorded 1-skeleton is the one its facets give
+    assert _skeleton(rebuilt.facets, len(rebuilt.vertices)) == c.neighbours
+    assert face_set(rebuilt) == _facet_faces(rebuilt.facets, len(rebuilt.vertices))
+
+
+def test_is_flag_runs_its_clique_search_on_a_from_graph_complex(monkeypatch):
+    c = Complex.from_graph("abcde", PENTAGON.neighbours)
+    assert c == PENTAGON and c._flag
+    searches = []
+    search = complexes_module.maximal_cliques
+    monkeypatch.setattr(complexes_module, "maximal_cliques",
+                        lambda adj: searches.append(adj) or search(adj))
+    assert is_flag(c) and is_flag(c)
+    assert len(searches) == 2  # once per call, never read off the record
+    forged = Complex(TRIANGLE.vertices, TRIANGLE.facets)
+    forged.__dict__["_flag"] = True
+    assert not is_flag(forged)
+
+
+def test_raw_complex_rejects_stray_or_misordered_facets():
+    order = r"^facet masks are not in \(size, mask\) order, each once$"
+    with pytest.raises(InvalidComplex, match=order):
+        Complex(("a", "b"), (2, 1))
+    with pytest.raises(InvalidComplex, match=order):
+        Complex(("a", "b", "c"), (3, 4))  # a larger facet before a smaller one
+    with pytest.raises(InvalidComplex, match=order):
+        Complex(("a", "b"), (1, 1))
+    with pytest.raises(InvalidComplex, match=r"^facet mask 3 is outside \[0, 2\^1\)$"):
+        Complex(("a",), (3,))
+    with pytest.raises(InvalidComplex, match=r"^facet mask -1 is outside \[0, 2\^1\)$"):
+        Complex(("a",), (-1,))
+    two_points = Complex(("a", "b"), (1, 2))
+    assert two_points == Complex.from_masks("ab", [2, 1]) and is_flag(two_points)

@@ -6,11 +6,13 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from gammatri import subdivisions, verify
+from gammatri import complexes, subdivisions, verify
 from gammatri.cluster import dihedral_subdivision, type_a_subdivision
 from gammatri.complexes import (
     Complex,
     InvalidComplex,
+    _facet_faces,
+    _generic,
     all_faces,
     f_polynomial,
     f_vector,
@@ -691,3 +693,109 @@ def test_raw_sphere_with_facet_rejects_a_mask_that_is_not_a_facet():
                        match=r"^\['a', 'c'\] is not a facet of the complex$"):
         SphereWithFacet.make(pentagon, {"a", "c"})
     assert SphereWithFacet(pentagon, 0b11) == SphereWithFacet.make(pentagon, {"a", "b"})
+
+
+# The flag path of restrict and sphere against the generic one, which cuts
+# the facets and reads the sphere's facets off the face pass.
+
+def generic(s: Subdivision) -> Subdivision:
+    """s on a copy of its complex marked as not flag, so that restrict,
+    sphere and face_set take their generic paths."""
+    return Subdivision(_generic(Complex(s.complex.vertices, s.complex.facets)),
+                       s.index_set, s.carriers)
+
+
+def assert_flag_and_generic_paths_agree(s: Subdivision) -> None:
+    g = generic(s)
+    for r in range(len(s.index_set) + 1):
+        for J in combinations(s.index_set, r):
+            a, b = restrict(s, J), restrict(g, J)
+            assert (a.vertices, a.facets) == (b.vertices, b.facets), J
+            assert face_set(a) == _facet_faces(b.facets, len(b.vertices)), J
+            assert is_flag(a) or not s.complex._flag  # an induced subcomplex
+    a, b = sphere(s), sphere(g)
+    assert (a.complex.vertices, a.complex.facets, a.facet) == (
+        b.complex.vertices, b.complex.facets, b.facet)
+    assert face_set(a.complex) == _facet_faces(b.complex.facets, len(b.complex.vertices))
+    assert is_flag(a.complex) or not s.complex._flag
+
+
+def stellar_triangle() -> Subdivision:
+    """The triangle ijk coned from an apex o over its boundary, a
+    subdivision that is not flag: abc is a clique of it but no face."""
+    return Subdivision.make(Complex.make("abco", ["abo", "bco", "aco"]), "ijk",
+                            {"a": "i", "b": "j", "c": "k", "o": "ijk"})
+
+
+@given(carried_complexes())
+def test_flag_and_generic_paths_agree(s):
+    assert_flag_and_generic_paths_agree(s)
+
+
+@pytest.mark.parametrize("s", [type_a_subdivision(n) for n in range(1, 8)]
+                         + [dihedral_subdivision(m) for m in range(2, 9)],
+                         ids=[f"A{n}" for n in range(1, 8)]
+                         + [f"I2({m})" for m in range(2, 9)])
+def test_flag_and_generic_paths_agree_on_the_models(s):
+    assert s.complex._flag
+    assert face_set(s.complex) == _facet_faces(s.complex.facets, len(s.complex.vertices))
+    assert_flag_and_generic_paths_agree(s)
+
+
+@pytest.mark.parametrize("make", [lambda: type_a_subdivision(4),
+                                  lambda: generic(type_a_subdivision(4)),
+                                  lambda: dihedral_subdivision(5),
+                                  stellar_triangle],
+                         ids=["A4", "A4 generic", "I2(5)", "stellar triangle"])
+def test_model_route_walks_the_sphere_and_reads_no_face_counts(monkeypatch, make):
+    s, walked = make(), []
+    walk = subdivisions.face_set
+    monkeypatch.setattr(subdivisions, "face_set", lambda c: walked.append(c) or walk(c))
+    subdivisions.model_gamma(s)
+    assert "_face_counts" not in vars(s)
+    assert walked[-1] == sphere(s).complex  # every face of the sphere
+    # the flag path's sphere needs no face pass of the complex
+    assert len(walked) == (1 if s.complex._flag else 2)
+
+
+def flag_decisions(run) -> list:
+    """The complexes that is_flag decides while run() runs."""
+    decided, decide = [], complexes.is_flag
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "is_flag", lambda c: decided.append(c) or decide(c))
+        run()
+    return decided
+
+
+def every_route(s: Subdivision) -> None:
+    """The restrictions (their faces, and each sub-subdivision's face pass)
+    and the sphere's faces, as validate and the triangle routes read them."""
+    for r in range(len(s.index_set) + 1):
+        for K in combinations(s.index_set, r):
+            face_set(restrict(s, K))
+            sub_subdivision(s, K)._face_pass
+    face_set(sphere(s).complex)
+
+
+@pytest.mark.parametrize("make, flag", [(lambda: type_a_subdivision(4), True),
+                                        (stellar_triangle, False)],
+                         ids=["A4", "stellar triangle"])
+def test_flagness_is_decided_once_per_loaded_complex(make, flag):
+    data, loaded = make().to_dict(), []
+
+    def run():
+        s = Subdivision.from_dict(data)  # validates
+        subdivisions.model_gamma(s)
+        gamma_from_local_sum(s)
+        local_h(s)
+        every_route(s)
+        loaded.append(s)
+
+    # the restrictions and the sphere inherit it, on either path
+    assert flag_decisions(run) == [loaded[0].complex]
+    assert loaded[0].complex._flag == flag
+
+
+@given(carried_complexes())
+def test_flagness_is_decided_once_per_carried_complex(s):
+    assert flag_decisions(lambda: every_route(s)) == [s.complex]
