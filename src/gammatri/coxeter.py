@@ -16,13 +16,14 @@ read their coefficients from local_gamma_poly and closed_triangle.
 Diagrams are read through per-vertex adjacency masks over the vertex
 order. classify grows each component as a vertex mask, and a component's
 type (degrees, arms, its labeled edge) is read straight off that mask.
-gamma_triangle_diagram visits all 2^n vertex subsets of its input, each as
-such a mask; it does not factor the sum over the input's components, so
-the product of component triangles stays an independent check of it. A
-subset splits into components by growing from its lowest set bit. A
-connected component is classified and given its local gamma-polynomial
-once per call, memoized by its vertex mask, and a subset stops at its
-first component with local gamma 0 (any isolated vertex, A1, is one).
+gamma_triangle_diagram walks the vertex subsets of its input depth first,
+one chosen connected component at a time, and leaves out every subset
+with a component of local gamma 0 (any isolated vertex, A1, is one), so
+its cost is the number of subsets with no such component, not 2^n. It
+does not factor the sum over the input's components, so the product of
+component triangles stays an independent check of it. A connected
+component is classified and given its local gamma-polynomial once per
+call, memoized by its vertex mask.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import _json_fields, label_list
+from .complexes import _bits, _json_fields, label_list
 from .poly import Poly1, Poly2, binom, quotient
 from .transforms import GammaTriangle
 
@@ -46,6 +47,22 @@ class CoxeterDiagram:
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, int], ...]
+
+    def __post_init__(self):
+        """The normal form make returns: distinct string labels, and edges
+        (a, b, m) with a < b both vertices and m an int >= 3 (not a bool),
+        sorted with each pair once; make names its own faults first."""
+        vset = set(label_list(self.vertices, "vertices", ClassificationError))
+        if len(vset) != len(self.vertices):
+            raise ClassificationError("duplicate vertex labels")
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 3 and e[0] in vset
+                    and e[1] in vset and e[0] < e[1] and isinstance(e[2], int)
+                    and not isinstance(e[2], bool) and e[2] >= 3):
+                raise ClassificationError(
+                    f"edge {e!r} is not (a, b, m) with vertices a < b and an int m >= 3")
+        if any(e[:2] >= f[:2] for e, f in zip(self.edges, self.edges[1:])):
+            raise ClassificationError("edges are not sorted with each pair once")
 
     @classmethod
     def make(cls, vertices, edges) -> "CoxeterDiagram":
@@ -124,7 +141,7 @@ def _classify_component(dgm: CoxeterDiagram, comp: int,
     """Type of the connected component on the vertex mask comp, with adj
     from _adjacency(dgm)."""
     verts = dgm.vertices
-    at = [i for i in range(len(verts)) if comp >> i & 1]
+    at = _bits(comp)
     r = len(at)
 
     def fault(what: str) -> ClassificationError:
@@ -248,42 +265,61 @@ def local_gamma_poly(c: TypedComponent) -> Poly1:
     raise ClassificationError(f"unknown component kind {c.kind!r}")
 
 
+def _connected_sets(v: int, allowed: int, adj: list[int]):
+    """Each connected vertex mask C with v <= C <= v | allowed, once, with
+    its border: the neighbours of C in allowed. Every step takes the lowest
+    candidate neighbour of C either into C or into its border."""
+    stack = [(v, adj[v.bit_length() - 1] & allowed, 0)]
+    while stack:
+        comp, cand, border = stack.pop()
+        if not cand:
+            yield comp, border
+            continue
+        low = cand & -cand
+        stack.append((comp, cand ^ low, border | low))
+        comp |= low
+        stack.append((comp, (cand | adj[low.bit_length() - 1] & allowed)
+                      & ~(comp | border), border))
+
+
 def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     """Sum over vertex subsets J of local_gamma(induced on I - J) y^|J|.
 
-    All 2^n subsets are visited as bitmasks. classify(dgm) runs first, so a
-    diagram of infinite type raises ClassificationError before the loop
-    (finite type is closed under induced subdiagrams). Each connected
-    component met in the loop is classified and its local gamma computed
-    the first time its vertex mask is seen; a subset is dropped at its
-    first component with local gamma 0."""
+    classify(dgm) runs first, so a diagram of infinite type raises
+    ClassificationError before the sum (finite type is closed under induced
+    subdiagrams). The sum is a depth-first walk over the undecided vertices
+    U: its lowest vertex v either stays out, or is in together with a
+    connected set C of U, whose neighbours in U then stay out. The walk
+    carries the product of the chosen components' local gammas and never
+    enters a C with local gamma 0 (any lone vertex, A1, is one), so it
+    visits only the subsets with no zero component, and its depth is the
+    number of components chosen. Each component is classified and its
+    local gamma computed the first time its vertex mask is seen."""
     classify(dgm)
     n = len(dgm.vertices)
     adj = _adjacency(dgm)
     local: dict[int, Poly1] = {}
-    acc = {(0, n): 1}  # the empty subset
-    for keep in range(1, 1 << n):
-        lg, rest = None, keep
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown = adj[low.bit_length() - 1] & keep & ~comp
-                comp |= grown
-                frontier |= grown
-            rest &= ~comp
-            g = local.get(comp)
-            if g is None:
-                g = local[comp] = local_gamma_poly(
-                    _classify_component(dgm, comp, adj))
-            if g.is_zero():
-                break
-            lg = g if lg is None else lg * g
-        else:  # no component has local gamma 0
-            j = n - keep.bit_count()
-            for i, c in lg.items():
-                acc[(i, j)] = acc.get((i, j), 0) + c
+    acc: dict[tuple[int, int], int] = {}
+
+    def walk(undecided: int, lg: Poly1, j: int) -> None:
+        """Add the terms of every subset that completes the choices so far
+        inside undecided; lg is the product of the local gammas chosen so
+        far, and j counts the vertices not chosen, undecided ones included."""
+        while undecided:
+            v = undecided & -undecided
+            undecided ^= v  # the loop goes on with v out
+            for comp, border in _connected_sets(v, undecided, adj):
+                g = local.get(comp)
+                if g is None:
+                    g = local[comp] = local_gamma_poly(
+                        _classify_component(dgm, comp, adj))
+                if not g.is_zero():
+                    walk(undecided & ~(comp | border), lg * g,
+                         j - comp.bit_count())
+        for i, c in lg.items():
+            acc[i, j] = acc.get((i, j), 0) + c
+
+    walk((1 << n) - 1, Poly1.one(), n)
     return GammaTriangle.make(acc, n)
 
 

@@ -126,6 +126,40 @@ def test_diagram_validation():
         CoxeterDiagram.make(["a", "b"], [("a", "b"), ("b", "a", 4)])
 
 
+# The raw constructor takes only make's normal form; make names its own
+# faults first, with its own messages.
+RAW_FAULTS = [
+    (("a", "b"), (("a", "z", 3),), "edge ('a', 'z', 3) is not"),
+    (("a", "a"), (), "duplicate vertex labels"),
+    (("a", "b"), (("a", "b", 2),), "edge ('a', 'b', 2) is not"),
+    (("a", "b"), (("a", "b", True),), "edge ('a', 'b', True) is not"),
+    (("a", "b"), (("b", "a", 3),), "edge ('b', 'a', 3) is not"),
+    (("a", "b"), (("a", "b"),), "edge ('a', 'b') is not"),
+    (("a", "b"), (("a", "b", 3), ("a", "b", 4)), "each pair once"),
+    (("a", "b", "c"), (("b", "c", 3), ("a", "b", 3)), "not sorted"),
+    (("a", 1), (), "labels must be strings"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, message", RAW_FAULTS)
+def test_raw_diagram_rejects_what_make_would_not_return(vertices, edges, message):
+    with pytest.raises(ClassificationError, match=re.escape(message)):
+        CoxeterDiagram(vertices, edges)
+
+
+def test_make_keeps_its_messages_before_the_raw_check():
+    for vertices, edges, message in [
+            (["a", "b"], [("a", "z")], "uses unknown vertex"),
+            (["a", "a"], [("a", "z")], "duplicate vertex labels"),
+            (["a", "b"], [("a", "b", 2)], "edge label 2 < 3"),
+            (["a", "b"], [("a", "b", True)], "is not an int"),
+            (["a", "b"], [("a", "b"), ("b", "a", 4)], "repeated edge")]:
+        with pytest.raises(ClassificationError, match=re.escape(message)):
+            CoxeterDiagram.make(vertices, edges)
+    dgm = CoxeterDiagram.make(["c", "b", "a"], [("c", "b", 4), ("b", "a")])
+    assert dgm == CoxeterDiagram(("c", "b", "a"), (("a", "b", 3), ("b", "c", 4)))
+
+
 def test_local_gamma_closed_forms():
     assert local_gamma_poly(comp("A", 4)) == Poly1({1: 1, 2: 2})
     assert local_gamma_poly(comp("B", 4)) == Poly1({1: 4, 2: 6})
@@ -286,6 +320,33 @@ def gamma_triangle_by_induced_subsets(dgm):
     return GammaTriangle.make(dict(out.items()), n)
 
 
+def diagram_sum_by_masks(dgm):
+    """Test oracle: the diagram sum over all 2^n vertex masks, each split
+    into components grown from its lowest set bit, and dropped at its first
+    component with local gamma 0."""
+    n = len(dgm.vertices)
+    adj = coxeter._adjacency(dgm)
+    acc = {(0, n): 1}  # the empty subset
+    for keep in range(1, 1 << n):
+        lg, rest = Poly1.one(), keep
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = adj[low.bit_length() - 1] & keep & ~comp
+                comp |= grown
+                frontier |= grown
+            rest &= ~comp
+            lg = lg * local_gamma_poly(coxeter._classify_component(dgm, comp, adj))
+            if lg.is_zero():
+                break
+        j = n - keep.bit_count()
+        for i, c in lg.items():
+            acc[(i, j)] = acc.get((i, j), 0) + c
+    return GammaTriangle.make(acc, n)
+
+
 STANDARD_UP_TO_8 = (
     [("A", r, None) for r in range(1, 9)]
     + [("B", r, None) for r in range(1, 9)]
@@ -345,10 +406,11 @@ CATALOG = (
 
 
 @st.composite
-def finite_unions(draw):
+def finite_unions(draw, most=9):
     """(components, diagram): a disjoint union of catalog types of total
-    rank 1-9 under shuffled labels, with its vertices in shuffled order."""
-    left = draw(st.integers(1, 9))
+    rank 1 to most under shuffled labels, with its vertices in shuffled
+    order."""
+    left = draw(st.integers(1, most))
     components = []
     while left:
         components.append(draw(st.sampled_from(
@@ -378,6 +440,25 @@ def test_diagram_sum_of_unions(case):
     parts = [t for c in components for t in classify(standard_diagram(*c))]
     assert classify(dgm) == sorted(parts, key=lambda t: (t.kind, t.rank, t.m or 0))
     assert got.degree == len(dgm.vertices)
+
+
+# total rank up to 14, the range of the benchmark's unions
+@settings(max_examples=40, deadline=None)
+@given(finite_unions(14))
+def test_diagram_sum_matches_the_mask_oracle(case):
+    _, dgm = case
+    assert gamma_triangle_diagram(dgm) == diagram_sum_by_masks(dgm)
+
+
+def test_diagram_sum_walks_past_lone_vertices():
+    # the mask oracle would need 2^3000 and 2^42 subsets, and a walk that
+    # recursed once per vertex left out would overflow the stack
+    lone = [f"v{i:04d}" for i in range(3000)]
+    assert gamma_triangle_diagram(CoxeterDiagram.make(lone, [])).to_poly2() \
+        == Poly2({(0, 3000): 1})
+    dgm = CoxeterDiagram.make(lone[:40] + ["a", "b"], [("a", "b")])
+    assert gamma_triangle_diagram(dgm).to_poly2() \
+        == Poly2({(0, 42): 1, (1, 40): 1})
 
 
 @pytest.mark.parametrize("n", range(4, 9))
