@@ -300,11 +300,6 @@ def dimension(c: Complex) -> int:
     return max(f.bit_count() for f in c.facets) - 1
 
 
-def is_pure(c: Complex) -> bool:
-    sizes = {f.bit_count() for f in c.facets}
-    return len(sizes) <= 1
-
-
 def f_vector(c: Complex) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_(d-1)): face counts by cardinality."""
     grouped = all_faces(c)

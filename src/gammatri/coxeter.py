@@ -13,9 +13,11 @@ the diagram sum: the closed forms for A, B, D, I2(m) and H3, the stored
 tables for F4, H4, E6, E7, E8. The defining sums of the series module
 read their coefficients from local_gamma_poly and closed_triangle.
 
-Diagrams are read through per-vertex adjacency masks over the vertex
-order. classify grows each component as a vertex mask, and a component's
-type (degrees, arms, its labeled edge) is read straight off that mask.
+Diagrams are read through one cached view per diagram, CoxeterDiagram._masks:
+neighbour masks over the vertex order, and each edge labeled m >= 4 as the
+mask of its ends. classify grows each component as a vertex mask, and a
+component's type (degrees, arms, a labeled edge e with e & comp == e) is
+read straight off that mask; labels only order components and name faults.
 gamma_triangle_diagram walks the vertex subsets of its input depth first,
 one chosen connected component at a time, and leaves out every subset
 with a component of local gamma 0 (any isolated vertex, A1, is one), so
@@ -29,9 +31,10 @@ call, memoized by its vertex mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
-from .complexes import _bits, _json_fields, label_list
+from .complexes import _bits, _json_fields, _skeleton, label_list
 from .poly import Poly1, Poly2, binom, quotient
 from .transforms import GammaTriangle
 
@@ -100,6 +103,16 @@ class CoxeterDiagram:
             norm.append((a, b, m))
         return cls(verts, tuple(sorted(norm)))
 
+    @cached_property
+    def _masks(self) -> tuple[list[int], dict[int, int]]:
+        """The view classification reads, built once per diagram: each
+        vertex's neighbour mask over the positions of vertices, and each
+        edge labeled m >= 4, as the mask of its two ends, mapped to m."""
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        edges = {bit[u] | bit[v]: m for u, v, m in self.edges}
+        return (_skeleton(edges, len(bit)),
+                {e: m for e, m in edges.items() if m > 3})
+
     def to_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
@@ -126,21 +139,11 @@ class TypedComponent:
         return f"{self.kind}{self.rank}"
 
 
-def _adjacency(dgm: CoxeterDiagram) -> list[int]:
-    """Per-vertex neighbour masks over the positions of dgm.vertices."""
-    index = {v: i for i, v in enumerate(dgm.vertices)}
-    adj = [0] * len(index)
-    for u, v, _ in dgm.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    return adj
-
-
-def _classify_component(dgm: CoxeterDiagram, comp: int,
-                        adj: list[int]) -> TypedComponent:
-    """Type of the connected component on the vertex mask comp, with adj
-    from _adjacency(dgm)."""
+def _classify_component(dgm: CoxeterDiagram, comp: int) -> TypedComponent:
+    """Type of the connected component on the vertex mask comp, read off
+    dgm._masks; labels are read only to name a fault."""
     verts = dgm.vertices
+    adj, labels = dgm._masks
     at = _bits(comp)
     r = len(at)
 
@@ -154,15 +157,14 @@ def _classify_component(dgm: CoxeterDiagram, comp: int,
     if r == 1:
         return TypedComponent("A", 1)
     maxdeg = max(deg.values())
-    ends = ((verts.index(u), verts.index(v), m) for u, v, m in dgm.edges if m > 3)
-    labeled = [(u, v, m) for u, v, m in ends if comp >> u & 1 and comp >> v & 1]
+    labeled = [(e, m) for e, m in labels.items() if e & comp == e]
     if labeled:
         if len(labeled) > 1:
             raise fault("has two labeled edges")
-        u, v, m = labeled[0]
+        e, m = labeled[0]
         if maxdeg > 2:
             raise fault("has a branch point and a labeled edge")
-        at_end = deg[u] == 1 or deg[v] == 1
+        at_end = any(deg[i] == 1 for i in _bits(e))
         if r == 2:
             return TypedComponent("I2", 2, m)
         if m == 4 and at_end:
@@ -211,7 +213,7 @@ def classify(dgm: CoxeterDiagram) -> list[TypedComponent]:
     grown from their vertices in label order, so the first component of
     infinite type, by its least label, is the one reported whatever the
     vertex order."""
-    adj = _adjacency(dgm)
+    adj, _ = dgm._masks
     rest = (1 << len(adj)) - 1
     out = []
     for i in sorted(range(len(adj)), key=dgm.vertices.__getitem__):
@@ -225,7 +227,7 @@ def classify(dgm: CoxeterDiagram) -> list[TypedComponent]:
             comp |= grown
             frontier |= grown
         rest &= ~comp
-        out.append(_classify_component(dgm, comp, adj))
+        out.append(_classify_component(dgm, comp))
     return sorted(out, key=lambda c: (c.kind, c.rank, c.m or 0))
 
 
@@ -297,7 +299,7 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     local gamma computed the first time its vertex mask is seen."""
     classify(dgm)
     n = len(dgm.vertices)
-    adj = _adjacency(dgm)
+    adj, _ = dgm._masks
     local: dict[int, Poly1] = {}
     acc: dict[tuple[int, int], int] = {}
 
@@ -312,7 +314,7 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
                 g = local.get(comp)
                 if g is None:
                     g = local[comp] = local_gamma_poly(
-                        _classify_component(dgm, comp, adj))
+                        _classify_component(dgm, comp))
                 if not g.is_zero():
                     walk(undecided & ~(comp | border), lg * g,
                          j - comp.bit_count())

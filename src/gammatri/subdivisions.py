@@ -48,12 +48,10 @@ from .complexes import (
     _generic,
     _json_fields,
     all_faces,
-    dimension,
     f_polynomial,
     face_set,
     first_supersets,
     fresh_labels,
-    is_pure,
     join,
     label_list,
 )
@@ -132,13 +130,14 @@ class Subdivision:
         for r in range(1, len(self.index_set) + 1):
             for J in combinations(self.index_set, r):
                 sub = restrict(self, frozenset(J))
-                if not is_pure(sub):
+                sizes = {f.bit_count() for f in sub.facets}
+                if len(sizes) > 1:
                     raise InvalidSubdivision(
                         f"restriction to {sorted(J)} is not pure")
-                if dimension(sub) != len(J) - 1:
+                if sizes != {len(J)}:
                     raise InvalidSubdivision(
                         f"restriction to {sorted(J)} has dimension "
-                        f"{dimension(sub)}, expected {len(J) - 1}")
+                        f"{max(sizes) - 1}, expected {len(J) - 1}")
                 euler = sum((-1) ** (k - 1) * len(group)
                             for k, group in all_faces(sub).items() if k)
                 if euler != 1:

@@ -19,12 +19,16 @@ from gammatri.complexes import (
     face_set,
     first_supersets,
     is_flag,
-    is_pure,
     join,
     maximal_cliques,
 )
 from gammatri.poly import Poly1
 from gammatri.subdivisions import restrict, sphere
+
+
+def is_pure(c: Complex) -> bool:
+    """All facets of c have one size."""
+    return len({f.bit_count() for f in c.facets}) <= 1
 
 
 def evaluate(p: Poly1, v):

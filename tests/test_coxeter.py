@@ -325,7 +325,7 @@ def diagram_sum_by_masks(dgm):
     into components grown from its lowest set bit, and dropped at its first
     component with local gamma 0."""
     n = len(dgm.vertices)
-    adj = coxeter._adjacency(dgm)
+    adj, _ = dgm._masks
     acc = {(0, n): 1}  # the empty subset
     for keep in range(1, 1 << n):
         lg, rest = Poly1.one(), keep
@@ -338,7 +338,7 @@ def diagram_sum_by_masks(dgm):
                 comp |= grown
                 frontier |= grown
             rest &= ~comp
-            lg = lg * local_gamma_poly(coxeter._classify_component(dgm, comp, adj))
+            lg = lg * local_gamma_poly(coxeter._classify_component(dgm, comp))
             if lg.is_zero():
                 break
         j = n - keep.bit_count()
@@ -459,6 +459,57 @@ def test_diagram_sum_walks_past_lone_vertices():
     dgm = CoxeterDiagram.make(lone[:40] + ["a", "b"], [("a", "b")])
     assert gamma_triangle_diagram(dgm).to_poly2() \
         == Poly2({(0, 42): 1, (1, 40): 1})
+
+
+class NoIndex(tuple):
+    """Vertex labels whose positions may not be looked up."""
+
+    def index(self, *args):
+        raise AssertionError("a vertex label's position was looked up")
+
+
+def union(*names):
+    """The disjoint union of standard diagrams, made through make."""
+    verts, edges = [], []
+    for k, (kind, rank, m) in enumerate(names):
+        part = standard_diagram(kind, rank, m)
+        verts += [f"{v}_{k}" for v in part.vertices]
+        edges += [(f"{u}_{k}", f"{v}_{k}", label) for u, v, label in part.edges]
+    return CoxeterDiagram.make(verts, edges)
+
+
+@pytest.mark.parametrize("names", [
+    [("H4", None, None)],
+    [("F4", None, None), ("B", 5, None), ("I2", None, 5)]])
+def test_classification_reads_no_label_positions(names):
+    dgm = union(*names)
+    raw = CoxeterDiagram(NoIndex(dgm.vertices), dgm.edges)
+    assert classify(raw) == classify(dgm)
+    want = Poly2.one()
+    for name in names:
+        want = want * closed_triangle(*name).to_poly2()
+    assert gamma_triangle_diagram(raw).to_poly2() == want
+
+
+def test_classify_many_labeled_components():
+    dgm = union(*[("I2", None, 5)] * 1000)
+    assert classify(dgm) == [comp("I2", 2, 5)] * 1000
+
+
+def test_a_diagram_builds_its_masks_once(monkeypatch):
+    real, calls = coxeter._skeleton, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coxeter, "_skeleton", counted)
+    dgm = union(("F4", None, None), ("I2", None, 7), ("A", 3, None))
+    for _ in range(2):
+        classify(dgm)
+        gamma_triangle_diagram(dgm)
+        diagram_sum_by_masks(dgm)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", range(4, 9))

@@ -19,7 +19,6 @@ from gammatri.complexes import (
     face_set,
     fresh_labels,
     is_flag,
-    is_pure,
     join,
 )
 from gammatri.poly import Poly1, Poly2, binom
@@ -111,7 +110,7 @@ def test_sphere_a1_is_two_points():
 def test_sphere_a2_is_pentagon():
     sph = sphere(A2)
     assert f_vector(sph.complex) == (1, 5, 5)
-    assert is_pure(sph.complex)
+    assert {f.bit_count() for f in sph.complex.facets} == {2}  # pure, of dimension 1
 
 
 @pytest.mark.parametrize("m", range(2, 9))
