@@ -138,18 +138,6 @@ class _Poly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = self.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __str__(self):
         return _render(self.items())
 

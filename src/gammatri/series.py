@@ -15,9 +15,9 @@ big-int products so that CPython's multiplication does the x-convolution,
 and unpacks each output coefficient once. One width rule serves all
 three: before the first multiply, each operation bounds the l1 norm of
 every coefficient it packs or unpacks by a majorant B (|digit| <= l1 norm
-<= B), and w = bit_length(B) + 1 holds every digit. The packing lives here,
-not in Poly2.__mul__, because a series operation packs each coefficient
-once for all its uses.
+<= B), and packs at exactly w = bit_length(B) + 1 bits, which holds every
+digit. The packing lives here, not in Poly2.__mul__, because a series
+operation packs each coefficient once for all its uses.
 
 Series, closed route (g and gX have polynomial-in-x coefficients):
   g    = sqrt((1-t)^2 - 4xt^2)
@@ -48,58 +48,34 @@ def _exact_div(c: Poly2, d: int, n: int) -> Poly2:
 
 
 # The packed kernel. A packed coefficient is {y-power: int}, the int being
-# the x-polynomial evaluated at x = 2^w. Digits are balanced: slot k holds
-# d_k in [-2^(w-1), 2^(w-1)), so a packed int unpacks uniquely once every
-# digit of the exact result is known to lie in that range; the packed sums
-# on the way there need no bound.
+# the x-polynomial evaluated at x = 2^w: one x-slot every w bits, packed by
+# plain shifts, w being exactly bit_length(B) + 1 with no byte alignment.
+# Digits are balanced: slot k holds d_k in [-2^(w-1), 2^(w-1)), so a packed
+# int unpacks uniquely once every digit of the exact result is known to lie
+# in that range; the packed sums on the way there need no bound.
 
-class _Slots:
-    """Packing and unpacking with one x-slot every `bits` bits, rounded up
-    to whole bytes so that one to_bytes call splits a packed int."""
+def _pack(c: Poly2, w: int) -> dict:
+    """{y-power: the x-polynomial at x = 2^w}, one packed int per y-power."""
+    out = {}
+    for (i, j), v in c.items():
+        out[j] = out.get(j, 0) + (v << w * i)
+    return out
 
-    __slots__ = ("nbytes", "half", "_offsets")
 
-    def __init__(self, bits: int):
-        self.nbytes = -(-bits // 8)
-        self.half = 1 << (8 * self.nbytes - 1)
-        self._offsets = {}
-
-    def _offset(self, n: int) -> int:
-        """half in each of n slots: adding it makes every digit nonnegative."""
-        off = self._offsets.get(n)
-        if off is None:
-            slot = bytes(self.nbytes - 1) + b"\x80"
-            off = self._offsets[n] = int.from_bytes(slot * n, "little")
-        return off
-
-    def pack(self, c: Poly2) -> dict:
-        """{y-power: packed x-polynomial}; every coefficient must fit a digit."""
-        rows = {}
-        for (i, j), v in c.items():
-            rows.setdefault(j, {})[i] = v
-        nb, half = self.nbytes, self.half
-        out = {}
-        for j, row in rows.items():
-            n = max(row) + 1
-            data = b"".join((row.get(i, 0) + half).to_bytes(nb, "little")
-                            for i in range(n))
-            out[j] = int.from_bytes(data, "little") - self._offset(n)
-        return out
-
-    def unpack(self, packed: dict) -> Poly2:
-        """The Poly2 packed as `packed`, whose digits must all be in range."""
-        nb, half = self.nbytes, self.half
-        out = {}
-        for j, p in packed.items():
-            # with top digit d_D != 0 and w >= 2, |p| >= 2^(wD) / 3 >=
-            # 2^(w(D-1)), so n > D; the slots above the top digit hold 0
-            n = abs(p).bit_length() // (8 * nb) + 2
-            data = (p + self._offset(n)).to_bytes(n * nb, "little")
-            for i in range(n):
-                d = int.from_bytes(data[i * nb:(i + 1) * nb], "little") - half
-                if d:
-                    out[(i, j)] = d
-        return Poly2(out)
+def _unpack(packed: dict, w: int) -> Poly2:
+    """The Poly2 packed as `packed` at width w >= 2, whose digits must all
+    lie in [-2^(w-1), 2^(w-1)): each step peels the lowest balanced digit."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = {}
+    for j, p in packed.items():
+        i = 0
+        while p:
+            d = ((p + half) & mask) - half
+            if d:
+                out[(i, j)] = d
+            p = (p - d) >> w
+            i += 1
+    return Poly2(out)
 
 
 def _packed_dot(pairs) -> dict:
@@ -129,13 +105,12 @@ def _product_bound(a: list, b: list) -> int:
                 for m in range(len(a))] + la + lb)
 
 
-def _packed_product(a: list, b: list, bits: int) -> list:
-    """The coefficients of the product through t^(len(a)-1), packed with
-    `bits`-bit slots; correct whenever `bits` bounds every digit."""
-    slots = _Slots(bits)
-    pa = [slots.pack(c) for c in a]
-    pb = [slots.pack(c) for c in b]
-    return [slots.unpack(_packed_dot((pa[i], pb[m - i]) for i in range(m + 1)))
+def _packed_product(a: list, b: list, w: int) -> list:
+    """The coefficients of the product through t^(len(a)-1), packed at
+    width w; correct whenever every digit fits a balanced w-bit slot."""
+    pa = [_pack(c, w) for c in a]
+    pb = [_pack(c, w) for c in b]
+    return [_unpack(_packed_dot((pa[i], pb[m - i]) for i in range(m + 1)), w)
             for m in range(len(a))]
 
 
@@ -220,8 +195,8 @@ class TruncSeries:
             long = TruncSeries(n, b)
             return sum(((long * c).shift_t(k).truncate(n)
                         for k, c in enumerate(a) if c), TruncSeries(n))
-        bits = _product_bound(a, b).bit_length() + 1
-        return TruncSeries(n, _packed_product(a, b, bits))
+        w = _product_bound(a, b).bit_length() + 1
+        return TruncSeries(n, _packed_product(a, b, w))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -275,15 +250,15 @@ class TruncSeries:
         bound = [1]
         for n in range(1, self.order):
             bound.append(sum(norms[k] * bound[n - k] for k in range(1, n + 1)))
-        slots = _Slots(max(bound).bit_length() + 1)
-        s = [slots.pack(c) for c in self.coeffs]
+        w = max(bound).bit_length() + 1
+        s = [_pack(c, w) for c in self.coeffs]
         packed = [{0: v}]
         out = [Poly2({(0, 0): v})]
         for n in range(1, self.order):
             acc = _packed_dot((s[k], packed[n - k]) for k in range(1, n + 1))
             r = {j: -v * p for j, p in acc.items()}
             packed.append(r)
-            out.append(slots.unpack(r))
+            out.append(_unpack(r, w))
         return TruncSeries(self.order, out)
 
     def sqrt(self) -> "TruncSeries":
@@ -301,8 +276,8 @@ class TruncSeries:
                                           for k in range(1, n))
             top = max(top, q)
             bound.append((q + 1) // 2)
-        slots = _Slots(top.bit_length() + 1)
-        c = [slots.pack(p) for p in self.coeffs]
+        w = top.bit_length() + 1
+        c = [_pack(p, w) for p in self.coeffs]
         packed = [{0: 1}]
         out = [Poly2.one()]
         for n in range(1, self.order):
@@ -315,7 +290,7 @@ class TruncSeries:
                 middle = packed[n // 2]
                 for j, p in _packed_dot(((middle, middle),)).items():
                     acc[j] = acc.get(j, 0) - p
-            out.append(_exact_div(slots.unpack(acc), 2, n))
+            out.append(_exact_div(_unpack(acc, w), 2, n))
             # every digit of acc is even now, so halving the packed int
             # halves each digit exactly
             packed.append({j: p >> 1 for j, p in acc.items()})

@@ -78,17 +78,19 @@ class GammaTriangle:
     coeffs: dict = field(default_factory=dict)
     degree: int = 0
 
+    def __post_init__(self):
+        """Nonzero entries only, each inside the triangle; make drops the
+        zeros first."""
+        for (i, j), c in self.coeffs.items():
+            if not c:
+                raise ValueError(f"entry ({i}, {j}) is zero; make drops zeros")
+            if i < 0 or j < 0 or 2 * i + j > self.degree:
+                raise ValueError(
+                    f"entry ({i}, {j}) outside the triangle for degree {self.degree}")
+
     @classmethod
     def make(cls, coeffs, degree: int) -> "GammaTriangle":
-        clean = {}
-        for (i, j), c in coeffs.items():
-            if not c:
-                continue
-            if i < 0 or j < 0 or 2 * i + j > degree:
-                raise ValueError(
-                    f"entry ({i}, {j}) outside the triangle for degree {degree}")
-            clean[(i, j)] = c
-        return cls(clean, degree)
+        return cls({key: c for key, c in coeffs.items() if c}, degree)
 
     def entry(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)

@@ -147,6 +147,7 @@ SHARED = {
     "poly.binomial_row": "the rows of (1 + s x)^n, by n and s alone",
     "poly.quotient": "an exact division that names its fault",
     "transforms.GammaTriangle.__init__": VALUES,
+    "transforms.GammaTriangle.__post_init__": VALUES,
     "transforms.GammaTriangle.make": VALUES,
     "transforms.gamma_from_h": "the gamma expansion of one palindromic "
         "polynomial: Gamma_from_H and the local sum each apply it to their own",

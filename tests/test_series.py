@@ -28,7 +28,7 @@ from gammatri.series import (
     verify_identities,
 )
 from gammatri import series
-from gammatri.series import _packed_product, _product_bound, _Slots
+from gammatri.series import _pack, _packed_product, _product_bound, _unpack
 
 
 def xp(mapping):
@@ -274,8 +274,16 @@ def test_product_width_is_tight_at_the_extremes():
     assert bound.bit_length() == 200
     assert TruncSeries(7, a) * TruncSeries(7, b) == want
     assert TruncSeries(7, _packed_product(a, b, 201)) == want
-    # 200 bits is whole bytes, so nothing rounds the narrower width back up
     assert TruncSeries(7, _packed_product(a, b, 200)) != want
+    # a bound of 197 bits, not a whole number of bytes: the slots are
+    # exactly 198 bits wide, and one bit fewer no longer holds the t^6 digit
+    a = [Poly2({(0, 0): -(2**97 - 1)})] * 7
+    b = [Poly2({(0, 0): 2**97 - 1})] * 7
+    want = sparse_product(TruncSeries(7, a), TruncSeries(7, b))
+    assert _product_bound(a, b).bit_length() == 197
+    assert TruncSeries(7, a) * TruncSeries(7, b) == want
+    assert TruncSeries(7, _packed_product(a, b, 198)) == want
+    assert TruncSeries(7, _packed_product(a, b, 197)) != want
 
 
 def digits(cs):
@@ -309,9 +317,9 @@ def product_bits_by_size(a, b):
 def test_products_are_never_packed_wider_than_by_coefficient_sizes(monkeypatch):
     widths = []
 
-    def recording(a, b, bits):
-        widths.append((-(-bits // 8), -(-product_bits_by_size(a, b) // 8)))
-        return _packed_product(a, b, bits)
+    def recording(a, b, w):
+        widths.append((w, product_bits_by_size(a, b)))
+        return _packed_product(a, b, w)
 
     monkeypatch.setattr(series, "_packed_product", recording)
     assert all(c.ok for c in verify_identities(24))
@@ -322,19 +330,27 @@ def test_products_are_never_packed_wider_than_by_coefficient_sizes(monkeypatch):
 
 # a top digit 1 in slot D >= 2 over lower digits of -2^(w-1) packs to an
 # int of only wD - 1 bits; the unpacking must still find slot D
-@settings(max_examples=100)
-@given(st.integers(1, 3).flatmap(lambda nbytes: st.tuples(
-    st.just(nbytes),
+@settings(max_examples=200)
+@given(st.integers(2, 24).flatmap(lambda w: st.tuples(
+    st.just(w),
     st.dictionaries(st.tuples(st.integers(0, 10), st.integers(0, 3)),
-                    st.integers(-2**(8 * nbytes - 1), 2**(8 * nbytes - 1) - 1),
+                    st.integers(-2**(w - 1), 2**(w - 1) - 1),
                     max_size=12))))
-@example((1, {(0, 0): -128, (1, 0): -128, (2, 0): 1}))
-@example((2, {(i, 1): -2**15 for i in range(10)} | {(10, 1): 2**15 - 1}))
+@example((8, {(0, 0): -128, (1, 0): -128, (2, 0): 1}))
+@example((16, {(i, 1): -2**15 for i in range(10)} | {(10, 1): 2**15 - 1}))
 def test_slots_round_trip_the_full_digit_range(case):
-    nbytes, terms = case
-    slots = _Slots(8 * nbytes)
+    w, terms = case
     c = Poly2(terms)
-    assert slots.unpack(slots.pack(c)) == c
+    assert _unpack(_pack(c, w), w) == c
+
+
+def test_slots_round_trip_the_extreme_digits_at_every_width():
+    for w in range(2, 25):
+        lo, hi = -2**(w - 1), 2**(w - 1) - 1
+        for top in (lo, -1, 1, hi):
+            for low in (lo, -1, 0, 1, hi):
+                c = Poly2({(i, 0): low for i in range(4)} | {(4, 0): top})
+                assert _unpack(_pack(c, w), w) == c
 
 
 @settings(max_examples=150)
