@@ -318,7 +318,7 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
                 if not g.is_zero():
                     walk(undecided & ~(comp | border), lg * g,
                          j - comp.bit_count())
-        for i, c in lg.items():
+        for i, c in lg._c.items():
             acc[i, j] = acc.get((i, j), 0) + c
 
     walk((1 << n) - 1, Poly1.one(), n)
@@ -357,9 +357,9 @@ def gamma_triangle_D(n: int) -> GammaTriangle:
     if n < 3:
         raise ValueError(f"rank must be >= 3, got {n}")
     coeffs = {}
-    for (i, j), c in closed_gamma_triangle("B", n - 1).items():
+    for (i, j), c in closed_gamma_triangle("B", n - 1).coeffs.items():
         coeffs[(i, j + 1)] = c
-    for i, c in local_gamma_poly(TypedComponent("D", n)).items():
+    for i, c in local_gamma_poly(TypedComponent("D", n))._c.items():
         coeffs[(i, 0)] = coeffs.get((i, 0), 0) + c
     return GammaTriangle.make(coeffs, n)
 

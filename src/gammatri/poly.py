@@ -8,7 +8,20 @@ remainder. Zero coefficients are never stored.
 A polynomial is built from one mapping: exponent (Poly1) or (x, y)
 exponent pair (Poly2) -> coefficient. The constructor rejects a negative
 key, drops zero entries and adds nothing up, so callers collect terms in
-one dict first; sum(polys) does so for whole polynomials.
+one dict first; sum(polys) does so for whole polynomials. The private
+builder _Poly._build keeps the nonzero entries and checks no key. It
+builds only results whose keys cannot be negative: those made from the
+keys of valid polynomials without subtracting (sums, products, negation,
+scaling, y-slices, y-specializations) and the series kernel's unpacked
+coefficients (series.py; keys are slot and y-power indices). It never
+receives a caller's mapping.
+
+Storage order: the terms live in one dict, _c, in no promised order.
+Every loop inside the package reads that dict as stored; items() is the
+sorted public view, and only output sorts: __str__, to_pairs, to_triples
+and the messages that name terms. An error that names the first bad term
+still names the smallest in sorted order, found once it is known to
+raise.
 
 The transforms and the face-count sums, sums of c * x^a y^b (1 + s*x)^n,
 add the cached rows binomial_row(n, s) into one dict instead of building
@@ -69,13 +82,21 @@ class _Poly:
         return cls({cls._ONE_KEY: 1})
 
     @classmethod
+    def _build(cls, terms: dict):
+        """The polynomial with the nonzero entries of terms, whose keys the
+        caller knows to be nonnegative: no key is checked."""
+        p = cls.__new__(cls)
+        p._c = {k: c for k, c in terms.items() if c}
+        return p
+
+    @classmethod
     def sum(cls, polys):
         """The sum of the polynomials, accumulated in one dict."""
         out = {}
         for p in polys:
             for k, c in p._c.items():
                 out[k] = out.get(k, 0) + c
-        return cls(out)
+        return cls._build(out)
 
     def items(self):
         return sorted(self._c.items())
@@ -90,7 +111,7 @@ class _Poly:
     def scale(self, s):
         if not s:
             return type(self)()
-        return type(self)({k: c * s for k, c in self._c.items()})
+        return self._build({k: c * s for k, c in self._c.items()})
 
     def __bool__(self):
         return bool(self._c)
@@ -106,7 +127,7 @@ class _Poly:
         return hash(frozenset(self._c.items()))
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self._c.items()})
+        return self._build({k: -c for k, c in self._c.items()})
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -116,7 +137,7 @@ class _Poly:
         out = dict(self._c)
         for k, c in other._c.items():
             out[k] = out.get(k, 0) + c
-        return type(self)(out)
+        return self._build(out)
 
     __radd__ = __add__
 
@@ -128,7 +149,7 @@ class _Poly:
         out = dict(self._c)
         for k, c in other._c.items():
             out[k] = out.get(k, 0) - c
-        return type(self)(out)
+        return self._build(out)
 
     def __rsub__(self, other):
         if not isinstance(other, int):
@@ -175,11 +196,11 @@ class Poly1(_Poly):
             for e2, c2 in other._c.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return Poly1(out)
+        return Poly1._build(out)
 
     def to_poly2(self) -> "Poly2":
         """Embed as a polynomial in x (no y)."""
-        return Poly2({(e, 0): c for e, c in self._c.items()})
+        return Poly2._build({(e, 0): c for e, c in self._c.items()})
 
     def to_pairs(self):
         """Serialization: sorted [exponent, decimal-string] pairs."""
@@ -210,7 +231,7 @@ class Poly2(_Poly):
 
     def coeff_of_y(self, j: int) -> Poly1:
         """The x-polynomial multiplying y^j."""
-        return Poly1({i: c for (i, jj), c in self._c.items() if jj == j})
+        return Poly1._build({i: c for (i, jj), c in self._c.items() if jj == j})
 
     def substitute_y(self, value) -> Poly1:
         """Specialize y to 1 or x; y := x sends x^i y^j to x^(i+j)."""
@@ -220,7 +241,7 @@ class Poly2(_Poly):
         for (i, j), c in self._c.items():
             e = i + j if value == "x" else i
             out[e] = out.get(e, 0) + c
-        return Poly1(out)
+        return Poly1._build(out)
 
     def shift(self, i: int, j: int) -> "Poly2":
         """Multiply by x^i y^j."""
@@ -237,7 +258,7 @@ class Poly2(_Poly):
             for (i2, j2), c2 in terms:
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, 0) + c1 * c2
-        return Poly2(out)
+        return Poly2._build(out)
 
     def to_triples(self):
         """Serialization: [i, j, decimal-string] sorted lexicographically."""

@@ -36,9 +36,10 @@ def render_triangle(p, d: int, kind: str) -> str:
             cells[(i, j)] = s
             width = max(width, len(s))
     shown = set(cells)
-    stray = [k for k, _ in p.items() if k not in shown]
+    stray = [k for k in p._c if k not in shown]
     if stray:
-        raise ValueError(f"entries {stray} fall outside the {kind} shape for d = {d}")
+        raise ValueError(
+            f"entries {sorted(stray)} fall outside the {kind} shape for d = {d}")
     lines = []
     for j in range(d, -1, -1):
         row = [cells[(i, j)].rjust(width) if (i, j) in cells else " " * width

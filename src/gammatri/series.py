@@ -31,6 +31,7 @@ term read off coxeter, the one home of the A/B/D closed forms.
 
 from __future__ import annotations
 
+import sys
 from math import comb
 
 # gamma_triangle_diagram is unused here; perfbench's tests read it off series
@@ -42,9 +43,10 @@ from .report import Check
 
 def _exact_div(c: Poly2, d: int, n: int) -> Poly2:
     """The t^n coefficient c divided by d; a remainder raises, naming t^n."""
-    if any(v % d for _, v in c.items()):
+    terms = c._c
+    if any(v % d for v in terms.values()):
         raise ArithmeticError(f"coefficient {c} of t^{n} is not divisible by {d}")
-    return Poly2({key: v // d for key, v in c.items()})
+    return Poly2._build({key: v // d for key, v in terms.items()})
 
 
 # The packed kernel. A packed coefficient is {y-power: int}, the int being
@@ -57,7 +59,7 @@ def _exact_div(c: Poly2, d: int, n: int) -> Poly2:
 def _pack(c: Poly2, w: int) -> dict:
     """{y-power: the x-polynomial at x = 2^w}, one packed int per y-power."""
     out = {}
-    for (i, j), v in c.items():
+    for (i, j), v in c._c.items():
         out[j] = out.get(j, 0) + (v << w * i)
     return out
 
@@ -75,7 +77,7 @@ def _unpack(packed: dict, w: int) -> Poly2:
                 out[(i, j)] = d
             p = (p - d) >> w
             i += 1
-    return Poly2(out)
+    return Poly2._build(out)
 
 
 def _packed_dot(pairs) -> dict:
@@ -90,7 +92,7 @@ def _packed_dot(pairs) -> dict:
 
 
 def _l1(c: Poly2) -> int:
-    return sum(abs(v) for _, v in c.items())
+    return sum(map(abs, c._c.values()))
 
 
 def _product_bound(a: list, b: list) -> int:
@@ -120,6 +122,9 @@ class TruncSeries:
     def __init__(self, order: int, coeffs=None):
         if order < 1:
             raise ValueError("order must be >= 1")
+        if order > sys.maxsize:
+            raise ValueError(f"order {order} is longer than any list can be "
+                             f"(at most {sys.maxsize})")
         self.order = order
         cs = list(coeffs or [])
         if len(cs) > order:
@@ -130,11 +135,11 @@ class TruncSeries:
 
     @classmethod
     def from_map(cls, mapping: dict, order: int) -> "TruncSeries":
-        cs = [Poly2.zero()] * order
+        out = cls(order)
         for n, c in mapping.items():
             if n < order:
-                cs[n] = c if isinstance(c, Poly2) else Poly2({(0, 0): c})
-        return cls(order, cs)
+                out.coeffs[n] = c if isinstance(c, Poly2) else Poly2({(0, 0): c})
+        return out
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
@@ -334,8 +339,9 @@ def substitute_x_over_t_times_t(s: TruncSeries) -> TruncSeries:
     for n, c in enumerate(s.coeffs):
         if c.deg_y() > 0:
             raise ValueError("substitution defined for y-free series only")
-        for (k, _), v in c.items():
+        for (k, _), v in c._c.items():
             if n < 2 * k:
+                k = min(k for k, _ in c._c if n < 2 * k)  # the first in order
                 raise ArithmeticError(
                     f"monomial x^{k} t^{n} violates the n >= 2k support "
                     "condition of the substitution")
@@ -351,7 +357,7 @@ def substitute_x_to_xt(s: TruncSeries) -> TruncSeries:
     for n, c in enumerate(s.coeffs):
         if c.deg_y() > 0:
             raise ValueError("substitution defined for y-free series only")
-        for (k, _), v in c.items():
+        for (k, _), v in c._c.items():
             if n + k < s.order:
                 terms[n + k][(k, 0)] = v
     return TruncSeries(s.order, [Poly2(t) for t in terms])
@@ -393,10 +399,10 @@ def _rank_sum(kind: str, order: int, term) -> TruncSeries:
     empty diagram's 1, type D at D2."""
     if kind not in ("A", "B", "D"):
         raise ValueError(f"unknown series kind {kind!r}")
-    out = {n: term(n).to_poly2() for n in range(2 if kind == "D" else 1, order)}
-    if kind != "D":
-        out[0] = 1
-    return TruncSeries.from_map(out, order)
+    out = TruncSeries.from_map({} if kind == "D" else {0: 1}, order)
+    for n in range(2 if kind == "D" else 1, order):
+        out.coeffs[n] = term(n).to_poly2()
+    return out
 
 
 def g_sum(kind: str, order: int) -> TruncSeries:
@@ -435,13 +441,13 @@ def G_closed(kind: str, order: int) -> TruncSeries:
 def eq_c_series(order: int) -> TruncSeries:
     """1 - t - 2 sum_(n>=1) sum_i binom(2i-2, i-1) binom(n-2, 2i-2)/i x^i t^n,
     the fully expanded double-sum form of g."""
-    out = [Poly2.one(), Poly2({(0, 0): -1})]
+    out = TruncSeries.from_map({0: 1, 1: -1}, order)
     for n in range(2, order):
         c = {}
         for i in range(1, n // 2 + 1):
             c[i] = quotient(-2 * comb(2 * i - 2, i - 1) * comb(n - 2, 2 * i - 2), i)
-        out.append(_x_poly(c))
-    return TruncSeries(order, out[:order])
+        out.coeffs[n] = _x_poly(c)
+    return out
 
 
 def two_minus_theta(s: TruncSeries) -> TruncSeries:

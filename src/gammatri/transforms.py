@@ -31,7 +31,7 @@ class NotGammaRepresentable(ValueError):
 def _times_rows(p: Poly1, d: int, s: int) -> Poly1:
     """sum_a p_a x^a (1 + s*x)^(d-a)."""
     out = {}
-    for a, c in p.items():
+    for a, c in p._c.items():
         for k, r in enumerate(binomial_row(d - a, s), a):
             out[k] = out.get(k, 0) + c * r
     return Poly1(out)
@@ -57,7 +57,7 @@ def gamma_from_h(h: Poly1, d: int) -> tuple:
     NotGammaRepresentable unless h is symmetric of degree d (Gal 2005)."""
     if h.degree() > d:
         raise ValueError(f"h has degree {h.degree()} > d = {d}")
-    if any(h.coeff(d - k) != c for k, c in h.items()):
+    if any(h.coeff(d - k) != c for k, c in h._c.items()):
         raise NotGammaRepresentable(f"h = {h} is not symmetric of degree {d}")
     out = []
     for i in range(d // 2 + 1):
@@ -119,8 +119,9 @@ def H_from_F(F: Poly2, d: int) -> Poly2:
     """H(x,y) = sum F_(i,j) x^(i+j) y^j (1-x)^(d-i-j), the cleared form of
     (1-x)^d F(x/(1-x), xy/(1-x))."""
     out = {}
-    for (i, j), c in F.items():
+    for (i, j), c in F._c.items():
         if i + j > d:
+            i, j = min(key for key in F._c if sum(key) > d)  # the first in order
             raise ValueError(f"F entry ({i}, {j}) has i + j > d = {d}")
         for k, r in enumerate(binomial_row(d - i - j, -1), i + j):
             out[k, j] = out.get((k, j), 0) + c * r
@@ -130,11 +131,13 @@ def H_from_F(F: Poly2, d: int) -> Poly2:
 def F_from_H(H: Poly2, d: int) -> Poly2:
     """F(x,y) = sum H_(a,b) x^(a-b) y^b (1+x)^(d-a); inverse of H_from_F."""
     out = {}
-    for (a, b), c in H.items():
-        if b > a:
-            raise ValueError(
-                f"H entry ({a}, {b}) has y-degree exceeding x-degree")
-        if a > d:
+    for (a, b), c in H._c.items():
+        if b > a or a > d:
+            # the first in order, with the first of the two faults it has
+            a, b = min((a, b) for a, b in H._c if b > a or a > d)
+            if b > a:
+                raise ValueError(
+                    f"H entry ({a}, {b}) has y-degree exceeding x-degree")
             raise ValueError(f"H entry ({a}, {b}) has x-degree > d = {d}")
         for k, r in enumerate(binomial_row(d - a, 1), a - b):
             out[k, b] = out.get((k, b), 0) + c * r
@@ -150,12 +153,12 @@ def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
     row j is gamma_from_h of G's z^j slice at degree d - j."""
     if H.deg_x() > d:
         raise NotGammaRepresentable(f"x-degree {H.deg_x()} exceeds d = {d}")
-    j = max((b for (a, b), _ in H.items() if b > a), default=None)
+    j = max((b for a, b in H._c if b > a), default=None)
     if j is not None:
         raise NotGammaRepresentable(
             f"y^{j} slice {H.coeff_of_y(j)} not divisible by x^{j}", j=j)
     slices = [{} for _ in range(d + 1)]  # G's z^j slice, x-power -> coeff
-    for (a, b), c in H.items():
+    for (a, b), c in H._c.items():
         # the z^(b-l) coefficient of (z-1)^b is the z^l one of (1-z)^b
         for l, r in enumerate(binomial_row(b, -1)):
             zs = slices[b - l]
@@ -174,7 +177,7 @@ def Gamma_from_H(H: Poly2, d: int) -> GammaTriangle:
 def H_from_Gamma(g: GammaTriangle) -> Poly2:
     """Expand sum gamma_(i,j) x^i (1+xy)^j (1+x)^(d-2i-j)."""
     out = {}
-    for (i, j), c in g.items():
+    for (i, j), c in g.coeffs.items():
         tail = binomial_row(g.degree - 2 * i - j, 1)
         for b, cb in enumerate(binomial_row(j, 1)):
             for k, r in enumerate(tail, i + b):
@@ -187,7 +190,7 @@ def F_from_Gamma(g: GammaTriangle) -> Poly2:
     sum_b C(j,b) y^b x^i (1+x)^(i+j-b) (1+2x)^(d-2i-j); identical to
     F_from_H(H_from_Gamma(g))."""
     out = {}
-    for (i, j), c in g.items():
+    for (i, j), c in g.coeffs.items():
         tail = binomial_row(g.degree - 2 * i - j, 2)
         for b, cb in enumerate(binomial_row(j, 1)):
             for k, r in enumerate(binomial_row(i + j - b, 1), i):

@@ -223,6 +223,8 @@ RAW_FILES = {
 }
 # a file under a directory that is never created
 UNWRITABLE = "no_such_dir/model.json"
+# a series order past sys.maxsize on 64-bit builds
+HUGE_ORDER = str(10**20)
 # the diagnostic expected where exit code 1 alone would not show that the
 # fault is named; {path} stands for the path of the file
 DIAGNOSTICS = {
@@ -238,6 +240,7 @@ DIAGNOSTICS = {
     "point.json": "--facet goes with --complex only",
     "I2(\u0663)": "error: unknown type 'I2(\u0663)'",
     "I2(\u00b2)": "error: unknown type 'I2(\u00b2)'",
+    HUGE_ORDER: "is longer than any list can be",
 }
 
 
@@ -248,6 +251,8 @@ DIAGNOSTICS = {
     ["cluster", "A", "-1"],
     ["cluster", "B", "0"],
     ["verify", "--suite", "series", "--order", "0"],
+    ["series", "--name", "g", "--order", HUGE_ORDER],
+    ["verify", "--suite", "series", "--order", HUGE_ORDER],
     ["verify", "--suite", "crosscheck", "--max-rank", "-2"],
     ["diagram", "float_edge_label.json"],
     ["diagram", "one_item_edge.json"],

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gammatri
+from gammatri import poly
+from gammatri.cluster import type_a_subdivision
+from gammatri.coxeter import closed_gamma_triangle
 from gammatri.poly import Poly1, Poly2, binom, binomial_row
+from gammatri.series import verify_identities
+from gammatri.subdivisions import model_gamma
 
 
 def test_binomial_square():
@@ -250,3 +255,40 @@ def test_big_integers_stay_exact():
 def test_str_rendering():
     assert str(Poly2({(0, 2): 1, (1, 0): -1})) == "y^2 - x"
     assert str(Poly1()) == "0"
+
+
+def stored_as_validated(p):
+    """p keeps exactly what the validating constructor makes of its stored
+    terms: no zero, no negative exponent."""
+    return p == type(p)(dict(p._c)) and all(p._c.values())
+
+
+# every operation that builds its result without the key check
+@given(st.one_of(st.tuples(small_poly1, small_poly1),
+                 st.tuples(small_poly2, small_poly2)),
+       st.integers(-3, 3))
+def test_unchecked_results_store_what_the_constructor_would(ab, s):
+    a, b = ab
+    results = [a * b, a + b, a - b, a - a, -a, a.scale(s), a * s,
+               type(a).sum([a, b, -a])]
+    if isinstance(a, Poly2):
+        results += [a.coeff_of_y(1), a.substitute_y(1), a.substitute_y("x")]
+    else:
+        results.append(a.to_poly2())
+    assert all(stored_as_validated(p) for p in results)
+
+
+def test_package_loops_never_sort_terms(monkeypatch):
+    # items() is the sorted public view; the package reads the stored dict
+    calls = []
+    items = poly._Poly.items
+    monkeypatch.setattr(poly._Poly, "items",
+                        lambda self: calls.append(1) or items(self))
+    assert all(c.ok for c in verify_identities(8))
+    s = type_a_subdivision(4)
+    # the sphere, F, H, Gamma route
+    assert model_gamma(s) == closed_gamma_triangle("A", 4)
+    assert calls == []
+    # output sorts, and is counted
+    assert Poly1({2: 1, 0: 3}).to_pairs() == [[0, "3"], [2, "1"]]
+    assert calls == [1]

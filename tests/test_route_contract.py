@@ -142,7 +142,6 @@ SHARED = {
     "poly.Poly1.__init__": VALUES,
     "poly.Poly1.coeff": VALUES,
     "poly.Poly1.degree": VALUES,
-    "poly._Poly.items": VALUES,
     "poly.binom": "a binomial coefficient",
     "poly.binomial_row": "the rows of (1 + s x)^n, by n and s alone",
     "poly.quotient": "an exact division that names its fault",

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -602,3 +603,39 @@ def test_times_yt_rejects_a_negative_power():
 def test_div_t_rejects_a_power_beyond_the_order():
     with pytest.raises(ValueError, match=r"t\^3 at order 2"):
         TruncSeries(2).div_t(3)
+
+
+@pytest.mark.parametrize("build", [
+    TruncSeries, lambda order: TruncSeries.from_map({0: 1}, order),
+    g_base, eq_c_series, lambda order: g_sum("A", order),
+    lambda order: G_sum("D", order), lambda order: g_closed("B", order),
+    verify_identities,
+])
+def test_an_order_no_list_can_hold_raises_at_once(build):
+    # a ValueError before any coefficient is built, not an OverflowError
+    # from the list or a sum route running through 10^20 ranks
+    with pytest.raises(ValueError, match="longer than any list can be"):
+        build(sys.maxsize + 1)
+
+
+def stored_as_validated(p):
+    """p keeps exactly what the validating constructor makes of its stored
+    terms: no zero, no negative exponent."""
+    return p == type(p)(dict(p._c)) and all(p._c.values())
+
+
+@settings(max_examples=150)
+@given(any_series, any_series, st.lists(poly2s, max_size=6))
+def test_kernel_results_store_what_the_constructor_would(a, b, tail):
+    unit = TruncSeries(7, [Poly2.one()] + tail)
+    square = sparse_product(unit, unit)
+    results = [a * b, unit.inverse(), (-unit).inverse(), square.sqrt(),
+               square.exact_div(1), (a + b) - b]
+    assert all(stored_as_validated(c) for s in results for c in s.coeffs)
+
+
+def test_substitution_names_the_first_monomial_in_order():
+    # x^3 stored before x^2: both violate n >= 2k at t^2
+    c = Poly2({(3, 0): 1, (2, 0): 1})
+    with pytest.raises(ArithmeticError, match=r"x\^2 t\^2 "):
+        substitute_x_over_t_times_t(TruncSeries(3, [0, 0, c]))

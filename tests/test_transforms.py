@@ -510,3 +510,21 @@ def test_Gamma_from_H_divisibility_error_matches_its_product_form():
     H = Poly2({(0, 1): 1, (1, 2): 1, (3, 3): 1})
     assert same_result(Gamma_from_H, product_Gamma_from_H, H, 3) == (
         NotGammaRepresentable, "y^2 slice x not divisible by x^2", 2)
+
+
+@pytest.mark.parametrize("fn, oracle, P, d, match", [
+    (H_from_F, product_H_from_F, {(2, 1): 1, (0, 3): 1}, 2,
+     r"F entry \(0, 3\) has i \+ j > d = 2"),
+    (F_from_H, product_F_from_H, {(4, 1): 1, (1, 2): 1}, 3,
+     r"H entry \(1, 2\) has y-degree exceeding x-degree"),
+    (F_from_H, product_F_from_H, {(5, 0): 1, (4, 0): 1}, 3,
+     r"H entry \(4, 0\) has x-degree > d = 3"),
+])
+def test_first_bad_entry_named_whatever_the_storage_order(fn, oracle, P, d, match):
+    # the bad entries are stored largest first; the message names the
+    # smallest, as a sorted scan would
+    P = Poly2(P)
+    assert list(P._c) == sorted(P._c, reverse=True)
+    with pytest.raises(ValueError, match=match):
+        fn(P, d)
+    same_result(fn, oracle, P, d)
