@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import __version__, cluster, coxeter, series, subdivisions, transforms, verify
 from .complexes import Complex
@@ -161,17 +162,12 @@ def cmd_local(args) -> None:
     ], {"local_h": lh.to_pairs(), "local_gamma": lg.to_pairs()})
 
 
-def _series_route(fn: str, kind: str):
-    # series.<fn> is looked up at call time, so a wrapped module attribute
-    # is the one that runs
-    return lambda order: getattr(series, fn)(kind, order)
-
-
 SERIES_BUILDERS = {
     "g": {"closed": series.g_base, "sum": series.eq_c_series},
-    **{f"{g}{kind}": {route: _series_route(f"{g}_{route}", kind)
-                      for route in ("closed", "sum")}
-       for g in "gG" for kind in "ABD"},
+    **{f"{name}{kind}": {"closed": partial(closed, kind), "sum": partial(summed, kind)}
+       for name, closed, summed in (("g", series.g_closed, series.g_sum),
+                                    ("G", series.G_closed, series.G_sum))
+       for kind in "ABD"},
 }
 
 

@@ -325,29 +325,20 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     return GammaTriangle.make(acc, n)
 
 
-def gamma_coeff_closed(kind: str, n: int, k: int, l: int) -> int:
-    """Closed-form triangle coefficient of x^k y^l for type A or B of rank n."""
-    if k < 0 or l < 0 or l + 2 * k > n:
-        raise ValueError(f"({k}, {l}) outside the triangle for rank {n}")
-    if k == 0:
-        return 1 if l == n else 0
-    if kind == "A":
-        # a fixed label: the sum route of GA calls this once per coefficient
-        return quotient((l + 1) * comb(n, k) * binom(n - k - l - 1, k - 1),
-                        n - k + 1, "type A triangle coefficient")
-    if kind == "B":
-        return comb(n, k) * binom(n - k - l - 1, k - 1)
-    raise ValueError(f"no closed coefficient form for kind {kind!r}")
-
-
 def closed_gamma_triangle(kind: str, n: int) -> GammaTriangle:
-    """Assemble the full type A or B triangle from the closed coefficients."""
-    coeffs = {}
-    for k in range(n // 2 + 1):
+    """The type A or B triangle of rank n >= 0 from its closed coefficients:
+    gamma_(0,n) = 1 and, for k >= 1, C(n,k) C(n-k-l-1, k-1), times
+    (l+1)/(n-k+1) for type A."""
+    if kind not in ("A", "B"):
+        raise ValueError(f"no closed coefficient form for kind {kind!r}")
+    if n < 0:
+        raise ValueError(f"rank must be >= 0, got {n}")
+    coeffs = {(0, n): 1}
+    for k in range(1, n // 2 + 1):
         for l in range(n - 2 * k + 1):
-            c = gamma_coeff_closed(kind, n, k, l)
-            if c:
-                coeffs[(k, l)] = c
+            c = comb(n, k) * binom(n - k - l - 1, k - 1)
+            coeffs[k, l] = c if kind == "B" else quotient(
+                (l + 1) * c, n - k + 1, "type A triangle coefficient")
     return GammaTriangle.make(coeffs, n)
 
 
@@ -380,27 +371,27 @@ def rank23_formula(h: int, rank: int) -> GammaTriangle:
     raise ValueError(f"rank must be 2 or 3, got {rank}")
 
 
+# the step coefficients (a, b) of each family's recursion
+# u_(n+1) = a u_n + b u_(n-1), as Poly2 mappings
+_FAMILY_STEPS = {
+    "lucas": ({(0, 2): 1, (1, 0): 2}, {(2, 0): -1, (1, 1): 1}),
+    "pell": ({(0, 1): 1}, {(1, 0): 1}),
+}
+
+
 def family_recursion(name: str, n: int) -> Poly2:
-    """u_0 = 0, u_1 = 1, then either the Lucas-family recursion
-    u_(n+1) = (y^2 + 2x) u_n - x^2 u_(n-1) + xy u_(n-1) or the Pell-family
-    recursion u_(n+1) = y u_n + x u_(n-1)."""
+    """u_0 = 0, u_1 = 1, then u_(n+1) = a u_n + b u_(n-1) with the family's
+    step coefficients: a = y^2 + 2x, b = xy - x^2 for the Lucas family,
+    a = y, b = x for the Pell family."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if name == "lucas":
-        def step(u, v):
-            return Poly2({(0, 2): 1, (1, 0): 2}) * v + Poly2(
-                {(2, 0): -1, (1, 1): 1}) * u
-    elif name == "pell":
-        def step(u, v):
-            return Poly2({(0, 1): 1}) * v + Poly2({(1, 0): 1}) * u
-    else:
+    if name not in _FAMILY_STEPS:
         raise ValueError(f"unknown family {name!r}")
+    a, b = map(Poly2, _FAMILY_STEPS[name])
     u, v = Poly2.zero(), Poly2.one()
-    if n == 0:
-        return u
     for _ in range(n - 1):
-        u, v = v, step(u, v)
-    return v
+        u, v = v, a * v + b * u
+    return v if n else u
 
 
 def parse_type(kind: str, rank: int | None = None,
@@ -474,10 +465,11 @@ def standard_diagram(kind: str, rank: int | None = None,
 
 
 def pell_discriminant_check() -> bool:
-    """The discriminant y^2 + 4x of the Pell-family recursion equals the
-    triangle of I2(6)."""
-    disc = Poly2({(0, 2): 1, (1, 0): 4})
-    return disc == gamma_triangle_diagram(standard_diagram("I2", m=6)).to_poly2()
+    """The discriminant a^2 + 4b of the Pell-family step (y^2 + 4x) equals
+    the triangle of I2(6)."""
+    a, b = map(Poly2, _FAMILY_STEPS["pell"])
+    return a * a + 4 * b == gamma_triangle_diagram(
+        standard_diagram("I2", m=6)).to_poly2()
 
 
 def reference_tables() -> dict[str, GammaTriangle]:

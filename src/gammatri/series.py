@@ -31,6 +31,7 @@ term read off coxeter, the one home of the A/B/D closed forms.
 
 from __future__ import annotations
 
+import struct
 import sys
 from math import comb
 
@@ -116,15 +117,20 @@ def _packed_product(a: list, b: list, w: int) -> list:
             for m in range(len(a))]
 
 
+# the most items a list can hold: CPython refuses a longer one before it
+# allocates anything, with a MemoryError
+_LONGEST = sys.maxsize // struct.calcsize("P")
+
+
 class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=None):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if order > sys.maxsize:
+        if order > _LONGEST:
             raise ValueError(f"order {order} is longer than any list can be "
-                             f"(at most {sys.maxsize})")
+                             f"(at most {_LONGEST})")
         self.order = order
         cs = list(coeffs or [])
         if len(cs) > order:
@@ -463,13 +469,11 @@ def gB_via_substitution(order: int) -> TruncSeries:
     return substitute_x_to_xt(h.d_dt())
 
 
-ODE_NAME = "ode_g"
-
 IDENTITY_NAMES = (
     "conjA", "conjB", "conjD", "eqC",
     "petitA_grandA", "petitB_grandB_1", "petitB_grandB_2",
     "petitD_grandD", "mini_D", "bizarre_B_D",
-    ODE_NAME, "euler_gD", "gB_from_gA_substitution",
+    "ode_g", "euler_gD", "gB_from_gA_substitution",
 )
 
 
@@ -477,6 +481,10 @@ def verify_identities(order: int) -> list[Check]:
     """Evaluate every generating-series identity as LHS - RHS and report
     whether the residual vanishes through t^order."""
     N = order
+    if 2 * N + 2 > _LONGEST:  # the order of gB_via_substitution's g_sum
+        raise ValueError(f"order {N} is longer than any list can be: the "
+                         f"identities need series of order 2 * {N} + 2, "
+                         f"at most {_LONGEST}")
     g = g_base(N + 2)
     gA, gB, gD = (g_sum(k, N + 1) for k in "ABD")
     GA, GB, GD = (G_sum(k, N + 1) for k in "ABD")
@@ -493,8 +501,8 @@ def verify_identities(order: int) -> list[Check]:
                           - times_yt(gA, 2) - times_yt(gA * GD)),
         "mini_D": (gB - 1) - 2 * (gA - 1) - gA * gD,
         "bizarre_B_D": GD - times_yt(GB - 1) - gD,
-        ODE_NAME: ((g * g.d_dt()).shift_t() - g * g
-                   + TruncSeries.from_map({0: 1, 1: -1}, N + 2)),
+        "ode_g": ((g * g.d_dt()).shift_t() - g * g
+                  + TruncSeries.from_map({0: 1, 1: -1}, N + 2)),
         "euler_gD": gD - two_minus_theta(
             (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)).exact_div(2)),
         "gB_from_gA_substitution": gB_via_substitution(N) - gB.truncate(N + 1),

@@ -1,15 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammatri import __version__
 from gammatri.cli import main
-from gammatri.cluster import dihedral_subdivision
+from gammatri.cluster import dihedral_subdivision, type_a_subdivision
 from gammatri.coxeter import (
     closed_gamma_triangle,
     gamma_triangle_D,
@@ -225,6 +230,9 @@ RAW_FILES = {
 UNWRITABLE = "no_such_dir/model.json"
 # a series order past sys.maxsize on 64-bit builds
 HUGE_ORDER = str(10**20)
+# an order within sys.maxsize but past the longest list, sys.maxsize // 8 on
+# 64-bit builds: the list of its coefficients is refused before allocation
+LIST_ORDER = str(5 * 10**18)
 # the diagnostic expected where exit code 1 alone would not show that the
 # fault is named; {path} stands for the path of the file
 DIAGNOSTICS = {
@@ -240,7 +248,8 @@ DIAGNOSTICS = {
     "point.json": "--facet goes with --complex only",
     "I2(\u0663)": "error: unknown type 'I2(\u0663)'",
     "I2(\u00b2)": "error: unknown type 'I2(\u00b2)'",
-    HUGE_ORDER: "is longer than any list can be",
+    HUGE_ORDER: f"error: order {HUGE_ORDER} is longer than any list can be",
+    LIST_ORDER: f"error: order {LIST_ORDER} is longer than any list can be",
 }
 
 
@@ -253,6 +262,8 @@ DIAGNOSTICS = {
     ["verify", "--suite", "series", "--order", "0"],
     ["series", "--name", "g", "--order", HUGE_ORDER],
     ["verify", "--suite", "series", "--order", HUGE_ORDER],
+    ["series", "--name", "g", "--order", LIST_ORDER],
+    ["verify", "--suite", "series", "--order", LIST_ORDER],
     ["verify", "--suite", "crosscheck", "--max-rank", "-2"],
     ["diagram", "float_edge_label.json"],
     ["diagram", "one_item_edge.json"],
@@ -292,6 +303,68 @@ def test_bad_input_fails_closed(capsys, tmp_path, argv):
     assert err.startswith("error: ") and "Traceback" not in err
     for text in wanted:
         assert text in err
+
+
+# the field names the loaders read, and labels that the valid documents use
+LOADER_FIELDS = ("vertices", "edges", "facets", "complex", "index_set", "sigma")
+LABELS = st.sampled_from(["a", "b", "s1", "s2", "s3", "p1"]) | st.text(max_size=3)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | LABELS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(LOADER_FIELDS) | st.text(max_size=3), children, max_size=4),
+    max_leaves=12)
+VALID_DOCS = [
+    standard_diagram("B", 3).to_dict(),
+    {"vertices": ["a", "b"], "facets": [["a"], ["b"]]},  # the 0-sphere
+    type_a_subdivision(2).to_dict(),
+]
+
+
+def _paths(doc, path=()):
+    """The path of every node of a JSON document, the root's first."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_docs(draw):
+    """A valid diagram, complex or subdivision with one field below the root
+    dropped or replaced by a JSON tree."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    *head, last = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = draw(JSON_TREES)
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(JSON_TREES | _mutated_docs() | st.sampled_from(VALID_DOCS))
+def test_malformed_json_never_ends_in_a_traceback(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["diagram", path],
+                     ["triangles", "--complex", path, "--facet", "a"],
+                     ["local", path],
+                     ["triangles", "--subdivision", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 0:
+                assert out.getvalue()
+            else:
+                assert code == 1 and out.getvalue() == ""
+                assert err.getvalue().startswith("error: ")
+                assert "Traceback" not in err.getvalue()
 
 
 def test_cluster_export_then_triangles(capsys, tmp_path):

@@ -12,7 +12,6 @@ from gammatri.coxeter import (
     closed_gamma_triangle,
     closed_triangle,
     family_recursion,
-    gamma_coeff_closed,
     gamma_triangle_D,
     gamma_triangle_diagram,
     local_gamma_poly,
@@ -189,12 +188,23 @@ def test_gamma_triangle_diagram_examples():
 
 
 def test_gamma_coeff_closed_values():
-    assert gamma_coeff_closed("A", 3, 1, 1) == 2
-    assert gamma_coeff_closed("B", 4, 2, 0) == 6
-    assert gamma_coeff_closed("A", 3, 0, 3) == 1
-    assert gamma_coeff_closed("A", 3, 0, 1) == 0
-    with pytest.raises(ValueError):
-        gamma_coeff_closed("A", 3, 1, 2)
+    assert closed_gamma_triangle("A", 3).entry(1, 1) == 2
+    assert closed_gamma_triangle("B", 4).entry(2, 0) == 6
+    assert closed_gamma_triangle("A", 3).entry(0, 3) == 1
+    assert closed_gamma_triangle("A", 3).entry(0, 1) == 0
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_closed_gamma_triangle_rejects_other_kinds(n):
+    # the kind is checked before any coefficient, so low ranks raise too
+    with pytest.raises(ValueError, match="no closed coefficient form for kind 'Z'"):
+        closed_gamma_triangle("Z", n)
+
+
+@pytest.mark.parametrize("kind", "AB")
+def test_closed_gamma_triangle_rejects_negative_rank(kind):
+    with pytest.raises(ValueError, match="rank must be >= 0, got -1"):
+        closed_gamma_triangle(kind, -1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -254,6 +264,14 @@ def test_pell_discriminant():
     assert pell_discriminant_check()
     i2_5 = gamma_triangle_diagram(standard_diagram("I2", m=5)).to_poly2()
     assert i2_5 != Poly2({(0, 2): 1, (1, 0): 4})
+
+
+def test_pell_discriminant_reads_the_step_table(monkeypatch):
+    # the check computes a^2 + 4b from the table's Pell row; the Lucas row
+    # gives (y^2 + 2x)^2 + 4(xy - x^2), not the I2(6) triangle
+    monkeypatch.setitem(coxeter._FAMILY_STEPS, "pell",
+                        coxeter._FAMILY_STEPS["lucas"])
+    assert not pell_discriminant_check()
 
 
 def test_reference_table_entries():
