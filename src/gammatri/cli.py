@@ -12,9 +12,10 @@ Subcommands:
 Output is deterministic and stdout holds only the result: --out picks the
 table layout, JSON or both; the --export notice goes to stderr. Bad input,
 a stray --m or --facet and a result with no gamma expansion exit 1 with
-`error: ...` on stderr, naming any file at fault; a reader that closes
-stdout early ends the command with exit 1 and no message. NO_COLOR, the only environment
-variable read, turns off the pass/fail coloring of verify.
+`error: ...` on stderr, naming any file at fault, and so does an input
+that asks for more memory than there is; a reader that closes stdout
+early ends the command with exit 1 and no message. NO_COLOR, the only
+environment variable read, turns off the pass/fail coloring of verify.
 """
 
 from __future__ import annotations
@@ -267,6 +268,10 @@ def main(argv=None) -> int:
         return status
     except (CliError, ValueError) as exc:  # domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # an input that asks for more memory than there is
+        print("error: out of memory: the input is too large for this machine",
+              file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout early: stop without a traceback, and point

@@ -15,12 +15,20 @@ restriction or sphere built on the generic path from a complex that is not
 flag; any other complex runs is_flag once, when a face search (or a
 restriction or sphere built from it) first needs it. The flag models and
 is_flag read facets off maximal_cliques, with no face search.
+A from_graph complex keeps its graph and builds its facets (maximal_cliques,
+then from_masks's checks) only when they are first read; until then
+is_facet answers from the graph. colour_counts counts faces by (|F - T|,
+|F & T|) against a mask T: on a flag complex through a succinct clique tree
+that lists no face, about one step per facet; otherwise by a tally of
+face_set.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import comb
 
 from .poly import Poly1
 
@@ -108,13 +116,26 @@ class Complex:
     def from_graph(cls, vertices, adj) -> "Complex":
         """The clique complex of the graph on `vertices` where adj[i] is
         vertex i's neighbour mask, symmetric and without bit i (its callers
-        build it so): the facets are the maximal cliques. It is flag by
-        construction, so it keeps adj as its 1-skeleton and its face search
-        needs no flag test."""
-        adj = list(adj)
-        c = cls.from_masks(vertices, maximal_cliques(adj))
-        c.__dict__.update(neighbours=adj, _flag=True)  # the cached properties below
+        build it so). It is flag by construction, so it keeps adj as its
+        1-skeleton and its face search needs no flag test. Duplicate labels
+        raise InvalidComplex here; the facets, the maximal cliques, are
+        built by __getattr__ when first read, through from_masks."""
+        verts = tuple(vertices)
+        if len(set(verts)) != len(verts):
+            raise InvalidComplex("duplicate vertex labels")
+        c = object.__new__(cls)
+        # the field vertices and the cached properties below
+        c.__dict__.update(vertices=verts, neighbours=list(adj), _flag=True)
         return c
+
+    def __getattr__(self, name: str):
+        """The facets of a from_graph complex, built and kept on first read;
+        every other complex has its facets from __init__."""
+        if name != "facets" or "neighbours" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        facets = Complex.from_masks(self.vertices, maximal_cliques(self.neighbours)).facets
+        self.__dict__["facets"] = facets
+        return facets
 
     @classmethod
     def trivial(cls) -> "Complex":
@@ -286,6 +307,68 @@ def face_set(c: Complex) -> list[int]:
     return c._faces
 
 
+def colour_counts(c: Complex, T: int) -> Counter:
+    """The faces of c, the empty face included, counted by (|F - T|,
+    |F & T|) for a mask T over the positions of c.vertices. A flag complex
+    lists no face: the cliques of its 1-skeleton are counted through a
+    succinct clique tree (Jain and Seshadhri, "The power of pivoting for
+    exact clique counting", WSDM 2020). There the pivot p is the lowest
+    candidate with the most candidate neighbours; one branch keeps p
+    optional on the candidates next to p, and each other candidate v not
+    next to p gets a branch that holds v, with the earlier such v removed.
+    Each clique then lies below exactly one leaf, as its held vertices plus
+    a subset of its optional pivots, so a leaf with po optional pivots
+    outside T and pi inside adds C(po, a) C(pi, b) at (held outside + a,
+    held inside + b). Any other complex tallies face_set."""
+    if not c._flag:
+        return Counter(((f & ~T).bit_count(), (f & T).bit_count()) for f in face_set(c))
+    adj, leaves = c.neighbours, Counter()
+
+    def branch(cand: int, held_out: int, held_in: int, opt_out: int, opt_in: int) -> None:
+        if not cand:
+            leaves[held_out, held_in, opt_out, opt_in] += 1
+            return
+        pivot = _pivot(adj, cand, cand)
+        near = adj[pivot]
+        if T >> pivot & 1:
+            branch(cand & near, held_out, held_in, opt_out, opt_in + 1)
+        else:
+            branch(cand & near, held_out, held_in, opt_out + 1, opt_in)
+        rest = cand & ~near ^ 1 << pivot
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand ^= low
+            if low & T:
+                branch(cand & adj[low.bit_length() - 1], held_out, held_in + 1, opt_out, opt_in)
+            else:
+                branch(cand & adj[low.bit_length() - 1], held_out + 1, held_in, opt_out, opt_in)
+
+    branch((1 << len(adj)) - 1, 0, 0, 0, 0)
+    counts = Counter()
+    for (held_out, held_in, opt_out, opt_in), n in leaves.items():
+        for a in range(opt_out + 1):
+            for b in range(opt_in + 1):
+                counts[held_out + a, held_in + b] += n * comb(opt_out, a) * comb(opt_in, b)
+    return counts
+
+
+def is_facet(c: Complex, T: int) -> bool:
+    """True iff the mask T is a facet of c. A from_graph complex whose
+    facets are not built yet answers from its graph, with no facet list:
+    T is a facet iff it is a clique with no common neighbour."""
+    if "facets" in vars(c):
+        return T in c.facets
+    if T < 0 or T >> len(c.vertices):
+        return False
+    common = (1 << len(c.vertices)) - 1
+    for i in _bits(T):
+        if T & ~c.neighbours[i] != 1 << i:
+            return False
+        common &= c.neighbours[i]
+    return not common
+
+
 def all_faces(c: Complex) -> dict[int, list[int]]:
     """The faces of face_set(c) grouped by cardinality; includes the empty
     face."""
@@ -312,20 +395,37 @@ def f_polynomial(c: Complex) -> Poly1:
     return Poly1(dict(enumerate(f_vector(c))))
 
 
+def _pivot(adj, among: int, p: int) -> int:
+    """The lowest vertex of the mask `among` with the most neighbours in p,
+    found by a walk over the bits that builds no list."""
+    best, rest = -1, among
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        k = (p & adj[low.bit_length() - 1]).bit_count()
+        if k > best:
+            best, pivot = k, low
+    return pivot.bit_length() - 1
+
+
 def maximal_cliques(adj) -> list[int]:
     """The maximal cliques, as masks, of the graph where adj[i] is vertex i's
-    neighbour mask without bit i: Bron-Kerbosch with Tomita's pivot, a vertex
-    of P | X with the most neighbours in P. No vertex gives the one clique 0."""
+    neighbour mask without bit i: Bron-Kerbosch with Tomita's pivot, the
+    lowest vertex of P | X with the most neighbours in P. No vertex gives
+    the one clique 0."""
     out = []
 
     def expand(clique: int, p: int, x: int) -> None:
         if not p | x:
             out.append(clique)
         elif p:
-            pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
-            for v in _bits(p & ~adj[pivot]):
-                expand(clique | 1 << v, p & adj[v], x & adj[v])
-                p, x = p ^ 1 << v, x | 1 << v
+            rest = p & ~adj[_pivot(adj, p | x, p)]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                near = adj[low.bit_length() - 1]
+                expand(clique | low, p & near, x & near)
+                p, x = p ^ low, x | low
 
     expand(0, (1 << len(adj)) - 1, 0)
     return out

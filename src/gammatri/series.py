@@ -477,14 +477,21 @@ IDENTITY_NAMES = (
 )
 
 
+def check_identity_order(order: int) -> None:
+    """The ValueError of verify_identities(order), raised before it builds
+    anything: the identities need series of order 2 * order + 2 (that of
+    gB_via_substitution's g_sum), and no list is that long."""
+    if 2 * order + 2 > _LONGEST:
+        raise ValueError(f"order {order} is longer than any list can be: the "
+                         f"identities need series of order 2 * {order} + 2, "
+                         f"at most {_LONGEST}")
+
+
 def verify_identities(order: int) -> list[Check]:
     """Evaluate every generating-series identity as LHS - RHS and report
     whether the residual vanishes through t^order."""
     N = order
-    if 2 * N + 2 > _LONGEST:  # the order of gB_via_substitution's g_sum
-        raise ValueError(f"order {N} is longer than any list can be: the "
-                         f"identities need series of order 2 * {N} + 2, "
-                         f"at most {_LONGEST}")
+    check_identity_order(N)
     g = g_base(N + 2)
     gA, gB, gD = (g_sum(k, N + 1) for k in "ABD")
     GA, GB, GD = (G_sum(k, N + 1) for k in "ABD")

@@ -18,11 +18,14 @@ A flag complex is a clique complex, and so are its restrictions (induced
 subcomplexes) and its sphere, so restrict() and sphere() build them with
 Complex.from_graph from the complex's 1-skeleton and its carriers, with no
 face pass; they are flag by construction, and their face searches are
-clique walks. For any other complex restrict() cuts the facets and sphere()
-builds its facets from the face pass; what they build is marked to take
-those generic paths in turn (complexes._generic), so flagness is decided
-once per loaded complex either way. The sphere's distinguished facet is
-the index set's mask.
+clique walks. The model route neither lists the flag sphere's faces nor
+builds its facets: SphereWithFacet checks the distinguished facet on the
+graph (a clique with no common neighbour), and f_triangle counts the faces
+through a clique tree (complexes.colour_counts). For any other complex
+restrict() cuts the facets and sphere() builds its facets from the face
+pass; what they build is marked to take those generic paths in turn
+(complexes._generic), so flagness is decided once per loaded complex
+either way. The sphere's distinguished facet is the index set's mask.
 
 Local h, the local-sum triangle and the direct H-triangle are sums of
 per-face terms over restrictions. A face F with a = |F| and
@@ -48,10 +51,12 @@ from .complexes import (
     _generic,
     _json_fields,
     all_faces,
+    colour_counts,
     f_polynomial,
     face_set,
     first_supersets,
     fresh_labels,
+    is_facet,
     join,
     label_list,
 )
@@ -207,14 +212,16 @@ class SphereWithFacet:
     facet: int
 
     def __post_init__(self):
-        if self.facet not in self.complex.facets:
+        """A graph-built complex answers from its graph (complexes.is_facet),
+        so the model route never builds the sphere's facets."""
+        if not is_facet(self.complex, self.facet):
             raise InvalidComplex(f"mask {self.facet} is not a facet of the complex")
 
     @classmethod
     def make(cls, complex: Complex, facet) -> "SphereWithFacet":
         f = frozenset(facet)
         bit = {v: 1 << i for i, v in enumerate(complex.vertices)}
-        if not f <= bit.keys() or (mask := sum(map(bit.get, f))) not in complex.facets:
+        if not f <= bit.keys() or not is_facet(complex, mask := sum(map(bit.get, f))):
             raise InvalidComplex(
                 f"{sorted(f)} is not a facet of the complex")
         return cls(complex, mask)
@@ -316,10 +323,9 @@ def sphere(s: Subdivision) -> SphereWithFacet:
 
 def f_triangle(sph: SphereWithFacet) -> Poly2:
     """F_(i,j) counts faces with i vertices outside the distinguished facet
-    and j vertices inside it."""
-    T = sph.facet
-    return Poly2(Counter(((f & ~T).bit_count(), (f & T).bit_count())
-                         for f in face_set(sph.complex)))
+    and j vertices inside it (complexes.colour_counts: a clique-tree count
+    on a flag sphere, which lists no face)."""
+    return Poly2(colour_counts(sph.complex, sph.facet))
 
 
 def model_gamma(s: Subdivision) -> GammaTriangle:

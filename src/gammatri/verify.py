@@ -59,9 +59,21 @@ def tables_report() -> Report:
     return rep
 
 
-def series_report(order: int = DEFAULT_ORDER) -> Report:
+def check_order(order: int) -> None:
+    """series_report's checks of its order, which build nothing."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    series.check_identity_order(order)
+
+
+def check_max_rank(max_rank: int) -> None:
+    """crosscheck_report's check of its max rank."""
+    if max_rank < 1:
+        raise ValueError(f"max rank must be >= 1, got {max_rank}")
+
+
+def series_report(order: int = DEFAULT_ORDER) -> Report:
+    check_order(order)
     rep = Report(f"series (order {order})")
     rep.extend(series.verify_identities(order))
     rep.extend(series.carlitz_convolution_check(6, 6, 6))
@@ -95,8 +107,7 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK) -> Report:
     """Three-way triangle agreement on the type A models plus the module
     invariants: specializations, round trips, local-h properties, join
     multiplicativity, root-support counts and the sign observations."""
-    if max_rank < 1:
-        raise ValueError(f"max rank must be >= 1, got {max_rank}")
+    check_max_rank(max_rank)
     rep = Report(f"crosscheck (max rank {max_rank})")
     rng = random.Random(20240917)
 
@@ -127,7 +138,7 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK) -> Report:
     for name, s in models.items():
         d = len(s.index_set)
         sph, F, H, gt, by_local = routes[name]
-        f = f_polynomial(sph.complex)
+        f = f_polynomial(sph.complex)  # a face list, against F's clique-tree count
         rep.add(f"F(x,x)=f_{name}", F.substitute_y("x") == f)
         rep.add(f"H(x,1)=h_{name}", H.substitute_y(1) == transforms.h_from_f(f, d))
         rep.add(f"H_two_routes_{name}",
@@ -202,4 +213,7 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK) -> Report:
 
 def all_report(order: int = DEFAULT_ORDER,
                max_rank: int = DEFAULT_MAX_RANK) -> list[Report]:
+    """Every suite; both numbers are checked before any suite runs."""
+    check_order(order)
+    check_max_rank(max_rank)
     return [tables_report(), series_report(order), crosscheck_report(max_rank)]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammatri import __version__
+from gammatri import __version__, verify
 from gammatri.cli import main
 from gammatri.cluster import dihedral_subdivision, type_a_subdivision
 from gammatri.coxeter import (
@@ -233,6 +233,9 @@ HUGE_ORDER = str(10**20)
 # an order within sys.maxsize but past the longest list, sys.maxsize // 8 on
 # 64-bit builds: the list of its coefficients is refused before allocation
 LIST_ORDER = str(5 * 10**18)
+# an order below the longest list whose coefficient list, 8 EB, malloc
+# refuses at once: nothing is allocated before the MemoryError
+MALLOC_ORDER = str(10**18)
 # the diagnostic expected where exit code 1 alone would not show that the
 # fault is named; {path} stands for the path of the file
 DIAGNOSTICS = {
@@ -250,6 +253,7 @@ DIAGNOSTICS = {
     "I2(\u00b2)": "error: unknown type 'I2(\u00b2)'",
     HUGE_ORDER: f"error: order {HUGE_ORDER} is longer than any list can be",
     LIST_ORDER: f"error: order {LIST_ORDER} is longer than any list can be",
+    MALLOC_ORDER: "error: out of memory",
 }
 
 
@@ -265,6 +269,8 @@ DIAGNOSTICS = {
     ["series", "--name", "g", "--order", LIST_ORDER],
     ["verify", "--suite", "series", "--order", LIST_ORDER],
     ["verify", "--suite", "crosscheck", "--max-rank", "-2"],
+    ["series", "--name", "g", "--order", MALLOC_ORDER],
+    ["verify", "--suite", "all", "--max-rank", "0", "--order", "96"],
     ["diagram", "float_edge_label.json"],
     ["diagram", "one_item_edge.json"],
     ["diagram", "four_item_edge.json"],
@@ -303,6 +309,23 @@ def test_bad_input_fails_closed(capsys, tmp_path, argv):
     assert err.startswith("error: ") and "Traceback" not in err
     for text in wanted:
         assert text in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--max-rank", "0", "--order", "96"], "error: max rank must be >= 1, got 0"),
+    (["--order", "0"], "error: order must be >= 1, got 0"),
+    (["--order", HUGE_ORDER], f"error: order {HUGE_ORDER} is longer than any list"),
+], ids=["max rank 0", "order 0", "huge order"])
+def test_verify_all_checks_its_numbers_before_any_suite_runs(capsys, monkeypatch,
+                                                             argv, message):
+    def suite(*args):
+        raise AssertionError("a suite ran before the numbers were checked")
+
+    for name in ("tables_report", "series_report", "crosscheck_report"):
+        monkeypatch.setattr(verify, name, suite)
+    code, out, err = run(capsys, "verify", "--suite", "all", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
 
 
 # the field names the loaders read, and labels that the valid documents use

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,11 +14,13 @@ from gammatri.complexes import (
     _facet_faces,
     _skeleton,
     all_faces,
+    colour_counts,
     dimension,
     f_polynomial,
     f_vector,
     face_set,
     first_supersets,
+    is_facet,
     is_flag,
     join,
     maximal_cliques,
@@ -490,3 +493,92 @@ def test_raw_complex_rejects_stray_or_misordered_facets():
         Complex(("a",), (-1,))
     two_points = Complex(("a", "b"), (1, 2))
     assert two_points == Complex.from_masks("ab", [2, 1]) and is_flag(two_points)
+
+
+# Graph-built complexes: from_graph keeps the graph and builds its facets
+# when they are first read; colour_counts counts a flag complex's cliques
+# through a clique tree, and is_facet answers from the graph.
+
+@st.composite
+def graphs(draw):
+    """A neighbour-mask list of a random graph on up to 12 vertices."""
+    n = draw(st.integers(0, 12))
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if draw(st.booleans()):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def maximal_cliques_by_listed_pivot(adj):
+    """maximal_cliques as it read its pivot off a list: the first of
+    _bits(P | X) with the most neighbours in P, then a branch for each
+    vertex of _bits(P - N(pivot))."""
+    out = []
+
+    def expand(clique, p, x):
+        if not p | x:
+            out.append(clique)
+        elif p:
+            pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+            for v in _bits(p & ~adj[pivot]):
+                expand(clique | 1 << v, p & adj[v], x & adj[v])
+                p, x = p ^ 1 << v, x | 1 << v
+
+    expand(0, (1 << len(adj)) - 1, 0)
+    return out
+
+
+@given(graphs())
+def test_maximal_cliques_keep_the_listed_pivot_and_order(adj):
+    assert maximal_cliques(adj) == maximal_cliques_by_listed_pivot(adj)
+
+
+@given(complexes(), st.data())
+def test_clique_tree_count_equals_the_clique_walk(c, data):
+    g = Complex.from_graph(c.vertices, c.neighbours)
+    everything = (1 << len(c.vertices)) - 1
+    T = data.draw(st.sampled_from([0, everything]) | st.integers(0, everything))
+    walk = Counter(((f & ~T).bit_count(), (f & T).bit_count())
+                   for f in _clique_faces(g.neighbours))
+    assert colour_counts(g, T) == walk
+    assert "facets" not in vars(g)  # counted from the graph alone
+    # on c itself, by the path its flagness picks (a face_set tally if not flag)
+    assert colour_counts(c, T) == Counter(((f & ~T).bit_count(), (f & T).bit_count())
+                                          for f in face_set(c))
+
+
+@given(complexes())
+def test_from_graph_builds_its_facets_when_first_read(c):
+    g = Complex.from_graph(c.vertices, c.neighbours)
+    assert "facets" not in vars(g)
+    built = Complex.from_masks(c.vertices, maximal_cliques(c.neighbours))
+    assert g.facets == built.facets and "facets" in vars(g)
+    lazy = Complex.from_graph(c.vertices, c.neighbours)  # read by each view
+    assert lazy == built and hash(Complex.from_graph(c.vertices, c.neighbours)) == hash(built)
+    assert repr(Complex.from_graph(c.vertices, c.neighbours)) == repr(built)
+    assert Complex.from_graph(c.vertices, c.neighbours).to_dict() == built.to_dict()
+
+
+@given(complexes(), st.data())
+def test_is_facet_reads_the_graph_until_the_facets_are_built(c, data):
+    g = Complex.from_graph(c.vertices, c.neighbours)
+    T = data.draw(st.integers(-1, 1 << len(c.vertices)))
+    assert is_facet(g, T) == (T in Complex.from_graph(c.vertices, c.neighbours).facets)
+    assert "facets" not in vars(g)
+    assert is_facet(c, T) == (T in c.facets)
+
+
+def test_from_graph_checks_labels_at_once_and_the_rest_when_built(monkeypatch):
+    with pytest.raises(InvalidComplex, match="^duplicate vertex labels$"):
+        Complex.from_graph("aba", [0, 0, 0])
+    with pytest.raises(AttributeError, match="no attribute 'faces'"):
+        Complex.from_graph("ab", [0, 0]).faces
+    built, build = [], Complex.from_masks.__func__
+    monkeypatch.setattr(Complex, "from_masks", classmethod(
+        lambda cls, *args: built.append(args) or build(cls, *args)))
+    c = Complex.from_graph("abcde", PENTAGON.neighbours)
+    assert built == []
+    assert c.facets == PENTAGON.facets and c.facets == PENTAGON.facets
+    assert len(built) == 1  # from_masks's checks ran once, at the first read

@@ -118,21 +118,19 @@ FORBIDDEN = {
 }
 
 VALUES = "a value type: it stores and combines coefficients the route computed"
-FACES = ("the face search of one complex: the model route runs it on the "
-         "sphere, the local sum on the subdivided complex")
+FACES = ("the flag test and 1-skeleton of one subdivided complex: the model "
+         "route builds the sphere's graph from them, the local sum walks its faces")
 MASKS = "a mask helper that carries no route data"
 
 # every function that two routes both call, with why sharing it carries no
 # route data from one route into the other
 SHARED = {
-    "complexes.Complex._faces": FACES,
     "complexes.Complex._flag": FACES,
     "complexes.Complex.neighbours": FACES,
-    "complexes._clique_faces": FACES,
-    "complexes.face_set": FACES,
     "complexes.is_flag": FACES,
     "complexes.maximal_cliques": FACES,
     "complexes._bits": MASKS,
+    "complexes._pivot": MASKS,
     "complexes._skeleton": MASKS,
     "coxeter.local_gamma_poly": "the closed local gamma of one component: the "
         "closed D route's j = 0 row and every diagram-sum component read it, "

@@ -694,6 +694,20 @@ def test_raw_sphere_with_facet_rejects_a_mask_that_is_not_a_facet():
     assert SphereWithFacet(pentagon, 0b11) == SphereWithFacet.make(pentagon, {"a", "b"})
 
 
+@pytest.mark.parametrize("mask", [0b101, 0b111, 0b1, 0, 1 << 5, -1],
+                         ids=["ac not a clique", "abc not a clique", "a not maximal",
+                              "empty not maximal", "beyond the vertices", "negative"])
+def test_sphere_with_facet_on_a_graph_rejects_without_building_facets(mask):
+    pentagon = Complex.make("abcde", [set(p) for p in ("ab", "bc", "cd", "de", "ae")])
+    graph = Complex.from_graph(pentagon.vertices, pentagon.neighbours)
+    with pytest.raises(InvalidComplex, match=rf"^mask {mask} is not a facet of the complex$"):
+        SphereWithFacet(graph, mask)
+    assert "facets" not in vars(graph)
+    assert SphereWithFacet(graph, 0b11).complex == pentagon
+    with pytest.raises(InvalidComplex, match=r"^\['a'\] is not a facet of the complex$"):
+        SphereWithFacet.make(Complex.from_graph(pentagon.vertices, pentagon.neighbours), "a")
+
+
 # The flag path of restrict and sphere against the generic one, which cuts
 # the facets and reads the sphere's facets off the face pass.
 
@@ -747,14 +761,25 @@ def test_flag_and_generic_paths_agree_on_the_models(s):
                                   stellar_triangle],
                          ids=["A4", "A4 generic", "I2(5)", "stellar triangle"])
 def test_model_route_walks_the_sphere_and_reads_no_face_counts(monkeypatch, make):
-    s, walked = make(), []
-    walk = subdivisions.face_set
-    monkeypatch.setattr(subdivisions, "face_set", lambda c: walked.append(c) or walk(c))
+    s, walked, searched = make(), [], []
+    walk, search = complexes.face_set, complexes.maximal_cliques
+    for module in (complexes, subdivisions):
+        monkeypatch.setattr(module, "face_set", lambda c: walked.append(c) or walk(c))
+    monkeypatch.setattr(complexes, "maximal_cliques",
+                        lambda adj: searched.append(list(adj)) or search(adj))
     subdivisions.model_gamma(s)
+    monkeypatch.undo()
     assert "_face_counts" not in vars(s)
-    assert walked[-1] == sphere(s).complex  # every face of the sphere
-    # the flag path's sphere needs no face pass of the complex
-    assert len(walked) == (1 if s.complex._flag else 2)
+    sph = sphere(s).complex
+    if s.complex._flag:
+        # the sphere's cliques are counted: no face is listed, and the
+        # sphere's facets are never searched for
+        assert walked == []
+        assert sph.neighbours not in searched
+    else:
+        # the face pass of the complex builds the sphere, whose every face
+        # is then walked
+        assert walked == [s.complex, sph]
 
 
 def flag_decisions(run) -> list:
