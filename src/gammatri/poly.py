@@ -13,7 +13,7 @@ builder _Poly._build keeps the nonzero entries and checks no key. It
 builds only results whose keys cannot be negative: those made from the
 keys of valid polynomials without subtracting (sums, products, negation,
 scaling, y-slices, y-specializations) and the series kernel's unpacked
-coefficients (series.py; keys are slot and y-power indices). It never
+coefficients (packed.py; keys are slot and y-power indices). It never
 receives a caller's mapping.
 
 Storage order: the terms live in one dict, _c, in no promised order.
@@ -26,7 +26,7 @@ raise.
 The transforms and the face-count sums, sums of c * x^a y^b (1 + s*x)^n,
 add the cached rows binomial_row(n, s) into one dict instead of building
 a polynomial per term. The series layer packs x-polynomials into big ints
-once per series operation (series.py), not in Poly2.__mul__, which would
+once per series operation (packed.py), not in Poly2.__mul__, which would
 re-pack each operand on every call.
 """
 

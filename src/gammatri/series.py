@@ -8,16 +8,22 @@ takes only series with constant term 1 or -1, and the only divisions are
 exact ones (sqrt halving its recursion, exact_div, and the closed forms
 behind the defining sums), which raise ArithmeticError on a remainder.
 
-Series products, inverse() and sqrt() run through one packed kernel
-(Kronecker substitution in x): each operation packs every t^n coefficient
-of its operands once, as {y-power: int} with one x-slot every w bits, sums
-big-int products so that CPython's multiplication does the x-convolution,
-and unpacks each output coefficient once. One width rule serves all
-three: before the first multiply, each operation bounds the l1 norm of
-every coefficient it packs or unpacks by a majorant B (|digit| <= l1 norm
-<= B), and packs at exactly w = bit_length(B) + 1 bits, which holds every
-digit. The packing lives here, not in Poly2.__mul__, because a series
-operation packs each coefficient once for all its uses.
+Series products, inverse() and sqrt() run through the packed kernel
+(packed.py, Kronecker substitution in x): each operation packs every t^n
+coefficient of its operands once and unpacks each output coefficient
+once. One width rule serves all three: before the first multiply, each
+operation bounds every digit it packs or unpacks by a majorant B (for
+inverse() and sqrt(), an l1 norm bound carried through the recursion)
+and packs at exactly w = bit_length(B) + 1 bits.
+
+The identities are checked in packed form too. IDENTITIES states each as
+the signed terms c y^a t^b P*Q of its residual over the source series,
+and one packed sum per identity proves the residual zero through t^N: a
+t-power is zero iff all its packed ints are 0, exact because balanced
+digits are unique, so only the first nonzero t-power is unpacked, for the
+report. The width rule extends to the whole residual: every source is
+packed once at w = bit_length(B) + 1, B bounding every digit of the
+residual by sum |c| times its term's bound.
 
 Series, closed route (g and gX have polynomial-in-x coefficients):
   g    = sqrt((1-t)^2 - 4xt^2)
@@ -31,6 +37,7 @@ term read off coxeter, the one home of the A/B/D closed forms.
 
 from __future__ import annotations
 
+import re
 import struct
 import sys
 from math import comb
@@ -38,6 +45,8 @@ from math import comb
 # gamma_triangle_diagram is unused here; perfbench's tests read it off series
 from .coxeter import (TypedComponent, closed_triangle, gamma_triangle_diagram,
                       local_gamma_poly)
+from .packed import (_first_nonzero, _l1, _norms, _pack, _packed_dot,
+                     _packed_product, _product_bound, _unpack)
 from .poly import Poly2, binom, quotient
 from .report import Check
 
@@ -48,73 +57,6 @@ def _exact_div(c: Poly2, d: int, n: int) -> Poly2:
     if any(v % d for v in terms.values()):
         raise ArithmeticError(f"coefficient {c} of t^{n} is not divisible by {d}")
     return Poly2._build({key: v // d for key, v in terms.items()})
-
-
-# The packed kernel. A packed coefficient is {y-power: int}, the int being
-# the x-polynomial evaluated at x = 2^w: one x-slot every w bits, packed by
-# plain shifts, w being exactly bit_length(B) + 1 with no byte alignment.
-# Digits are balanced: slot k holds d_k in [-2^(w-1), 2^(w-1)), so a packed
-# int unpacks uniquely once every digit of the exact result is known to lie
-# in that range; the packed sums on the way there need no bound.
-
-def _pack(c: Poly2, w: int) -> dict:
-    """{y-power: the x-polynomial at x = 2^w}, one packed int per y-power."""
-    out = {}
-    for (i, j), v in c._c.items():
-        out[j] = out.get(j, 0) + (v << w * i)
-    return out
-
-
-def _unpack(packed: dict, w: int) -> Poly2:
-    """The Poly2 packed as `packed` at width w >= 2, whose digits must all
-    lie in [-2^(w-1), 2^(w-1)): each step peels the lowest balanced digit."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    out = {}
-    for j, p in packed.items():
-        i = 0
-        while p:
-            d = ((p + half) & mask) - half
-            if d:
-                out[(i, j)] = d
-            p = (p - d) >> w
-            i += 1
-    return Poly2._build(out)
-
-
-def _packed_dot(pairs) -> dict:
-    """The sum of a * b over pairs of packed coefficients, by y-power."""
-    out = {}
-    for a, b in pairs:
-        for j1, p in a.items():
-            for j2, q in b.items():
-                j = j1 + j2
-                out[j] = out.get(j, 0) + p * q
-    return out
-
-
-def _l1(c: Poly2) -> int:
-    return sum(map(abs, c._c.values()))
-
-
-def _product_bound(a: list, b: list) -> int:
-    """An l1 majorant of the product of the series with coefficients a and
-    b, through t^(n-1), n = len(a) = len(b): the t^m coefficient is
-    sum_i a_i b_(m-i), whose l1 norm is at most sum_i |a_i|_1 |b_(m-i)|_1
-    (the l1 norm is submultiplicative). The max also covers every |a_i|_1
-    and |b_i|_1, so the inputs fit their slots too."""
-    la = [_l1(c) for c in a]
-    lb = [_l1(c) for c in b]
-    return max([sum(la[i] * lb[m - i] for i in range(m + 1))
-                for m in range(len(a))] + la + lb)
-
-
-def _packed_product(a: list, b: list, w: int) -> list:
-    """The coefficients of the product through t^(len(a)-1), packed at
-    width w; correct whenever every digit fits a balanced w-bit slot."""
-    pa = [_pack(c, w) for c in a]
-    pb = [_pack(c, w) for c in b]
-    return [_unpack(_packed_dot((pa[i], pb[m - i]) for i in range(m + 1)), w)
-            for m in range(len(a))]
 
 
 # the most items a list can hold: CPython refuses a longer one before it
@@ -141,8 +83,13 @@ class TruncSeries:
 
     @classmethod
     def from_map(cls, mapping: dict, order: int) -> "TruncSeries":
+        """The series with the t^n coefficient mapping[n], n >= 0; entries
+        at n >= order are dropped."""
         out = cls(order)
         for n, c in mapping.items():
+            if n < 0:
+                raise ValueError(f"cannot set the coefficient of t^{n}: the "
+                                 "power must be >= 0")
             if n < order:
                 out.coeffs[n] = c if isinstance(c, Poly2) else Poly2({(0, 0): c})
         return out
@@ -266,8 +213,7 @@ class TruncSeries:
         packed = [{0: v}]
         out = [Poly2({(0, 0): v})]
         for n in range(1, self.order):
-            acc = _packed_dot((s[k], packed[n - k]) for k in range(1, n + 1))
-            r = {j: -v * p for j, p in acc.items()}
+            r = _packed_dot(((s[k], packed[n - k]) for k in range(1, n + 1)), c=-v)
             packed.append(r)
             out.append(_unpack(r, w))
         return TruncSeries(self.order, out)
@@ -293,14 +239,10 @@ class TruncSeries:
         out = [Poly2.one()]
         for n in range(1, self.order):
             # c_n = sum_k r_k r_(n-k); each pair k < n - k occurs twice
-            acc = dict(c[n])
-            for j, p in _packed_dot((packed[k], packed[n - k])
-                                    for k in range(1, (n + 1) // 2)).items():
-                acc[j] = acc.get(j, 0) - 2 * p
+            acc = _packed_dot(((packed[k], packed[n - k])
+                               for k in range(1, (n + 1) // 2)), dict(c[n]), -2)
             if n % 2 == 0:
-                middle = packed[n // 2]
-                for j, p in _packed_dot(((middle, middle),)).items():
-                    acc[j] = acc.get(j, 0) - p
+                _packed_dot(((packed[n // 2], packed[n // 2]),), acc, -1)
             out.append(_exact_div(_unpack(acc, w), 2, n))
             # every digit of acc is even now, so halving the packed int
             # halves each digit exactly
@@ -383,21 +325,25 @@ def g_base(order: int) -> TruncSeries:
 def g_closed(kind: str, order: int) -> TruncSeries:
     """Closed forms of gA, gB, gD as algebraic expressions in g: each even
     numerator is halved exactly, then times the inverse of a unit series."""
+    if kind not in ("A", "B", "D"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    return _g_closed(kind, order, g_base(order + 1 if kind == "A" else order))
+
+
+def _g_closed(kind: str, order: int, g: TruncSeries) -> TruncSeries:
+    """g_closed(kind, order) from g of order at least order + 1 for A and
+    order for B and D, truncated to that."""
     one_plus_xt = TruncSeries.from_map({0: 1, 1: _x_poly({1: 1})}, order)
     if kind == "A":
-        g = g_base(order + 1)
-        num = TruncSeries.from_map({0: 1, 1: 1}, order + 1) - g
+        num = TruncSeries.from_map({0: 1, 1: 1}, order + 1) - g.truncate(order + 1)
         return num.div_t().exact_div(2) * one_plus_xt.inverse()
+    g = g.truncate(order)
     if kind == "B":
-        g = g_base(order)
         num = g + TruncSeries.from_map({0: 1, 1: _x_poly({0: -1, 1: 2})}, order)
         return num.exact_div(2) * (g * one_plus_xt).inverse()
-    if kind == "D":
-        g = g_base(order)
-        gm1 = g - 1
-        num = gm1 * (gm1 + TruncSeries.from_map({1: 1}, order))
-        return num.exact_div(2) * g.inverse()
-    raise ValueError(f"unknown series kind {kind!r}")
+    gm1 = g - 1
+    num = gm1 * (gm1 + TruncSeries.from_map({1: 1}, order))
+    return num.exact_div(2) * g.inverse()
 
 
 def _rank_sum(kind: str, order: int, term) -> TruncSeries:
@@ -469,12 +415,45 @@ def gB_via_substitution(order: int) -> TruncSeries:
     return substitute_x_to_xt(h.d_dt())
 
 
-IDENTITY_NAMES = (
-    "conjA", "conjB", "conjD", "eqC",
-    "petitA_grandA", "petitB_grandB_1", "petitB_grandB_2",
-    "petitD_grandD", "mini_D", "bizarre_B_D",
-    "ode_g", "euler_gD", "gB_from_gA_substitution",
-)
+# Each identity as its residual, which must vanish through t^N: signed
+# terms c y^a t^b X over the sources that verify_identities builds, written
+# like "- 2yt gA" (c = 2, a = b = 1) or "- y2t2 gA" (a = b = 2), X a source
+# or a product "gA*GD" of two; "one" is the series 1.
+IDENTITIES = {
+    "conjA": "gA - gA_closed",
+    "conjB": "gB - gB_closed",
+    "conjD": "gD - gD_closed",
+    "eqC": "g - eq_c",
+    "petitA_grandA": "GA - gA - yt gA*GA",
+    "petitB_grandB_1": "GB - gB - yt gA*GB",
+    "petitB_grandB_2": "GB - gB - yt gB*GA",
+    "petitD_grandD": "GD - gD - 2yt gA + 2yt one - y2t2 gA - yt gA*GD",
+    "mini_D": "gB - 2 gA + one - gA*gD",
+    "bizarre_B_D": "GD - yt GB + yt one - gD",
+    "ode_g": "t g*g' - g*g + one - t one",
+    "euler_gD": "gD - two_minus_theta",
+    "gB_from_gA_substitution": "gB_via_substitution - gB",
+}
+IDENTITY_NAMES = tuple(IDENTITIES)
+_MONOMIAL = re.compile(r"(\d*)(?:y(\d*))?(?:t(\d*))?")
+
+
+def _terms(residual: str) -> list:
+    """The terms (c, a, b, p, q) of a residual written as in IDENTITIES, a
+    lone source q read as one*q."""
+    terms, sign, c, a, b = [], 1, 1, 0, 0
+    for word in residual.split():
+        if word in ("+", "-"):
+            sign = -1 if word == "-" else 1
+        elif monomial := _MONOMIAL.fullmatch(word):
+            num, y, t = monomial.groups()
+            c = int(num or 1)
+            a, b = (0 if e is None else int(e or 1) for e in (y, t))
+        else:
+            p, _, q = word.rpartition("*")
+            terms.append((sign * c, a, b, p or "one", q))
+            sign, c, a, b = 1, 1, 0, 0
+    return terms
 
 
 def check_identity_order(order: int) -> None:
@@ -488,36 +467,25 @@ def check_identity_order(order: int) -> None:
 
 
 def verify_identities(order: int) -> list[Check]:
-    """Evaluate every generating-series identity as LHS - RHS and report
-    whether the residual vanishes through t^order."""
+    """Evaluate every generating-series identity of IDENTITIES as LHS - RHS
+    in packed form and report whether the residual vanishes through
+    t^order, naming its first nonzero coefficient when it does not."""
     N = order
     check_identity_order(N)
     g = g_base(N + 2)
-    gA, gB, gD = (g_sum(k, N + 1) for k in "ABD")
-    GA, GB, GD = (G_sum(k, N + 1) for k in "ABD")
-
-    residuals = {
-        "conjA": gA - g_closed("A", N + 1),
-        "conjB": gB - g_closed("B", N + 1),
-        "conjD": gD - g_closed("D", N + 1),
-        "eqC": g.truncate(N + 1) - eq_c_series(N + 1),
-        "petitA_grandA": GA - gA - times_yt(gA * GA),
-        "petitB_grandB_1": GB - gB - times_yt(gA * GB),
-        "petitB_grandB_2": GB - gB - times_yt(gB * GA),
-        "petitD_grandD": (GD - gD - 2 * times_yt(gA - 1)
-                          - times_yt(gA, 2) - times_yt(gA * GD)),
-        "mini_D": (gB - 1) - 2 * (gA - 1) - gA * gD,
-        "bizarre_B_D": GD - times_yt(GB - 1) - gD,
-        "ode_g": ((g * g.d_dt()).shift_t() - g * g
-                  + TruncSeries.from_map({0: 1, 1: -1}, N + 2)),
-        "euler_gD": gD - two_minus_theta(
-            (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)).exact_div(2)),
-        "gB_from_gA_substitution": gB_via_substitution(N) - gB.truncate(N + 1),
-    }
+    sources = {"g": g, "g'": g.d_dt(), "one": TruncSeries.one(N + 1)}
+    for k in "ABD":
+        sources[f"g{k}"], sources[f"G{k}"] = g_sum(k, N + 1), G_sum(k, N + 1)
+        sources[f"g{k}_closed"] = _g_closed(k, N + 1, g)
+    sources["eq_c"] = eq_c_series(N + 1)
+    sources["two_minus_theta"] = two_minus_theta(
+        (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)).exact_div(2))
+    sources["gB_via_substitution"] = gB_via_substitution(N)
+    series = {name: s.coeffs[:N + 1] for name, s in sources.items()}
+    norms = {name: _norms(cs) for name, cs in series.items()}
     checks = []
-    for name in IDENTITY_NAMES:
-        res = residuals[name]
-        hit = res.first_nonzero(N)
+    for name, residual in IDENTITIES.items():
+        hit = _first_nonzero(_terms(residual), series, norms, N + 1)
         if hit is None:
             checks.append(Check(name, True, f"residual 0 through t^{N}"))
         else:

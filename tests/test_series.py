@@ -28,8 +28,9 @@ from gammatri.series import (
     two_minus_theta,
     verify_identities,
 )
-from gammatri import series
-from gammatri.series import _pack, _packed_product, _product_bound, _unpack
+from gammatri import packed, series
+from gammatri.packed import (_first_nonzero, _norms, _pack, _packed_product, _packed_sum,
+                             _product_bound, _sum_bound, _unpack)
 
 
 def xp(mapping):
@@ -300,6 +301,88 @@ def test_product_bound_holds_every_digit(a, b):
     assert all(d <= bound for d in digits(a.coeffs[:n] + b.coeffs[:n]))
 
 
+def sum_by_series(terms, sources):
+    """The packed sum of the terms (c, a, b, p, q) built with the series
+    operators, products by sparse_product, through the sources' order."""
+    out = TruncSeries(sources["one"].order)
+    for c, a, b, p, q in terms:
+        x = sparse_product(sources[p], sources[q])
+        out = out + (x * Poly2({(0, a): c})).shift_t(b)
+    return out
+
+
+def first_nonzero_packed(terms, sources):
+    return _first_nonzero(terms, {k: s.coeffs for k, s in sources.items()},
+                          {k: _norms(s.coeffs) for k, s in sources.items()},
+                          sources["one"].order)
+
+
+def with_one(sources):
+    return {**sources, "one": TruncSeries.one(next(iter(sources.values())).order)}
+
+
+def sum_terms(names):
+    """Signed, y- and t-shifted products of two of the named series."""
+    name = st.sampled_from(names)
+    return st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2),
+                              st.integers(0, 2), name, name),
+                    min_size=1, max_size=5)
+
+
+# up to three series of one order, and the series 1, which makes a term of
+# one series out of a product
+packed_sums = st.integers(1, 7).flatmap(
+    lambda order: st.lists(st.lists(poly2s, max_size=order).map(
+        lambda cs: TruncSeries(order, cs)), min_size=1, max_size=3)).flatmap(
+    lambda series: st.tuples(st.just(with_one(dict(enumerate(series)))),
+                             sum_terms([*range(len(series)), "one"])))
+
+
+@settings(max_examples=150)
+@given(packed_sums)
+# (1 + t)^2 - (1 + t) - t (1 + t) cancels to zero
+@example((with_one({0: ONE_PLUS_T}),
+          [(1, 0, 0, 0, 0), (-1, 0, 0, "one", 0), (-1, 0, 1, "one", 0)]))
+# y t (1 + t)(1 - t) - y t + y t^3 cancels too, through the y-shifts
+@example((with_one({0: ONE_PLUS_T, 1: ONE_MINUS_T}),
+          [(1, 1, 1, 0, 1), (-1, 1, 1, "one", "one"), (1, 1, 3, "one", "one")]))
+def test_packed_sum_finds_the_first_nonzero_of_the_series_expression(case):
+    sources, terms = case
+    assert first_nonzero_packed(terms, sources) == \
+        sum_by_series(terms, sources).first_nonzero(sources["one"].order - 1)
+
+
+def test_packed_sum_width_is_tight_at_the_extremes():
+    # order 7, constant coefficients at y^1: the t^6 digit of
+    # y ab + y a - 2 y t b is -(7AB + A + 2B), A = 2^100 - 1 and B = 2^97 - 1,
+    # every term of one sign, and the bound is exactly its size, 200 bits,
+    # plus a sign bit
+    A, B = 2**100 - 1, 2**97 - 1
+    sources = with_one({"a": TruncSeries(7, [-A] * 7), "b": TruncSeries(7, [B] * 7)})
+    terms = ((1, 1, 0, "a", "b"), (1, 1, 0, "one", "a"), (-2, 1, 1, "one", "b"))
+    want = sum_by_series(terms, sources)
+    norms = {k: _norms(s.coeffs) for k, s in sources.items()}
+    bound = _sum_bound(terms, norms, 7)
+    assert bound == -want.coeff(6).coeff(0, 1) == 7 * A * B + A + 2 * B
+    assert bound.bit_length() == 200
+
+    def packed_at(w):
+        cs = {k: s.coeffs for k, s in sources.items()}
+        return TruncSeries(7, [_unpack(p, w) for p in _packed_sum(terms, cs, 7, w)])
+
+    assert packed_at(201) == want
+    assert packed_at(200) != want
+
+
+def test_identities_read_as_signed_terms():
+    assert series._terms("GD - gD - 2yt gA + 2yt one - y2t2 gA - yt gA*GD") == [
+        (1, 0, 0, "one", "GD"), (-1, 0, 0, "one", "gD"), (-2, 1, 1, "one", "gA"),
+        (2, 1, 1, "one", "one"), (-1, 2, 2, "one", "gA"), (-1, 1, 1, "gA", "GD")]
+    assert series._terms("t g*g' - g*g + one - t one") == [
+        (1, 0, 1, "g", "g'"), (-1, 0, 0, "g", "g"), (1, 0, 0, "one", "one"),
+        (-1, 0, 1, "one", "one")]
+
+
 def product_bits_by_size(a, b):
     """The slot width from the coefficient sizes: the largest ba_i + bb_i'
     over nonzero pairs (ba, bb the bit lengths of the largest |coefficient|)
@@ -315,14 +398,31 @@ def product_bits_by_size(a, b):
     return top + (n * (dy + 1) * (dx + 1)).bit_length() + 1
 
 
+def sum_bits_by_size(terms, sources, n):
+    """The slot width of a packed sum from the coefficient sizes: the widest
+    term, a term one * X as wide as the largest |coefficient| of X and any
+    other as product_bits_by_size without its sign bit, widened by the bits
+    of its scalar |c|, plus the bit length of the term count, plus a sign
+    bit. For the one term of _packed_product this is product_bits_by_size."""
+    bits = []
+    for c, _, b, p, q in terms:
+        P, Q = (sources[name][:n - b] for name in (p, q))
+        size = (max(digits(Q), default=0).bit_length() if p == "one"
+                else product_bits_by_size(P, Q) - 1)
+        bits.append(size + (abs(c) - 1).bit_length())
+    return max(bits) + (len(terms) - 1).bit_length() + 1
+
+
 def test_products_are_never_packed_wider_than_by_coefficient_sizes(monkeypatch):
+    # every packed sum: each product of TruncSeries.__mul__, through
+    # _packed_product, and each identity's residual in verify_identities
     widths = []
 
-    def recording(a, b, w):
-        widths.append((w, product_bits_by_size(a, b)))
-        return _packed_product(a, b, w)
+    def recording(terms, sources, n, w):
+        widths.append((w, sum_bits_by_size(terms, sources, n)))
+        return _packed_sum(terms, sources, n, w)
 
-    monkeypatch.setattr(series, "_packed_product", recording)
+    monkeypatch.setattr(packed, "_packed_sum", recording)
     assert all(c.ok for c in verify_identities(24))
     assert G_closed("A", 12) == G_sum("A", 12)
     assert len(widths) > 10
@@ -509,6 +609,68 @@ def test_negative_control_detects_perturbation():
     assert hit is not None and hit[0] in (4, 5)
 
 
+def residuals_by_series(N):
+    """verify_identities' residuals as series expressions, each built with
+    the series operators: the oracle its packed residuals must match."""
+    g = g_base(N + 2)
+    gA, gB, gD = (series.g_sum(k, N + 1) for k in "ABD")
+    GA, GB, GD = (series.G_sum(k, N + 1) for k in "ABD")
+    return {
+        "conjA": gA - g_closed("A", N + 1),
+        "conjB": gB - g_closed("B", N + 1),
+        "conjD": gD - g_closed("D", N + 1),
+        "eqC": g.truncate(N + 1) - eq_c_series(N + 1),
+        "petitA_grandA": GA - gA - times_yt(gA * GA),
+        "petitB_grandB_1": GB - gB - times_yt(gA * GB),
+        "petitB_grandB_2": GB - gB - times_yt(gB * GA),
+        "petitD_grandD": (GD - gD - 2 * times_yt(gA - 1)
+                          - times_yt(gA, 2) - times_yt(gA * GD)),
+        "mini_D": (gB - 1) - 2 * (gA - 1) - gA * gD,
+        "bizarre_B_D": GD - times_yt(GB - 1) - gD,
+        "ode_g": ((g * g.d_dt()).shift_t() - g * g
+                  + TruncSeries.from_map({0: 1, 1: -1}, N + 2)),
+        "euler_gD": gD - two_minus_theta(
+            (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)).exact_div(2)),
+        "gB_from_gA_substitution": gB_via_substitution(N) - gB.truncate(N + 1),
+    }
+
+
+def checks_by_series(N):
+    out = []
+    for name, residual in residuals_by_series(N).items():
+        hit = residual.first_nonzero(N)
+        out.append((name, hit is None, f"residual 0 through t^{N}" if hit is None
+                    else f"first nonzero residual at t^{hit[0]}: {hit[1]}"))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_packed_residuals_match_the_series_expressions(n):
+    assert [(c.name, c.ok, c.detail) for c in verify_identities(n)] \
+        == checks_by_series(n)
+
+
+def test_a_planted_fault_fails_exactly_the_identities_that_read_it(monkeypatch):
+    # GB's t^17 coefficient off by x^2 y^3 at order 24: the three identities
+    # that read GB fail with the series oracle's detail, the rest pass
+    true_G_sum = series.G_sum
+
+    def planted(kind, order):
+        s = true_G_sum(kind, order)
+        if kind == "B":
+            s.coeffs[17] = s.coeffs[17] + Poly2({(2, 3): 1})
+        return s
+
+    monkeypatch.setattr(series, "G_sum", planted)
+    checks = [(c.name, c.ok, c.detail) for c in verify_identities(24)]
+    assert checks == checks_by_series(24)
+    failed = {name: detail for name, ok, detail in checks if not ok}
+    assert failed == {
+        "petitB_grandB_1": "first nonzero residual at t^17: x^2*y^3",
+        "petitB_grandB_2": "first nonzero residual at t^17: x^2*y^3",
+        "bizarre_B_D": "first nonzero residual at t^18: -x^2*y^4",
+    }
+
 def test_carlitz_example_value():
     # (k, m, l) = (1, 0, 0): the brute-force sum gives 2 on both routes
     conv = sum(a_local_coeff(k1, 0) * a_triangle_coeff(1 - k1, 0, 0)
@@ -599,6 +761,12 @@ def test_times_yt_rejects_a_negative_power():
     with pytest.raises(ValueError, match=r"t\^-1: "):
         times_yt(TruncSeries(3, [1, 2, 5]), -1)
 
+
+
+def test_from_map_rejects_a_negative_power():
+    # a negative key would wrap the list index and land at t^(order - 1)
+    with pytest.raises(ValueError, match=r"t\^-1: "):
+        TruncSeries.from_map({-1: 5}, 3)
 
 def test_div_t_rejects_a_power_beyond_the_order():
     with pytest.raises(ValueError, match=r"t\^3 at order 2"):
