@@ -25,7 +25,7 @@ face_set.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
@@ -231,6 +231,7 @@ def _facet_faces(facets, width: int) -> list[int]:
                     out.append(g | 1 << rest[0])
 
     extend(0, (1 << len(facets)) - 1, list(range(len(inc))))
+    del extend  # it refers to itself: the cycle would hold out until gc runs
     return out
 
 
@@ -254,6 +255,7 @@ def _clique_faces(adj) -> list[int]:
                 out.append(g | rest)
 
     extend(0, (1 << len(adj)) - 1)
+    del extend  # as in _facet_faces
     return out
 
 
@@ -372,10 +374,10 @@ def is_facet(c: Complex, T: int) -> bool:
 def all_faces(c: Complex) -> dict[int, list[int]]:
     """The faces of face_set(c) grouped by cardinality; includes the empty
     face."""
-    grouped: dict[int, list[int]] = {}
+    grouped = defaultdict(list)
     for f in face_set(c):
-        grouped.setdefault(f.bit_count(), []).append(f)
-    return grouped
+        grouped[f.bit_count()].append(f)
+    return dict(grouped)
 
 
 def dimension(c: Complex) -> int:
@@ -428,6 +430,7 @@ def maximal_cliques(adj) -> list[int]:
                 p, x = p ^ low, x | low
 
     expand(0, (1 << len(adj)) - 1, 0)
+    del expand  # as in _facet_faces
     return out
 
 

@@ -14,6 +14,12 @@ The face-count routes read one cached face pass per subdivision (a
 Subdivision is frozen, so the pass cannot go stale): each face of the
 complex (a complexes.face_set mask) with its carrier.
 
+A restriction keeps the complex's vertex order, and the restriction that
+cuts no vertex (J holds every carrier, as J = I does) is the complex
+itself. validate() therefore lists the loaded complex's faces once, and
+the face pass and the K = I sub_subdivision read that same cached list:
+one face list per loaded subdivision.
+
 A flag complex is a clique complex, and so are its restrictions (induced
 subcomplexes) and its sphere, so restrict() and sphere() build them with
 Complex.from_graph from the complex's 1-skeleton and its carriers, with no
@@ -228,32 +234,47 @@ class SphereWithFacet:
 
 
 def restrict(s: Subdivision, J) -> Complex:
-    """The subcomplex of faces whose carrier lies inside J."""
+    """The subcomplex of faces whose carrier lies inside J, which is the
+    subcomplex induced on the vertices carried inside J, kept in
+    s.complex's order. When J holds every carrier nothing is cut, and the
+    result is s.complex itself, with its facets and cached face list."""
     J = frozenset(J)
     if not J <= set(s.index_set):
         raise ValueError(f"{sorted(J)} is not a subset of the index set")
     outside = sum(1 << k for k, i in enumerate(s.index_set) if i not in J)
-    inside = sorted((v, i) for i, (v, c) in enumerate(zip(s.complex.vertices, s.carriers))
-                    if not c & outside)
-    bit = {i: 1 << k for k, (_, i) in enumerate(inside)}  # renumbered by label
-    keep = sum(1 << i for i in bit)
+    cpx = s.complex
+    kept = [i for i, c in enumerate(s.carriers) if not c & outside]
+    if len(kept) == len(cpx.vertices):
+        return cpx
+    moved = {1 << i: 1 << k for k, i in enumerate(kept)}  # old bit -> new bit
+    keep = sum(moved)
 
     def renumber(f: int) -> int:
-        return sum(map(bit.__getitem__, _bits(f & keep)))
+        f &= keep
+        out = 0
+        while f:
+            low = f & -f
+            out |= moved[low]
+            f ^= low
+        return out
 
-    cpx, labels = s.complex, [v for v, _ in inside]
+    labels = [cpx.vertices[i] for i in kept]
     if cpx._flag:  # the induced subgraph's clique complex
-        return Complex.from_graph(labels, [renumber(cpx.neighbours[i]) for _, i in inside])
+        return Complex.from_graph(labels, [renumber(cpx.neighbours[i]) for i in kept])
     cut = {f & keep for f in cpx.facets}
     cut -= first_supersets(cut).keys()
     return _generic(Complex.from_masks(labels, map(renumber, cut)))
 
 
 def sub_subdivision(s: Subdivision, K) -> Subdivision:
-    """The restriction to K viewed as a subdivision with index set K."""
+    """The restriction to K viewed as a subdivision with index set K; its
+    vertices are the parent's carried inside K, in the parent's order, so
+    their carriers are read off s.carriers in that order."""
     K = frozenset(K)
-    cpx, sigma = restrict(s, K), s.sigma
-    return Subdivision.make(cpx, sorted(K), {v: sigma[v] for v in cpx.vertices})
+    cpx, index = restrict(s, K), s.index_set
+    outside = sum(1 << k for k, i in enumerate(index) if i not in K)
+    sigma = [frozenset(index[k] for k in _bits(c)) for c in s.carriers if not c & outside]
+    return Subdivision.make(cpx, sorted(K), dict(zip(cpx.vertices, sigma)))
 
 
 def h_of_complex(c: Complex, d: int) -> Poly1:

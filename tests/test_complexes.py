@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import combinations
 
@@ -380,6 +381,21 @@ def test_face_set_keeps_the_order_on_fixed_complexes():
     for name, c in cases.items():
         assert face_set(c) == face_set_by_one_call_per_face(c), name
     assert len(face_set(simplex6)) == 64
+
+
+def test_face_searches_leave_no_garbage_cycle():
+    # a search's recursive closure refers to itself; left as a cycle it
+    # would keep the list it fills alive until the cyclic collector runs
+    c = sphere(type_a_subdivision(4)).complex
+    gc.collect()
+    gc.disable()
+    try:
+        _clique_faces(c.neighbours)
+        _facet_faces(c.facets, len(c.vertices))
+        maximal_cliques(c.neighbours)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.integers(0, 2**40 - 1))

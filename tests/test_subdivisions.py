@@ -755,6 +755,132 @@ def test_flag_and_generic_paths_agree_on_the_models(s):
     assert_flag_and_generic_paths_agree(s)
 
 
+# restrict keeps the parent's vertex order, and the restriction that cuts
+# no vertex is the parent's complex itself.
+
+CUT_NOTHING = ([(f"A{n}", lambda n=n: type_a_subdivision(n)) for n in range(1, 8)]
+               + [(f"I2({m})", lambda m=m: dihedral_subdivision(m)) for m in (2, 5, 8)]
+               + [(f"A{n} generic", lambda n=n: generic(type_a_subdivision(n)))
+                  for n in (1, 4, 6)]
+               + [("I2(5) generic", lambda: generic(dihedral_subdivision(5))),
+                  ("stellar triangle", stellar_triangle)])
+
+
+@pytest.mark.parametrize("make", [m for _, m in CUT_NOTHING],
+                         ids=[name for name, _ in CUT_NOTHING])
+def test_the_restriction_to_the_index_set_is_the_complex(make):
+    s = make()
+    assert restrict(s, s.index_set) is s.complex
+    assert restrict(s, frozenset(s.index_set)) is s.complex
+
+
+def test_a_restriction_holding_every_carrier_is_the_complex():
+    # index j carries no vertex, so {i} already holds every carrier
+    s = Subdivision.make(Complex.make("ab", [{"a", "b"}]), "ij", {"a": "i", "b": "i"})
+    for t in (s, generic(s)):
+        assert restrict(t, {"i"}) is t.complex
+        assert restrict(t, {"j"}).vertices == ()
+
+
+def kept_in_order(s: Subdivision, J) -> tuple:
+    """The vertices of s carried inside J, in s.complex's order."""
+    inside = sum(1 << k for k, i in enumerate(s.index_set) if i in J)
+    return tuple(v for v, c in zip(s.complex.vertices, s.carriers) if c | inside == inside)
+
+
+@pytest.mark.parametrize("s", [type_a_subdivision(4), generic(type_a_subdivision(4)),
+                               stellar_triangle()],
+                         ids=["A4", "A4 generic", "stellar triangle"])
+def test_restrictions_keep_the_parent_vertex_order(s):
+    # loaded with its vertices reversed, so that the parent's order is not
+    # the labels' order
+    data = s.to_dict()
+    data["complex"]["vertices"].reverse()
+    loaded = Subdivision.from_dict(data)
+    t = loaded if s.complex._flag else generic(loaded)
+    relabelled = 0
+    for r in range(len(t.index_set) + 1):
+        for J in combinations(t.index_set, r):
+            verts = restrict(t, J).vertices
+            assert verts == kept_in_order(t, J), J
+            relabelled += list(verts) != sorted(verts)
+    assert relabelled  # the label order would have told them apart
+
+
+def face_labels(c: Complex, f: int) -> frozenset:
+    return frozenset(v for i, v in enumerate(c.vertices) if f >> i & 1)
+
+
+@given(carried_complexes())
+def test_restriction_faces_are_the_faces_carried_inside(s):
+    for t in (s, generic(s)):
+        cpx, n = t.complex, len(t.index_set)
+        carried = []
+        for f in face_set(cpx):
+            carrier = 0
+            for i, c in enumerate(t.carriers):
+                if f >> i & 1:
+                    carrier |= c
+            carried.append((face_labels(cpx, f), carrier))
+        for inside in range(1 << n):
+            J = [i for k, i in enumerate(t.index_set) if inside >> k & 1]
+            sub = restrict(t, J)
+            assert sub.vertices == kept_in_order(t, J)
+            assert {face_labels(sub, f) for f in face_set(sub)} == {
+                labels for labels, c in carried if c | inside == inside}, J
+            if all(c | inside == inside for c in t.carriers):
+                assert sub is cpx
+
+
+def test_a_loaded_subdivision_walks_its_faces_once(monkeypatch):
+    # an exported A5 (what `gammatri cluster A 5 --export` writes), loaded
+    # (which validates) and then summed by the local-sum route
+    data = json.loads(json.dumps(type_a_subdivision(5).to_dict(), indent=2))
+    widths = []  # the vertex count of each complex whose faces are walked
+
+    def traced(real, width):
+        def walk(*args):
+            widths.append(width(*args))
+            return real(*args)
+        return walk
+
+    monkeypatch.setattr(complexes, "_clique_faces",
+                        traced(complexes._clique_faces, lambda adj: len(adj)))
+    monkeypatch.setattr(complexes, "_facet_faces",
+                        traced(complexes._facet_faces, lambda facets, width: width))
+    s = Subdivision.from_dict(data)
+    assert len(widths) == 2 ** 5 - 1  # validate: one walk per nonempty restriction
+    assert gamma_from_local_sum(s) == subdivisions.model_gamma(type_a_subdivision(5))
+    assert len(widths) == 2 ** 5 - 1  # the local sums read validate's walk
+    assert widths.count(len(s.complex.vertices)) == 1  # the loaded complex's
+
+
+# Subdivisions whose first fault shows at J = I, the restriction that is
+# now the complex itself: validate names the same J, with the same words.
+FAULTS_AT_THE_INDEX_SET = {
+    "impure": (("pqr", [{"p", "q"}, {"r"}]), {"p": {"t"}, "q": {"s"}, "r": {"s", "t"}},
+               r"restriction to ['s', 't'] is not pure"),
+    "too big": (("pqr", [{"p", "q", "r"}]), {"p": {"t"}, "q": {"s"}, "r": {"s", "t"}},
+                r"restriction to ['s', 't'] has dimension 2, expected 1"),
+    "a circle": (("pqrx", [{"p", "r"}, {"r", "q"}, {"q", "x"}, {"x", "p"}]),
+                 {"p": {"t"}, "q": {"s"}, "r": {"s", "t"}, "x": {"s", "t"}},
+                 r"restriction to ['s', 't'] has Euler characteristic 0, expected 1"),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS_AT_THE_INDEX_SET)
+def test_validate_names_a_fault_at_the_index_set(name):
+    complex_args, sigma, message = FAULTS_AT_THE_INDEX_SET[name]
+    s = _invalid(complex_args, ["t", "s"], sigma)
+    for t in (s, generic(s)):
+        with pytest.raises(InvalidSubdivision) as exc:
+            t.validate()
+        assert str(exc.value) == message
+    with pytest.raises(InvalidSubdivision) as exc:
+        Subdivision.from_dict(s.to_dict())
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("make", [lambda: type_a_subdivision(4),
                                   lambda: generic(type_a_subdivision(4)),
                                   lambda: dihedral_subdivision(5),
