@@ -343,10 +343,10 @@ def closed_gamma_triangle(kind: str, n: int) -> GammaTriangle:
 
 
 def gamma_triangle_D(n: int) -> GammaTriangle:
-    """Type D rank n triangle: y times the type B rank n-1 triangle plus the
-    local gamma-polynomial of D_n as the j = 0 row."""
-    if n < 3:
-        raise ValueError(f"rank must be >= 3, got {n}")
+    """Type D rank n >= 2 triangle: y times the type B rank n-1 triangle plus
+    the local gamma-polynomial of D_n (0 for D2 = y^2) as the j = 0 row."""
+    if n < 2:
+        raise ValueError(f"rank must be >= 2, got {n}")
     coeffs = {}
     for (i, j), c in closed_gamma_triangle("B", n - 1).coeffs.items():
         coeffs[(i, j + 1)] = c
@@ -500,13 +500,13 @@ def reference_tables() -> dict[str, GammaTriangle]:
 def closed_triangle(kind: str, rank: int | None = None,
                     m: int | None = None) -> GammaTriangle:
     """Triangle of a finite type named as parse_type accepts, without the
-    diagram sum: the closed forms for A, B, D (D2 is I2(2)), I2(m) and H3,
-    the stored tables for F4, H4, E6, E7, E8."""
+    diagram sum: the closed forms for A, B, D (whose D2 = y^2 is I2(2)),
+    I2(m) and H3, the stored tables for F4, H4, E6, E7, E8."""
     kind, rank, m = parse_type(kind, rank, m)
     if kind in ("A", "B"):
         return closed_gamma_triangle(kind, rank)
     if kind == "D":
-        return gamma_triangle_D(rank) if rank >= 3 else rank23_formula(2, 2)
+        return gamma_triangle_D(rank)
     if kind == "I2":
         return rank23_formula(m, 2)
     if kind == "H3":

@@ -25,7 +25,8 @@ report. The width rule extends to the whole residual: every source is
 packed once at w = bit_length(B) + 1, B bounding every digit of the
 residual by sum |c| times its term's bound.
 
-Series, closed route (g and gX have polynomial-in-x coefficients):
+Series, closed route, read off one g per call (g_closed takes it as its
+g parameter; g and gX have polynomial-in-x coefficients):
   g    = sqrt((1-t)^2 - 4xt^2)
   gA   = ((1 + t - g)/t)/2 * (1+xt)^-1
   gB   = ((2tx + g - t + 1)/2) * (g(1+xt))^-1
@@ -322,17 +323,15 @@ def g_base(order: int) -> TruncSeries:
     return radicand.sqrt()
 
 
-def g_closed(kind: str, order: int) -> TruncSeries:
-    """Closed forms of gA, gB, gD as algebraic expressions in g: each even
-    numerator is halved exactly, then times the inverse of a unit series."""
+def g_closed(kind: str, order: int, g: TruncSeries | None = None) -> TruncSeries:
+    """Closed forms of gA, gB, gD as algebraic expressions in g, by default
+    g_base(order + 1) for A and g_base(order) for B and D (a longer g is
+    truncated): each even numerator is halved exactly, then times the
+    inverse of a unit series."""
     if kind not in ("A", "B", "D"):
         raise ValueError(f"unknown series kind {kind!r}")
-    return _g_closed(kind, order, g_base(order + 1 if kind == "A" else order))
-
-
-def _g_closed(kind: str, order: int, g: TruncSeries) -> TruncSeries:
-    """g_closed(kind, order) from g of order at least order + 1 for A and
-    order for B and D, truncated to that."""
+    if g is None:
+        g = g_base(order + 1 if kind == "A" else order)
     one_plus_xt = TruncSeries.from_map({0: 1, 1: _x_poly({1: 1})}, order)
     if kind == "A":
         num = TruncSeries.from_map({0: 1, 1: 1}, order + 1) - g.truncate(order + 1)
@@ -376,18 +375,17 @@ def times_yt(s: TruncSeries, k: int = 1) -> TruncSeries:
 
 
 def G_closed(kind: str, order: int) -> TruncSeries:
-    """GA and GB solved out of the recursive relations
-    G = g + yt gA G, i.e. G = g / (1 - yt gA); GD via yt (GB - 1) + gD."""
-    if kind in ("A", "B"):
-        gA = g_closed("A", order)
-        g = gA if kind == "A" else g_closed("B", order)
-        yt_gA = times_yt(gA).truncate(order)
-        return g * (TruncSeries.one(order) - yt_gA).inverse()
+    """G = g + yt gA G solved as GA, GB = g / (1 - yt gA), g being gA or gB,
+    and GD = yt (GB - 1) + gD, all from one g = g_base(order + 1)."""
+    if kind not in ("A", "B", "D"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    g = g_base(order + 1)
+    gA = g_closed("A", order, g)
+    num = gA if kind == "A" else g_closed("B", order, g)
+    G = num * (TruncSeries.one(order) - times_yt(gA).truncate(order)).inverse()
     if kind == "D":
-        GB = G_closed("B", order)
-        gD = g_closed("D", order)
-        return times_yt(GB - 1).truncate(order) + gD
-    raise ValueError(f"unknown series kind {kind!r}")
+        return times_yt(G - 1).truncate(order) + g_closed("D", order, g)
+    return G
 
 
 def eq_c_series(order: int) -> TruncSeries:
@@ -476,7 +474,7 @@ def verify_identities(order: int) -> list[Check]:
     sources = {"g": g, "g'": g.d_dt(), "one": TruncSeries.one(N + 1)}
     for k in "ABD":
         sources[f"g{k}"], sources[f"G{k}"] = g_sum(k, N + 1), G_sum(k, N + 1)
-        sources[f"g{k}_closed"] = _g_closed(k, N + 1, g)
+        sources[f"g{k}_closed"] = g_closed(k, N + 1, g)
     sources["eq_c"] = eq_c_series(N + 1)
     sources["two_minus_theta"] = two_minus_theta(
         (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)).exact_div(2))

@@ -101,6 +101,12 @@ def test_triangles_needs_one_input(capsys, pentagon_file):
     assert code == 1
 
 
+def test_triangles_complex_needs_a_facet(capsys, pentagon_file):
+    code, out, err = run(capsys, "triangles", "--complex", pentagon_file)
+    assert (code, out) == (1, "")
+    assert err == "error: --complex needs --facet with comma-separated vertex labels\n"
+
+
 def test_cluster_methods_agree(capsys):
     results = []
     for method in ("model", "formula", "local-sum"):
@@ -130,6 +136,12 @@ def test_cluster_i2_needs_m(capsys):
     code, _, err = run(capsys, "cluster", "I2", "--method", "model")
     assert code == 1
     assert "--m" in err
+
+
+def test_cluster_i2_needs_a_label_of_at_least_2(capsys):
+    code, out, err = run(capsys, "cluster", "I2", "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: dihedral label must be >= 2, got 1\n"
 
 
 def test_cluster_needs_rank(capsys):

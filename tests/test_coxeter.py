@@ -67,6 +67,8 @@ NON_FINITE = [
     ("abcd", [("a", "b", 6), ("b", "c"), ("c", "d")], "not of finite type"),
     ("abcdefg", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
                  ("c", "f"), ("f", "g")], "branch lengths"),
+    ("abcdef", [("a", "b"), ("a", "c"), ("a", "d"), ("d", "e"), ("d", "f")],
+     "has 2 branch points"),
 ]
 
 
@@ -219,7 +221,7 @@ def test_closed_B_matches_diagram(n):
         == gamma_triangle_diagram(standard_diagram("B", n))
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_gamma_triangle_D_matches_diagram(n):
     assert gamma_triangle_D(n) \
         == gamma_triangle_diagram(standard_diagram("D", n))
@@ -230,8 +232,9 @@ def test_gamma_triangle_D_small():
         {(0, 4): 1, (1, 2): 3, (1, 1): 3, (1, 0): 2, (2, 0): 2}, 4)
     assert gamma_triangle_D(6) == reference_tables()["D6"]
     assert gamma_triangle_D(3) == closed_gamma_triangle("A", 3)
-    with pytest.raises(ValueError):
-        gamma_triangle_D(2)
+    assert gamma_triangle_D(2) == rank23_formula(2, 2)
+    with pytest.raises(ValueError, match="rank must be >= 2, got 1"):
+        gamma_triangle_D(1)
 
 
 def test_rank23_formula():
@@ -246,6 +249,11 @@ def test_rank23_formula():
         rank23_formula(8, 3)
     with pytest.raises(ValueError):
         rank23_formula(1, 2)
+
+
+def test_rank23_formula_names_a_rank_it_lacks():
+    with pytest.raises(ValueError, match="rank must be 2 or 3, got 4"):
+        rank23_formula(4, 4)
 
 
 def test_family_recursions():
@@ -406,6 +414,8 @@ BAD_NAMES = [
     ("E6", 7, None, "has rank 6"),
     ("D", 1, None, "needs rank >= 2"),
     ("A", 3, 4, "takes no edge label"),
+    ("I2", 3, 5, "type I2 has rank 2"),
+    ("I2", None, 1, "dihedral label must be >= 2, got 1"),
 ]
 
 

@@ -3,7 +3,8 @@ Gamma-triangle runs under a sys.setprofile tracer, on inputs built before
 the tracer starts, and must not call into the routes it is checked against.
 Every gammatri function that two routes both call is listed in SHARED with
 the reason it carries no route data, so a new shared node fails here until
-it is named.
+it is named. The two series routes, closed and sum, are held to the same
+contract among themselves.
 
 Traced frames are named by the module-level function or class attribute
 whose code holds them (nested functions and comprehensions count as their
@@ -20,6 +21,7 @@ import pytest
 import gammatri
 from gammatri.cluster import dihedral_subdivision, type_a_subdivision
 from gammatri.coxeter import closed_triangle, gamma_triangle_diagram, standard_diagram
+from gammatri.series import G_closed, G_sum, g_closed, g_sum
 from gammatri.subdivisions import Subdivision, gamma_from_local_sum, model_gamma
 
 # every module of the package but __main__, which runs the CLI on import
@@ -151,6 +153,28 @@ SHARED = {
 }
 
 
+# the series routes by kind at one order: the closed route solves every
+# series out of g, the sum route reads each rank's term off coxeter
+SERIES_INPUTS = [(kind, 12) for kind in "ABD"]
+SERIES_ROUTES = {"closed": (g_closed, G_closed), "sum": (g_sum, G_sum)}
+
+SERIES_FORBIDDEN = {
+    "closed": ("coxeter",),
+    "sum": ("series.g_base", "series.TruncSeries.sqrt",
+            "series.TruncSeries.inverse", "packed"),
+}
+
+# every function that both series routes call, with why sharing it carries
+# no series data from one route into the other
+SERIES_SHARED = {
+    "poly.Poly2.__init__": VALUES,
+    "poly._Poly._build": VALUES,
+    "poly._Poly.zero": VALUES,
+    "series.TruncSeries.__init__": VALUES,
+    "series.TruncSeries.from_map": VALUES,
+}
+
+
 def _matches(name: str, rule: str) -> bool:
     return name == rule or name.startswith(rule + ".")
 
@@ -164,12 +188,19 @@ def calls() -> dict[str, set[str]]:
     return out
 
 
-def test_every_name_is_a_package_function(calls):
+@pytest.fixture(scope="module")
+def series_calls() -> dict[str, set[str]]:
+    return {route: set().union(*(traced(fn, SERIES_INPUTS) for fn in fns))
+            for route, fns in SERIES_ROUTES.items()}
+
+
+def test_every_name_is_a_package_function(calls, series_calls):
     # a frame without a module-level owner would hide behind its co_name,
     # and a rule naming no function would never fire
     named = set(OWNERS.values())
-    assert {n for c in calls.values() for n in c} <= named
-    rules = [r for rs in FORBIDDEN.values() for r in rs] + list(SHARED)
+    assert {n for c in [*calls.values(), *series_calls.values()] for n in c} <= named
+    rules = [r for rs in [*FORBIDDEN.values(), *SERIES_FORBIDDEN.values()]
+             for r in rs] + list(SHARED) + list(SERIES_SHARED)
     assert [r for r in rules if not any(_matches(n, r) for n in named)] == []
 
 
@@ -187,3 +218,17 @@ def test_every_shared_function_is_listed(calls):
               for n in calls[a] & calls[b]}
     assert sorted(shared - SHARED.keys()) == [], "shared but not listed"
     assert sorted(SHARED.keys() - shared) == [], "listed but not shared"
+
+
+@pytest.mark.parametrize("route", SERIES_FORBIDDEN)
+def test_series_route_calls_nothing_forbidden(series_calls, route):
+    assert series_calls[route], "the tracer saw no call"
+    bad = sorted(n for n in series_calls[route]
+                 if any(_matches(n, rule) for rule in SERIES_FORBIDDEN[route]))
+    assert not bad, f"the {route} series route calls {bad}"
+
+
+def test_every_shared_series_function_is_listed(series_calls):
+    shared = series_calls["closed"] & series_calls["sum"]
+    assert sorted(shared - SERIES_SHARED.keys()) == [], "shared but not listed"
+    assert sorted(SERIES_SHARED.keys() - shared) == [], "listed but not shared"

@@ -173,6 +173,16 @@ def test_d_dt():
     assert all(s.coeff(n) == 0 for n in range(1, 4))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TruncSeries(2, [1, 2, 3]), "more coefficients than the stated order"),
+    (lambda: TruncSeries(2, [1, 2]).truncate(3), "cannot extend a truncated series"),
+    (lambda: TruncSeries(1, [1]).d_dt(), "need order >= 2 to differentiate"),
+], ids=["too many coefficients", "truncate longer", "d_dt at order 1"])
+def test_series_orders_are_never_overstated(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_sqrt_requires_unit_constant():
     with pytest.raises(ValueError):
         TruncSeries.from_map({0: 2}, 4).sqrt()
@@ -564,6 +574,24 @@ def test_G_closed_route_agrees_with_sums(kind):
     assert G_closed(kind, 10) == G_sum(kind, 10)
 
 
+@pytest.mark.parametrize("kind", "ABD")
+def test_G_closed_builds_g_once(monkeypatch, kind):
+    built = []
+
+    def counted(order):
+        built.append(order)
+        return g_base(order)
+
+    monkeypatch.setattr(series, "g_base", counted)
+    G_closed(kind, 10)
+    assert built == [11]
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_g_closed_reads_the_g_it_is_given(kind):
+    assert g_closed(kind, 12, g_base(13)) == g_closed(kind, 12)
+
+
 def test_substitutions():
     # x^2 t^5 -> x^2 t^4 under t * s(x/t, t)
     s = TruncSeries.from_map({5: xp({2: 1})}, 12)
@@ -571,6 +599,14 @@ def test_substitutions():
     assert out.coeff(4) == xp({2: 1})
     s2 = TruncSeries.from_map({2: xp({1: 1})}, 6)
     assert substitute_x_to_xt(s2).coeff(3) == xp({1: 1})
+
+
+@pytest.mark.parametrize("substitute", [substitute_x_over_t_times_t,
+                                        substitute_x_to_xt])
+def test_substitutions_take_only_y_free_series(substitute):
+    s = TruncSeries.from_map({2: Poly2({(0, 1): 1})}, 6)
+    with pytest.raises(ValueError, match="substitution defined for y-free series only"):
+        substitute(s)
 
 
 def test_substitution_rejects_negative_powers():
@@ -702,6 +738,11 @@ def test_carlitz_rejects_bad_bounds():
 def test_binomial_identity_small():
     (check,) = binomial_identity_check(12)
     assert check.ok
+
+
+def test_binomial_identity_needs_a_row():
+    with pytest.raises(ValueError, match="nmax must be >= 2"):
+        binomial_identity_check(1)
 
 
 def test_binomial_identity_base_cases():
