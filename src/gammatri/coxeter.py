@@ -18,14 +18,18 @@ neighbour masks over the vertex order, and each edge labeled m >= 4 as the
 mask of its ends. classify grows each component as a vertex mask, and a
 component's type (degrees, arms, a labeled edge e with e & comp == e) is
 read straight off that mask; labels only order components and name faults.
-gamma_triangle_diagram walks the vertex subsets of its input depth first,
-one chosen connected component at a time, and leaves out every subset
-with a component of local gamma 0 (any isolated vertex, A1, is one), so
-its cost is the number of subsets with no such component, not 2^n. It
-does not factor the sum over the input's components, so the product of
-component triangles stays an independent check of it. A connected
-component is classified and given its local gamma-polynomial once per
-call, memoized by its vertex mask.
+gamma_triangle_diagram regroups the subset sum by its undecided vertices
+U and memoizes each U's sum by its mask. U loses its first vertex in a
+fixed elimination order (each component walked depth first from a leaf,
+cached per diagram as CoxeterDiagram._elimination), so on path-like input
+every U is a suffix of that order and the memo holds O(n) states, where
+a walk over the subsets visits about 1.78^n on a path. The sum never
+enters a component of local gamma 0 (any lone vertex, A1, is one), so a
+vertex with no neighbour is a factor y; apart from those it does not
+factor over the input's components, and the product of component
+triangles stays an independent check of it. A connected component is
+classified and given its local gamma-polynomial once per call, memoized
+by its vertex mask.
 """
 
 from __future__ import annotations
@@ -112,6 +116,40 @@ class CoxeterDiagram:
         edges = {bit[u] | bit[v]: m for u, v, m in self.edges}
         return (_skeleton(edges, len(bit)),
                 {e: m for e, m in edges.items() if m > 3})
+
+    @cached_property
+    def _elimination(self) -> tuple[list[int] | None, list[int], int]:
+        """(order, adj, m), built once per diagram in linear time: the order
+        in which the diagram sum takes vertices, the neighbour masks
+        relabelled into it, and the number m of vertices it sums over. Each
+        component with an edge is walked depth first, lowest neighbour
+        first, from its lowest-position leaf (or lowest vertex); these m
+        vertices come first, the vertices with no neighbour last. order is
+        None, and adj the _masks masks, when the order is the identity, as
+        for every standard_diagram."""
+        adj, _ = self._masks
+        n = len(adj)
+        order, rest = [], (1 << n) - 1
+        for i in range(n):
+            if not (adj[i] and rest >> i & 1):
+                continue
+            # i is the lowest position of its component
+            leaf = i if adj[i].bit_count() == 1 else next(
+                (k for k in _bits(_component(adj, i)) if adj[k].bit_count() == 1), i)
+            stack = [leaf]
+            rest ^= 1 << leaf
+            while stack:
+                k = stack.pop()
+                order.append(k)
+                grown = adj[k] & rest
+                rest ^= grown
+                stack += reversed(_bits(grown))
+        m = len(order)
+        order += [i for i in range(n) if not adj[i]]
+        if order == list(range(n)):
+            return None, adj, m
+        bit = {k: 1 << p for p, k in enumerate(order)}
+        return order, [sum(bit[j] for j in _bits(adj[k])) for k in order], m
 
     def to_dict(self) -> dict:
         return {
@@ -219,16 +257,22 @@ def classify(dgm: CoxeterDiagram) -> list[TypedComponent]:
     for i in sorted(range(len(adj)), key=dgm.vertices.__getitem__):
         if not rest >> i & 1:
             continue
-        comp = frontier = 1 << i
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grown = adj[low.bit_length() - 1] & ~comp
-            comp |= grown
-            frontier |= grown
+        comp = _component(adj, i)
         rest &= ~comp
         out.append(_classify_component(dgm, comp))
     return sorted(out, key=lambda c: (c.kind, c.rank, c.m or 0))
+
+
+def _component(adj: list[int], i: int) -> int:
+    """The vertex mask of the connected component of position i."""
+    comp = frontier = 1 << i
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grown = adj[low.bit_length() - 1] & ~comp
+        comp |= grown
+        frontier |= grown
+    return comp
 
 
 # local gamma data for the types without closed forms, read off the j = 0
@@ -289,40 +333,56 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
 
     classify(dgm) runs first, so a diagram of infinite type raises
     ClassificationError before the sum (finite type is closed under induced
-    subdiagrams). The sum is a depth-first walk over the undecided vertices
-    U: its lowest vertex v either stays out, or is in together with a
-    connected set C of U, whose neighbours in U then stay out. The walk
-    carries the product of the chosen components' local gammas and never
-    enters a C with local gamma 0 (any lone vertex, A1, is one), so it
-    visits only the subsets with no zero component, and its depth is the
-    number of components chosen. Each component is classified and its
-    local gamma computed the first time its vertex mask is seen."""
+    subdiagrams). The sum is regrouped by its undecided vertices U: with v
+    the first vertex of U in dgm._elimination's order, v either stays out,
+    or is in together with a connected set C of U, whose neighbours N in U
+    then stay out, so
+        W(U) = y W(U - v) + sum over C of gamma(C) y^|N| W(U - C - N),
+    with W(empty) = 1 and only the C of local gamma nonzero (any lone
+    vertex, A1, has 0). So a vertex with no neighbour is a factor y, and W
+    runs over the others. The states U are found with an explicit stack,
+    each once, and evaluated in increasing mask order, subsets first. W(U)
+    is one Poly1 whose key i + s*j holds the x^i y^j coefficient, with s
+    above every x-degree: gamma(C) W(U - C - N) is one Poly1 product, and
+    y^|N| a shift of its keys. Each component is classified and its local
+    gamma computed the first time its vertex mask is seen."""
     classify(dgm)
     n = len(dgm.vertices)
-    adj, _ = dgm._masks
+    order, adj, m = dgm._elimination
     local: dict[int, Poly1] = {}
-    acc: dict[tuple[int, int], int] = {}
-
-    def walk(undecided: int, lg: Poly1, j: int) -> None:
-        """Add the terms of every subset that completes the choices so far
-        inside undecided; lg is the product of the local gammas chosen so
-        far, and j counts the vertices not chosen, undecided ones included."""
-        while undecided:
-            v = undecided & -undecided
-            undecided ^= v  # the loop goes on with v out
-            for comp, border in _connected_sets(v, undecided, adj):
-                g = local.get(comp)
-                if g is None:
-                    g = local[comp] = local_gamma_poly(
-                        _classify_component(dgm, comp))
-                if not g.is_zero():
-                    walk(undecided & ~(comp | border), lg * g,
-                         j - comp.bit_count())
-        for i, c in lg._c.items():
-            acc[i, j] = acc.get((i, j), 0) + c
-
-    walk((1 << n) - 1, Poly1.one(), n)
-    return GammaTriangle.make(acc, n)
+    ways_of: dict[int, tuple[int, list]] = {}
+    todo = [(1 << m) - 1] if m else []
+    while todo:
+        u = todo.pop()
+        if u in ways_of:
+            continue
+        v = u & -u
+        rest = u ^ v  # v stays out
+        ways = []
+        for comp, border in _connected_sets(v, rest, adj):
+            g = local.get(comp)
+            if g is None:
+                at = comp if order is None else sum(1 << order[k] for k in _bits(comp))
+                g = local[comp] = local_gamma_poly(_classify_component(dgm, at))
+            if g:
+                w = rest & ~(comp | border)
+                ways.append((g, border.bit_count(), w))
+                if w:
+                    todo.append(w)
+        ways_of[u] = rest, ways
+        if rest:
+            todo.append(rest)
+    s = n // 2 + 1
+    w_of = {0: Poly1.one()}
+    for u, (rest, ways) in sorted(ways_of.items()):
+        acc = {k + s: c for k, c in w_of[rest]._c.items()}
+        for g, b, w in ways:
+            shift = s * b
+            for k, c in (g * w_of[w] if w else g)._c.items():
+                acc[k + shift] = acc.get(k + shift, 0) + c
+        w_of[u] = Poly1._build(acc)
+    return GammaTriangle.make({(k % s, k // s + n - m): c
+                               for k, c in w_of[(1 << m) - 1]._c.items()}, n)
 
 
 def closed_gamma_triangle(kind: str, n: int) -> GammaTriangle:

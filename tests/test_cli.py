@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,12 +18,14 @@ from gammatri.cli import main
 from gammatri.cluster import dihedral_subdivision, type_a_subdivision
 from gammatri.coxeter import (
     closed_gamma_triangle,
+    closed_triangle,
     gamma_triangle_D,
     gamma_triangle_diagram,
     rank23_formula,
     reference_tables,
     standard_diagram,
 )
+from gammatri.poly import Poly2
 from gammatri.subdivisions import model_gamma
 from gammatri.transforms import GammaTriangle
 
@@ -456,6 +459,32 @@ def test_diagram_names_exceptional_component(capsys, tmp_path, name):
     assert code == 0
     assert json.loads(out) == {"components": [name],
                                "Gamma": gamma_triangle_diagram(dgm).to_dict()}
+
+
+def test_diagram_of_a_shuffled_rank_40_union(capsys, tmp_path):
+    # every exceptional type and A, B, D under shuffled labels, in shuffled
+    # vertex and edge order: the sum prints the product of the components'
+    # closed triangles
+    names = [("A", 5), ("B", 4), ("D", 6), ("E6",), ("H3",), ("F4",), ("E8",), ("H4",)]
+    rng = random.Random(40)
+    codes = iter(rng.sample(range(400), 40))
+    verts, edges = [], []
+    want = Poly2.one()
+    for name in names:
+        part = standard_diagram(*name)
+        label = {v: f"v{next(codes):03d}" for v in part.vertices}
+        verts += label.values()
+        edges += [[label[u], label[v], m] for u, v, m in part.edges]
+        want = want * closed_triangle(*name).to_poly2()
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps({"vertices": verts, "edges": edges}))
+    code, out, err = run(capsys, "diagram", str(path), "--out", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "components": ["A5", "B4", "D6", "E6", "E8", "F4", "H3", "H4"],
+        "Gamma": {"degree": 40, "entries": want.to_triples()}}
 
 
 def test_diagram_rejects_bad_diagram(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -540,6 +541,23 @@ def test_a_diagram_builds_its_masks_once(monkeypatch):
     assert len(calls) == 1
 
 
+def shuffled(names, seed):
+    """The disjoint union of standard diagrams under labels whose order has
+    nothing to do with the components, in shuffled vertex and edge order."""
+    rng = random.Random(seed)
+    total = sum(len(standard_diagram(*name).vertices) for name in names)
+    codes = iter(rng.sample(range(10 * total), total))
+    verts, edges = [], []
+    for name in names:
+        part = standard_diagram(*name)
+        label = {v: f"v{next(codes):04d}" for v in part.vertices}
+        verts += label.values()
+        edges += [(label[u], label[v], m) for u, v, m in part.edges]
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    return CoxeterDiagram.make(verts, edges)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_diagram_sum_computes_each_local_gamma_once(monkeypatch, n):
     real, calls = coxeter.local_gamma_poly, []
@@ -549,6 +567,78 @@ def test_diagram_sum_computes_each_local_gamma_once(monkeypatch, n):
         return real(c)
 
     monkeypatch.setattr(coxeter, "local_gamma_poly", counted)
-    gamma_triangle_diagram(standard_diagram("A", n))
-    # one call per connected sub-path at most
-    assert len(calls) <= n * (n + 1) // 2
+    # the standard vertex order, then permuted ones, each a fresh diagram
+    for dgm in [standard_diagram("A", n)] + [shuffled([("A", n, None)], seed)
+                                             for seed in range(4)]:
+        calls.clear()
+        assert gamma_triangle_diagram(dgm) == closed_triangle("A", n)
+        # one call per connected sub-path at most
+        assert len(calls) <= n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("kind", "AD")
+@pytest.mark.parametrize("seed", range(3))
+def test_diagram_sum_states_stay_linear_under_shuffled_labels(monkeypatch, kind, seed):
+    # _connected_sets runs once per memo state; taking v as the lowest
+    # position of U instead of following the elimination order reached
+    # millions of states on a shuffled A40
+    real, calls = coxeter._connected_sets, []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 2 * 40 + 2:  # fail at once rather than run for minutes
+            raise AssertionError(f"more than {2 * 40 + 2} states")
+        return real(*args)
+
+    monkeypatch.setattr(coxeter, "_connected_sets", counted)
+    dgm = shuffled([(kind, 40, None)], seed)
+    assert gamma_triangle_diagram(dgm) == closed_triangle(kind, 40)
+    assert calls
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_diagram_sum_matches_closed_forms_at_rank_30(kind):
+    assert gamma_triangle_diagram(standard_diagram(kind, 30)) \
+        == closed_triangle(kind, 30)
+
+
+# total rank 40: past every oracle's reach, and every exceptional type
+RANK_40_UNION = [("A", 5, None), ("B", 4, None), ("D", 6, None), ("E6", None, None),
+                 ("H3", None, None), ("F4", None, None), ("E8", None, None),
+                 ("H4", None, None)]
+
+
+def test_diagram_sum_of_a_shuffled_rank_40_union():
+    dgm = shuffled(RANK_40_UNION, 40)
+    assert dgm._elimination[0] is not None  # the sum runs on relabelled masks
+    want = Poly2.one()
+    for name in RANK_40_UNION:
+        want = want * closed_triangle(*name).to_poly2()
+    got = gamma_triangle_diagram(dgm)
+    assert got.to_poly2() == want
+    assert got.degree == 40
+
+
+@pytest.mark.parametrize("kind, rank, m", STANDARD_UP_TO_8)
+def test_standard_diagrams_need_no_relabelling(kind, rank, m):
+    dgm = standard_diagram(kind, rank, m)
+    order, adj, summed = dgm._elimination
+    assert order is None
+    assert adj is dgm._masks[0]
+    assert summed == sum(1 for a in adj if a)
+
+
+def test_elimination_walks_from_the_lowest_leaf():
+    # a D6 whose fork c0 has the lowest position, with arms a1, b2 and
+    # d3 - e4 - f5, and the lone vertex g6 placed before f5: the walk starts
+    # at the leaf a1, goes through the fork to b2, then down d3's arm, and
+    # g6 comes last
+    dgm = CoxeterDiagram.make(["c0", "a1", "b2", "d3", "e4", "g6", "f5"],
+                              [("a1", "c0"), ("b2", "c0"), ("c0", "d3"),
+                               ("d3", "e4"), ("e4", "f5")])
+    order, adj, summed = dgm._elimination
+    assert [dgm.vertices[k] for k in order] == ["a1", "c0", "b2", "d3", "e4", "f5", "g6"]
+    assert summed == 6
+    bit = {dgm.vertices[k]: 1 << p for p, k in enumerate(order)}
+    assert adj[1] == bit["a1"] | bit["b2"] | bit["d3"]  # c0's neighbours
+    assert adj[6] == 0
