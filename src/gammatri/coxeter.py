@@ -27,9 +27,10 @@ a walk over the subsets visits about 1.78^n on a path. The sum never
 enters a component of local gamma 0 (any lone vertex, A1, is one), so a
 vertex with no neighbour is a factor y; apart from those it does not
 factor over the input's components, and the product of component
-triangles stays an independent check of it. A connected component is
-classified and given its local gamma-polynomial once per call, memoized
-by its vertex mask.
+triangles stays an independent check of it. classify is the one finite
+type check: the sum reads each connected set's type off its shape (its
+labeled edge or fork, if any, and its size) and computes each type's
+local gamma-polynomial once per call.
 """
 
 from __future__ import annotations
@@ -328,6 +329,47 @@ def _connected_sets(v: int, allowed: int, adj: list[int]):
                       & ~(comp | border), border))
 
 
+def _shape_view(dgm: CoxeterDiagram) -> tuple[int, int, dict[int, tuple[int, int]]]:
+    """(forks, lows, labeled) in dgm._elimination's positions: the mask of
+    the vertices of degree 3 or more, and each edge labeled m >= 4 as
+    (mask, m), keyed by the mask's lowest bit, with those bits in lows."""
+    order, adj, _ = dgm._elimination
+    pos = {k: p for p, k in enumerate(order or range(len(adj)))}
+    labeled = {}
+    for e, m in dgm._masks[1].items():
+        e = sum(1 << pos[k] for k in _bits(e))
+        labeled[e & -e] = e, m
+    forks = sum(1 << p for p, a in enumerate(adj) if a.bit_count() > 2)
+    return forks, sum(labeled), labeled
+
+
+def _shape_type(comp: int, adj: list[int], forks: int, lows: int,
+                labeled: dict[int, tuple[int, int]]) -> tuple[str, int, int | None]:
+    """(kind, rank, m) of a connected vertex mask comp of two or more
+    vertices, over the elimination's neighbour masks adj and the
+    _shape_view of a diagram that classify has passed: so comp's component
+    holds at most one fork, of degree 3, or one labeled edge, never both,
+    and that with comp's size fixes the type."""
+    r = comp.bit_count()
+    hit = comp & lows
+    if hit:
+        e, m = labeled[hit]
+        if e & comp == e:
+            if r == 2:
+                return "I2", 2, m
+            if m == 5:
+                return f"H{r}", r, None
+            at_end = any((adj[i] & comp).bit_count() == 1 for i in _bits(e))
+            return ("B", r, None) if at_end else ("F4", 4, None)
+    hit = comp & forks
+    if hit:
+        arms = adj[hit.bit_length() - 1]
+        if arms & comp == arms:  # D if two arms are single leaves, else E
+            leaves = sum((adj[i] & comp).bit_count() == 1 for i in _bits(arms))
+            return ("D", r, None) if leaves >= 2 else (f"E{r}", r, None)
+    return "A", r, None
+
+
 def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     """Sum over vertex subsets J of local_gamma(induced on I - J) y^|J|.
 
@@ -344,12 +386,16 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     each once, and evaluated in increasing mask order, subsets first. W(U)
     is one Poly1 whose key i + s*j holds the x^i y^j coefficient, with s
     above every x-degree: gamma(C) W(U - C - N) is one Poly1 product, and
-    y^|N| a shift of its keys. Each component is classified and its local
-    gamma computed the first time its vertex mask is seen."""
+    y^|N| a shift of its keys. The first time a connected set's mask is
+    seen, _shape_type reads its type from the labeled edge or fork it holds
+    (over a _shape_view built once per call), and the local gamma of that
+    type is computed once per call."""
     classify(dgm)
     n = len(dgm.vertices)
-    order, adj, m = dgm._elimination
+    _, adj, m = dgm._elimination
+    shape = _shape_view(dgm)
     local: dict[int, Poly1] = {}
+    of_type: dict[tuple, Poly1] = {}
     ways_of: dict[int, tuple[int, list]] = {}
     todo = [(1 << m) - 1] if m else []
     while todo:
@@ -362,8 +408,13 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
         for comp, border in _connected_sets(v, rest, adj):
             g = local.get(comp)
             if g is None:
-                at = comp if order is None else sum(1 << order[k] for k in _bits(comp))
-                g = local[comp] = local_gamma_poly(_classify_component(dgm, at))
+                if comp == v:  # a lone vertex, A1, has local gamma 0
+                    continue
+                key = _shape_type(comp, adj, *shape)
+                g = of_type.get(key)
+                if g is None:
+                    g = of_type[key] = local_gamma_poly(TypedComponent(*key))
+                local[comp] = g
             if g:
                 w = rest & ~(comp | border)
                 ways.append((g, border.bit_count(), w))

@@ -576,6 +576,75 @@ def test_diagram_sum_computes_each_local_gamma_once(monkeypatch, n):
         assert len(calls) <= n * (n + 1) // 2
 
 
+def test_diagram_sum_types_each_component_by_classify_only(monkeypatch):
+    # repeated types under shuffled labels: one local gamma per distinct
+    # type, and _classify_component only on the five whole components,
+    # from classify
+    names = [("A", 5, None), ("A", 5, None), ("B", 4, None), ("D", 6, None),
+             ("E6", None, None)]
+    real_lg, real_cc, lg_calls, cc_calls = \
+        coxeter.local_gamma_poly, coxeter._classify_component, [], []
+
+    def counted_lg(c):
+        lg_calls.append(c)
+        return real_lg(c)
+
+    def counted_cc(dgm, comp):
+        cc_calls.append(comp)
+        return real_cc(dgm, comp)
+
+    monkeypatch.setattr(coxeter, "local_gamma_poly", counted_lg)
+    monkeypatch.setattr(coxeter, "_classify_component", counted_cc)
+    dgm = shuffled(names, 5)
+    assert dgm._elimination[0] is not None
+    want = Poly2.one()
+    for name in names:
+        want = want * closed_triangle(*name).to_poly2()
+    for _ in range(2):  # the type cache lives for one call
+        lg_calls.clear()
+        cc_calls.clear()
+        assert gamma_triangle_diagram(dgm).to_poly2() == want
+        assert len(lg_calls) == len(set(lg_calls))
+        assert len(cc_calls) == len(names)
+
+
+def connected_masks(adj):
+    """Every connected vertex mask of two or more vertices over adj."""
+    for mask in range(1, 1 << len(adj)):
+        if mask & (mask - 1) and coxeter._component(
+                [a & mask for a in adj], (mask & -mask).bit_length() - 1) == mask:
+            yield mask
+
+
+@pytest.mark.parametrize("kind, rank, m", CATALOG)
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_shape_type_matches_classify_component(kind, rank, m, seed):
+    # every connected set of every standard diagram up to rank 9, in the
+    # identity elimination order (seed None) and under shuffled labels,
+    # where _shape_view relabels the masks into the elimination order
+    dgm = standard_diagram(kind, rank, m) if seed is None \
+        else shuffled([(kind, rank, m)], seed)
+    order, adj, _ = dgm._elimination
+    shape = coxeter._shape_view(dgm)
+    for comp in connected_masks(adj):
+        at = comp if order is None else sum(1 << order[k] for k in coxeter._bits(comp))
+        assert TypedComponent(*coxeter._shape_type(comp, adj, *shape)) \
+            == coxeter._classify_component(dgm, at)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_unions(30))
+def test_diagram_sum_of_shuffled_unions_up_to_rank_30(case):
+    components, dgm = case
+    got = gamma_triangle_diagram(dgm)
+    want = Poly2.one()
+    for c in components:
+        want = want * closed_triangle(*c).to_poly2()
+    assert got.to_poly2() == want
+    if len(dgm.vertices) <= 10:
+        assert got == diagram_sum_by_masks(dgm)
+
+
 @pytest.mark.parametrize("kind", "AD")
 @pytest.mark.parametrize("seed", range(3))
 def test_diagram_sum_states_stay_linear_under_shuffled_labels(monkeypatch, kind, seed):
