@@ -54,11 +54,11 @@ def _load(path: str, build):
         raise CliError(f"{path}: {exc}")
 
 
-def _emit(out: str, lines: list[str], data) -> None:
-    """Print the table lines, the JSON document of data, or both, as --out
-    says."""
+def _emit(out: str, lines, data) -> None:
+    """Print the table lines that lines() builds, the JSON document of data,
+    or both, as --out says; JSON output never builds the table."""
     if out in ("table", "both"):
-        print("\n".join(lines))
+        print("\n".join(lines()))
     if out in ("json", "both"):
         print(json.dumps(data, indent=2))
 
@@ -82,7 +82,7 @@ def cmd_triangles(args) -> None:
     H = transforms.H_from_F(F, d)
     gt = transforms.Gamma_from_H(H, d)
     vec = gt.row_sums()
-    _emit(args.out, [
+    _emit(args.out, lambda: [
         f"d = {d}",
         "F-triangle (rows j = d..0, columns i = 0..d):",
         render_triangle(F, d, "F"),
@@ -130,7 +130,7 @@ def cmd_cluster(args) -> None:
         except OSError as exc:
             raise CliError(f"{args.export}: cannot write ({exc})")
         print(f"model written to {args.export}", file=sys.stderr)
-    _emit(args.out, [
+    _emit(args.out, lambda: [
         f"Gamma-triangle (d = {gt.degree}, method {args.method}):",
         render_triangle(gt, gt.degree, "Gamma"),
         f"gamma-vector (row sums): {list(gt.row_sums())}",
@@ -145,7 +145,7 @@ def _classified(data) -> tuple[list, GammaTriangle]:
 def cmd_diagram(args) -> None:
     components, gt = _load(args.file, _classified)
     names = [str(c) for c in components]
-    _emit(args.out, [
+    _emit(args.out, lambda: [
         f"components: {', '.join(names)}",
         f"Gamma-triangle (d = {gt.degree}):",
         render_triangle(gt, gt.degree, "Gamma"),
@@ -156,7 +156,7 @@ def cmd_local(args) -> None:
     s = _load(args.file, Subdivision.from_dict)
     lh = subdivisions.local_h(s)
     lg = subdivisions.local_gamma(s)
-    _emit(args.out, [
+    _emit(args.out, lambda: [
         f"validation checks run: {', '.join(subdivisions.VALIDATION_CHECKS)}",
         f"local h:     {lh}",
         f"local gamma: {lg}",
@@ -174,7 +174,7 @@ SERIES_BUILDERS = {
 
 def cmd_series(args) -> None:
     s = SERIES_BUILDERS[args.name][args.route](args.order)
-    _emit(args.out, [
+    _emit(args.out, lambda: [
         f"{args.name} ({args.route} route) through t^{s.order - 1}:",
         *(f"  t^{n}: {c}" for n, c in enumerate(s.coeffs)),
     ], {
@@ -187,7 +187,7 @@ def cmd_series(args) -> None:
 
 def cmd_family(args) -> None:
     u = coxeter.family_recursion(args.name, args.n)
-    _emit(args.out, [f"{args.name} u_{args.n} = {u}"],
+    _emit(args.out, lambda: [f"{args.name} u_{args.n} = {u}"],
           {"name": args.name, "n": args.n, "u": u.to_triples()})
 
 

@@ -13,24 +13,12 @@ the diagram sum: the closed forms for A, B, D, I2(m) and H3, the stored
 tables for F4, H4, E6, E7, E8. The defining sums of the series module
 read their coefficients from local_gamma_poly and closed_triangle.
 
-Diagrams are read through one cached view per diagram, CoxeterDiagram._masks:
-neighbour masks over the vertex order, and each edge labeled m >= 4 as the
-mask of its ends. classify grows each component as a vertex mask, and a
-component's type (degrees, arms, a labeled edge e with e & comp == e) is
-read straight off that mask; labels only order components and name faults.
-gamma_triangle_diagram regroups the subset sum by its undecided vertices
-U and memoizes each U's sum by its mask. U loses its first vertex in a
-fixed elimination order (each component walked depth first from a leaf,
-cached per diagram as CoxeterDiagram._elimination), so on path-like input
-every U is a suffix of that order and the memo holds O(n) states, where
-a walk over the subsets visits about 1.78^n on a path. The sum never
-enters a component of local gamma 0 (any lone vertex, A1, is one), so a
-vertex with no neighbour is a factor y; apart from those it does not
-factor over the input's components, and the product of component
-triangles stays an independent check of it. classify is the one finite
-type check: the sum reads each connected set's type off its shape (its
-labeled edge or fork, if any, and its size) and computes each type's
-local gamma-polynomial once per call.
+Each diagram is read through one cached view, CoxeterDiagram._view:
+classify checks each component's finite type on it, and _shape_type is
+the one place where a shape becomes a type name. gamma_triangle_diagram
+memoizes the subset sum by its undecided vertices: O(n) states on a
+path, where a walk over the subsets visits about 1.78^n. The product of
+component triangles stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -109,32 +97,29 @@ class CoxeterDiagram:
         return cls(verts, tuple(sorted(norm)))
 
     @cached_property
-    def _masks(self) -> tuple[list[int], dict[int, int]]:
-        """The view classification reads, built once per diagram: each
-        vertex's neighbour mask over the positions of vertices, and each
-        edge labeled m >= 4, as the mask of its two ends, mapped to m."""
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        edges = {bit[u] | bit[v]: m for u, v, m in self.edges}
-        return (_skeleton(edges, len(bit)),
-                {e: m for e, m in edges.items() if m > 3})
-
-    @cached_property
-    def _elimination(self) -> tuple[list[int] | None, list[int], int]:
-        """(order, adj, m), built once per diagram in linear time: the order
-        in which the diagram sum takes vertices, the neighbour masks
-        relabelled into it, and the number m of vertices it sums over. Each
-        component with an edge is walked depth first, lowest neighbour
-        first, from its lowest-position leaf (or lowest vertex); these m
-        vertices come first, the vertices with no neighbour last. order is
-        None, and adj the _masks masks, when the order is the identity, as
-        for every standard_diagram."""
-        adj, _ = self._masks
+    def _view(self) -> tuple[list[int], int, list[int], int, int,
+                             dict[int, tuple[int, int]]]:
+        """(adj, m, order, forks, tops, labeled): the one view of the diagram
+        that classify and the diagram sum read, built once in linear time
+        over positions, with order[p] the index in vertices of position p.
+        Each component with an edge is walked depth first, lowest neighbour
+        first, from its lowest-index leaf (or lowest vertex); these m
+        vertices take the first positions, in walk order, and the vertices
+        with no neighbour the last, so a standard_diagram keeps its order.
+        adj[p] is the neighbour mask of position p, forks the mask of the
+        positions of degree 3 or more, and labeled maps each edge labeled
+        m >= 4, as (mask, m), from the mask's highest bit, with those bits
+        in tops. The walk reaches each vertex from a lower position, so in
+        a component without a cycle each edge has its own highest bit."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj = _skeleton([1 << index[u] | 1 << index[v] for u, v, _ in self.edges],
+                        len(index))
         n = len(adj)
         order, rest = [], (1 << n) - 1
         for i in range(n):
             if not (adj[i] and rest >> i & 1):
                 continue
-            # i is the lowest position of its component
+            # i is the lowest index of its component
             leaf = i if adj[i].bit_count() == 1 else next(
                 (k for k in _bits(_component(adj, i)) if adj[k].bit_count() == 1), i)
             stack = [leaf]
@@ -147,10 +132,17 @@ class CoxeterDiagram:
                 stack += reversed(_bits(grown))
         m = len(order)
         order += [i for i in range(n) if not adj[i]]
-        if order == list(range(n)):
-            return None, adj, m
-        bit = {k: 1 << p for p, k in enumerate(order)}
-        return order, [sum(bit[j] for j in _bits(adj[k])) for k in order], m
+        bit = [0] * n
+        for p, k in enumerate(order):
+            bit[k] = 1 << p
+        adj = [sum(map(bit.__getitem__, _bits(adj[k]))) for k in order]
+        labeled = {}
+        for u, v, label in self.edges:
+            if label > 3:
+                e = bit[index[u]] | bit[index[v]]
+                labeled[1 << e.bit_length() - 1] = e, label
+        forks = sum(1 << p for p, a in enumerate(adj) if a.bit_count() > 2)
+        return adj, m, order, forks, sum(labeled), labeled
 
     def to_dict(self) -> dict:
         return {
@@ -179,70 +171,50 @@ class TypedComponent:
 
 
 def _classify_component(dgm: CoxeterDiagram, comp: int) -> TypedComponent:
-    """Type of the connected component on the vertex mask comp, read off
-    dgm._masks; labels are read only to name a fault."""
-    verts = dgm.vertices
-    adj, labels = dgm._masks
+    """Type of the connected component on the position mask comp of
+    dgm._view: the checks that it is of finite type, then _shape_type;
+    labels are read only to name a fault."""
+    adj, _, order, forks, tops, labeled = view = dgm._view
     at = _bits(comp)
     r = len(at)
 
     def fault(what: str) -> ClassificationError:
-        name = ", ".join(sorted(verts[i] for i in at))
+        name = ", ".join(sorted(dgm.vertices[order[p]] for p in at))
         return ClassificationError(f"component {{{name}}} {what}")
 
-    deg = {i: (adj[i] & comp).bit_count() for i in at}
+    deg = {p: adj[p].bit_count() for p in at}
     if sum(deg.values()) != 2 * (r - 1):
         raise fault("contains a cycle")
-    if r == 1:
-        return TypedComponent("A", 1)
     maxdeg = max(deg.values())
-    labeled = [(e, m) for e, m in labels.items() if e & comp == e]
-    if labeled:
-        if len(labeled) > 1:
+    hit = comp & tops  # a bit per labeled edge, now that comp is a tree
+    if hit:
+        if hit & (hit - 1):
             raise fault("has two labeled edges")
-        e, m = labeled[0]
         if maxdeg > 2:
             raise fault("has a branch point and a labeled edge")
-        at_end = any(deg[i] == 1 for i in _bits(e))
-        if r == 2:
-            return TypedComponent("I2", 2, m)
-        if m == 4 and at_end:
-            return TypedComponent("B", r)
-        if m == 4 and r == 4 and not at_end:
-            return TypedComponent("F4", 4)
-        if m == 5 and at_end and r == 3:
-            return TypedComponent("H3", 3)
-        if m == 5 and at_end and r == 4:
-            return TypedComponent("H4", 4)
-        raise fault(f"with a {m}-labeled edge is not of finite type")
-    if maxdeg <= 2:
-        return TypedComponent("A", r)
-    if maxdeg > 3:
+        e, m = labeled[hit]
+        at_end = any(deg[p] == 1 for p in _bits(e))
+        if not (r == 2 or m == 4 and (at_end or r == 4)
+                or m == 5 and at_end and r in (3, 4)):
+            raise fault(f"with a {m}-labeled edge is not of finite type")
+    elif maxdeg > 3:
         raise fault(f"has a vertex of degree {maxdeg}")
-    forks = [i for i in at if deg[i] == 3]
-    if len(forks) != 1:
-        raise fault(f"has {len(forks)} branch points")
-    fork = forks[0]
-    lengths = []
-    arms = adj[fork] & comp
-    while arms:  # walk each arm out of the fork to its leaf
-        low = arms & -arms
-        arms ^= low
-        length, prev, cur = 1, 1 << fork, low.bit_length() - 1
-        while deg[cur] == 2:
-            prev, cur = 1 << cur, (adj[cur] & comp & ~prev).bit_length() - 1
-            length += 1
-        lengths.append(length)
-    lengths.sort()
-    if lengths[:2] == [1, 1]:
-        return TypedComponent("D", 3 + lengths[2])
-    if lengths == [1, 2, 2]:
-        return TypedComponent("E6", 6)
-    if lengths == [1, 2, 3]:
-        return TypedComponent("E7", 7)
-    if lengths == [1, 2, 4]:
-        return TypedComponent("E8", 8)
-    raise fault(f"with branch lengths {lengths} is not of finite type")
+    elif maxdeg == 3:
+        hit = comp & forks
+        if hit & (hit - 1):
+            raise fault(f"has {hit.bit_count()} branch points")
+        lengths = []
+        fork = hit.bit_length() - 1
+        for cur in _bits(adj[fork]):  # walk each arm out of the fork to its leaf
+            length, prev = 1, fork
+            while deg[cur] == 2:
+                prev, cur = cur, (adj[cur] ^ 1 << prev).bit_length() - 1
+                length += 1
+            lengths.append(length)
+        lengths.sort()
+        if not (lengths[1] == 1 or lengths[:2] == [1, 2] and lengths[2] <= 4):
+            raise fault(f"with branch lengths {lengths} is not of finite type")
+    return TypedComponent(*_shape_type(comp, view))
 
 
 def classify(dgm: CoxeterDiagram) -> list[TypedComponent]:
@@ -252,15 +224,14 @@ def classify(dgm: CoxeterDiagram) -> list[TypedComponent]:
     grown from their vertices in label order, so the first component of
     infinite type, by its least label, is the one reported whatever the
     vertex order."""
-    adj, _ = dgm._masks
+    adj, _, order = dgm._view[:3]
     rest = (1 << len(adj)) - 1
     out = []
-    for i in sorted(range(len(adj)), key=dgm.vertices.__getitem__):
-        if not rest >> i & 1:
-            continue
-        comp = _component(adj, i)
-        rest &= ~comp
-        out.append(_classify_component(dgm, comp))
+    for p in sorted(range(len(adj)), key=lambda p: dgm.vertices[order[p]]):
+        if rest >> p & 1:
+            comp = _component(adj, p)
+            rest ^= comp
+            out.append(_classify_component(dgm, comp))
     return sorted(out, key=lambda c: (c.kind, c.rank, c.m or 0))
 
 
@@ -329,29 +300,15 @@ def _connected_sets(v: int, allowed: int, adj: list[int]):
                       & ~(comp | border), border))
 
 
-def _shape_view(dgm: CoxeterDiagram) -> tuple[int, int, dict[int, tuple[int, int]]]:
-    """(forks, lows, labeled) in dgm._elimination's positions: the mask of
-    the vertices of degree 3 or more, and each edge labeled m >= 4 as
-    (mask, m), keyed by the mask's lowest bit, with those bits in lows."""
-    order, adj, _ = dgm._elimination
-    pos = {k: p for p, k in enumerate(order or range(len(adj)))}
-    labeled = {}
-    for e, m in dgm._masks[1].items():
-        e = sum(1 << pos[k] for k in _bits(e))
-        labeled[e & -e] = e, m
-    forks = sum(1 << p for p, a in enumerate(adj) if a.bit_count() > 2)
-    return forks, sum(labeled), labeled
-
-
-def _shape_type(comp: int, adj: list[int], forks: int, lows: int,
-                labeled: dict[int, tuple[int, int]]) -> tuple[str, int, int | None]:
-    """(kind, rank, m) of a connected vertex mask comp of two or more
-    vertices, over the elimination's neighbour masks adj and the
-    _shape_view of a diagram that classify has passed: so comp's component
+def _shape_type(comp: int, view) -> tuple[str, int, int | None]:
+    """(kind, rank, m) of a connected position mask comp of a diagram that
+    classify has passed, read off the diagram's _view: comp's component
     holds at most one fork, of degree 3, or one labeled edge, never both,
-    and that with comp's size fixes the type."""
+    and that with comp's size fixes the type. This is the one place where
+    a shape becomes a type name."""
+    adj, _, _, forks, tops, labeled = view
     r = comp.bit_count()
-    hit = comp & lows
+    hit = comp & tops
     if hit:
         e, m = labeled[hit]
         if e & comp == e:
@@ -376,7 +333,7 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     classify(dgm) runs first, so a diagram of infinite type raises
     ClassificationError before the sum (finite type is closed under induced
     subdiagrams). The sum is regrouped by its undecided vertices U: with v
-    the first vertex of U in dgm._elimination's order, v either stays out,
+    the first position in U of dgm._view's order, v either stays out,
     or is in together with a connected set C of U, whose neighbours N in U
     then stay out, so
         W(U) = y W(U - v) + sum over C of gamma(C) y^|N| W(U - C - N),
@@ -387,13 +344,13 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     is one Poly1 whose key i + s*j holds the x^i y^j coefficient, with s
     above every x-degree: gamma(C) W(U - C - N) is one Poly1 product, and
     y^|N| a shift of its keys. The first time a connected set's mask is
-    seen, _shape_type reads its type from the labeled edge or fork it holds
-    (over a _shape_view built once per call), and the local gamma of that
-    type is computed once per call."""
+    seen, _shape_type reads its type off the view, from the labeled edge or
+    fork it holds, and the local gamma of that type is computed once per
+    call."""
     classify(dgm)
     n = len(dgm.vertices)
-    _, adj, m = dgm._elimination
-    shape = _shape_view(dgm)
+    view = dgm._view
+    adj, m = view[:2]
     local: dict[int, Poly1] = {}
     of_type: dict[tuple, Poly1] = {}
     ways_of: dict[int, tuple[int, list]] = {}
@@ -410,7 +367,7 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
             if g is None:
                 if comp == v:  # a lone vertex, A1, has local gamma 0
                     continue
-                key = _shape_type(comp, adj, *shape)
+                key = _shape_type(comp, view)
                 g = of_type.get(key)
                 if g is None:
                     g = of_type[key] = local_gamma_poly(TypedComponent(*key))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammatri import __version__, verify
+from gammatri import __version__, cli, verify
 from gammatri.cli import main
 from gammatri.cluster import dihedral_subdivision, type_a_subdivision
 from gammatri.coxeter import (
@@ -444,6 +444,22 @@ def test_diagram_command(capsys, tmp_path):
     data = json.loads(out)
     assert data["components"] == ["I2(6)"]
     assert data["Gamma"]["entries"] == [[0, 2, "1"], [1, 0, "4"]]
+
+
+def test_json_output_renders_no_table(capsys, monkeypatch, tmp_path):
+    # the table lines are built only when --out asks for the table
+    export, path = tmp_path / "a2.json", tmp_path / "diagram.json"
+    run(capsys, "cluster", "A", "2", "--method", "model", "--export", str(export))
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b", 5]]}))
+
+    def never(*args):
+        raise AssertionError("a table was rendered for --out json")
+
+    monkeypatch.setattr(cli, "render_triangle", never)
+    for argv in (["diagram", str(path)], ["cluster", "D", "5"],
+                 ["triangles", "--subdivision", str(export)]):
+        code, out, _ = run(capsys, *argv, "--out", "json")
+        assert code == 0 and json.loads(out)
 
 
 @pytest.mark.parametrize("name", ["E6", "F4", "H3"])

@@ -70,6 +70,25 @@ NON_FINITE = [
                  ("c", "f"), ("f", "g")], "branch lengths"),
     ("abcdef", [("a", "b"), ("a", "c"), ("a", "d"), ("d", "e"), ("d", "f")],
      "has 2 branch points"),
+    # the boundaries of the labeled-edge and branch-length rules
+    ("abcd", [("a", "b"), ("b", "c", 5), ("c", "d")],
+     r"\{a, b, c, d\} with a 5-labeled edge is not of finite type"),
+    ("abcde", [("a", "b", 5), ("b", "c"), ("c", "d"), ("d", "e")],
+     r"\{a, b, c, d, e\} with a 5-labeled edge is not of finite type"),
+    ("abcde", [("a", "b"), ("b", "c", 4), ("c", "d"), ("d", "e")],
+     r"\{a, b, c, d, e\} with a 4-labeled edge is not of finite type"),
+    ("abc", [("a", "b", 6), ("b", "c")],
+     r"\{a, b, c\} with a 6-labeled edge is not of finite type"),
+    ("abcdefg", [("a", "b"), ("b", "c"), ("a", "d"), ("d", "e"), ("a", "f"),
+                 ("f", "g")], r"with branch lengths \[2, 2, 2\] is not"),
+    ("abcdefgh", [("a", "b"), ("a", "c"), ("c", "d"), ("d", "e"), ("a", "f"),
+                  ("f", "g"), ("g", "h")], r"with branch lengths \[1, 3, 3\] is not"),
+    ("abcdefghi", [("a", "b"), ("a", "c"), ("c", "d"), ("a", "e"), ("e", "f"),
+                   ("f", "g"), ("g", "h"), ("h", "i")],
+     r"with branch lengths \[1, 2, 5\] is not"),
+    # two labeled edges that share a vertex, with and without a fork there
+    ("abcd", [("a", "b"), ("b", "c", 4), ("b", "d", 4)], "has two labeled edges"),
+    ("abc", [("a", "b", 4), ("b", "c", 5)], "has two labeled edges"),
 ]
 
 
@@ -89,6 +108,29 @@ def test_classify_rejects_non_finite_in_any_vertex_order(vertices, edges,
     order = data.draw(st.permutations(list(vertices)))
     with pytest.raises(ClassificationError, match=message):
         classify(CoxeterDiagram.make(order, edges))
+
+
+# hand-built diagrams of the labeled and forked types, in their own labels
+HAND_BUILT = {
+    "F4": [("a", "b"), ("b", "c", 4), ("c", "d")],
+    "H3": [("a", "b", 5), ("b", "c")],
+    "H4": [("a", "b", 5), ("b", "c"), ("c", "d")],
+    "B5": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e", 4)],
+    "E8": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"),
+           ("f", "g"), ("c", "h")],
+    "D7": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"),
+           ("e", "g")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_hand_built_diagrams_classify_as_themselves(name, data):
+    edges = HAND_BUILT[name]
+    verts = sorted({v for e in edges for v in e[:2]})
+    dgm = CoxeterDiagram.make(data.draw(st.permutations(verts)), edges)
+    assert [str(c) for c in classify(dgm)] == [name]
 
 
 @settings(max_examples=20, deadline=None)
@@ -347,12 +389,55 @@ def gamma_triangle_by_induced_subsets(dgm):
     return GammaTriangle.make(dict(out.items()), n)
 
 
+def reference_type(dgm, mask):
+    """Test oracle: the type of a connected position mask of dgm._view in
+    a diagram of finite type, by the label rules on the mask's own degrees:
+    its labeled edge's label and place, or else its branch lengths."""
+    adj, _, order = dgm._view[:3]
+    pos = {dgm.vertices[k]: p for p, k in enumerate(order)}
+    at = coxeter._bits(mask)
+    r = len(at)
+    deg = {i: (adj[i] & mask).bit_count() for i in at}
+    labeled = [(1 << pos[u] | 1 << pos[v], m) for u, v, m in dgm.edges
+               if m > 3 and pos[u] in at and pos[v] in at]
+    if labeled:
+        (e, m), = labeled
+        at_end = any(deg[i] == 1 for i in coxeter._bits(e))
+        if r == 2:
+            return comp("I2", 2, m)
+        if m == 4 and at_end:
+            return comp("B", r)
+        if m == 4 and r == 4:
+            return comp("F4", 4)
+        if m == 5 and at_end and r in (3, 4):
+            return comp(f"H{r}", r)
+        raise AssertionError(f"no type with a {m}-labeled edge on {r} vertices")
+    forks = [i for i in at if deg[i] == 3]
+    if not forks:
+        return comp("A", r)
+    (fork,) = forks
+    lengths = []
+    for arm in coxeter._bits(adj[fork] & mask):
+        length, prev, cur = 1, fork, arm
+        while deg[cur] == 2:
+            prev, cur = cur, next(k for k in coxeter._bits(adj[cur] & mask)
+                                  if k != prev)
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    if lengths[:2] == [1, 1]:
+        return comp("D", 3 + lengths[2])
+    return {(1, 2, 2): comp("E6", 6), (1, 2, 3): comp("E7", 7),
+            (1, 2, 4): comp("E8", 8)}[tuple(lengths)]
+
+
 def diagram_sum_by_masks(dgm):
-    """Test oracle: the diagram sum over all 2^n vertex masks, each split
-    into components grown from its lowest set bit, and dropped at its first
-    component with local gamma 0."""
+    """Test oracle: the diagram sum over all 2^n position masks of
+    dgm._view, each split into components grown from its lowest set bit,
+    typed by reference_type and dropped at its first component with local
+    gamma 0."""
     n = len(dgm.vertices)
-    adj, _ = dgm._masks
+    adj = dgm._view[0]
     acc = {(0, n): 1}  # the empty subset
     for keep in range(1, 1 << n):
         lg, rest = Poly1.one(), keep
@@ -365,7 +450,7 @@ def diagram_sum_by_masks(dgm):
                 comp |= grown
                 frontier |= grown
             rest &= ~comp
-            lg = lg * local_gamma_poly(coxeter._classify_component(dgm, comp))
+            lg = lg * local_gamma_poly(reference_type(dgm, comp))
             if lg.is_zero():
                 break
         j = n - keep.bit_count()
@@ -533,12 +618,14 @@ def test_a_diagram_builds_its_masks_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(coxeter, "_skeleton", counted)
-    dgm = union(("F4", None, None), ("I2", None, 7), ("A", 3, None))
+    names = [("F4", None, None), ("I2", None, 7), ("A", 3, None)]
+    dgms = [union(*names), shuffled(names, 3)]
     for _ in range(2):
-        classify(dgm)
-        gamma_triangle_diagram(dgm)
-        diagram_sum_by_masks(dgm)
-    assert len(calls) == 1
+        for dgm in dgms:
+            classify(dgm)
+            gamma_triangle_diagram(dgm)
+            diagram_sum_by_masks(dgm)
+    assert len(calls) == len(dgms)  # one _view per diagram
 
 
 def shuffled(names, seed):
@@ -596,7 +683,7 @@ def test_diagram_sum_types_each_component_by_classify_only(monkeypatch):
     monkeypatch.setattr(coxeter, "local_gamma_poly", counted_lg)
     monkeypatch.setattr(coxeter, "_classify_component", counted_cc)
     dgm = shuffled(names, 5)
-    assert dgm._elimination[0] is not None
+    assert dgm._view[2] != list(range(len(dgm.vertices)))  # relabelled
     want = Poly2.one()
     for name in names:
         want = want * closed_triangle(*name).to_poly2()
@@ -620,16 +707,15 @@ def connected_masks(adj):
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 def test_shape_type_matches_classify_component(kind, rank, m, seed):
     # every connected set of every standard diagram up to rank 9, in the
-    # identity elimination order (seed None) and under shuffled labels,
-    # where _shape_view relabels the masks into the elimination order
+    # identity order (seed None) and under shuffled labels, where _view
+    # relabels the masks into the elimination order; reference_type keeps
+    # the label rules _classify_component typed by before _shape_type did
     dgm = standard_diagram(kind, rank, m) if seed is None \
         else shuffled([(kind, rank, m)], seed)
-    order, adj, _ = dgm._elimination
-    shape = coxeter._shape_view(dgm)
-    for comp in connected_masks(adj):
-        at = comp if order is None else sum(1 << order[k] for k in coxeter._bits(comp))
-        assert TypedComponent(*coxeter._shape_type(comp, adj, *shape)) \
-            == coxeter._classify_component(dgm, at)
+    for mask in connected_masks(dgm._view[0]):
+        assert TypedComponent(*coxeter._shape_type(mask, dgm._view)) \
+            == reference_type(dgm, mask)
+    assert classify(dgm) == classify(standard_diagram(kind, rank, m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -679,7 +765,7 @@ RANK_40_UNION = [("A", 5, None), ("B", 4, None), ("D", 6, None), ("E6", None, No
 
 def test_diagram_sum_of_a_shuffled_rank_40_union():
     dgm = shuffled(RANK_40_UNION, 40)
-    assert dgm._elimination[0] is not None  # the sum runs on relabelled masks
+    assert dgm._view[2] != list(range(40))  # the sum runs on relabelled masks
     want = Poly2.one()
     for name in RANK_40_UNION:
         want = want * closed_triangle(*name).to_poly2()
@@ -691,9 +777,11 @@ def test_diagram_sum_of_a_shuffled_rank_40_union():
 @pytest.mark.parametrize("kind, rank, m", STANDARD_UP_TO_8)
 def test_standard_diagrams_need_no_relabelling(kind, rank, m):
     dgm = standard_diagram(kind, rank, m)
-    order, adj, summed = dgm._elimination
-    assert order is None
-    assert adj is dgm._masks[0]
+    adj, summed, order = dgm._view[:3]
+    assert order == list(range(len(dgm.vertices)))
+    index = {v: i for i, v in enumerate(dgm.vertices)}
+    assert adj == [sum(1 << index[b if a == v else a] for a, b, _ in dgm.edges
+                       if v in (a, b)) for v in dgm.vertices]
     assert summed == sum(1 for a in adj if a)
 
 
@@ -705,7 +793,7 @@ def test_elimination_walks_from_the_lowest_leaf():
     dgm = CoxeterDiagram.make(["c0", "a1", "b2", "d3", "e4", "g6", "f5"],
                               [("a1", "c0"), ("b2", "c0"), ("c0", "d3"),
                                ("d3", "e4"), ("e4", "f5")])
-    order, adj, summed = dgm._elimination
+    adj, summed, order = dgm._view[:3]
     assert [dgm.vertices[k] for k in order] == ["a1", "c0", "b2", "d3", "e4", "f5", "g6"]
     assert summed == 6
     bit = {dgm.vertices[k]: 1 << p for p, k in enumerate(order)}
