@@ -29,7 +29,7 @@ def main():
             print("  pentagon matrices:")
             for kind, p in (("F", F), ("H", H), ("Gamma", gt)):
                 print(f"  {kind}:")
-                for line in render_triangle(p, 2, kind).splitlines():
+                for line in render_triangle(p, 2, kind):
                     print(f"    {line}")
 
 

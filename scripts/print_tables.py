@@ -34,13 +34,13 @@ def main():
         gt = reference_tables()[name]
         status = "reproduced" if not table_mismatches(name) else "MISMATCH"
         print(f"\n{name} (d = {gt.degree}, diagram recomputation {status}):")
-        print(render_triangle(gt, gt.degree, "Gamma"))
+        print("\n".join(render_triangle(gt, gt.degree, "Gamma")))
 
     print("\nlarger ranks straight from the diagram sum:")
     for kind, rank in (("A", 7), ("B", 7), ("D", 7), ("D", 8)):
         gt = gamma_triangle_diagram(standard_diagram(kind, rank))
         print(f"\n{kind}{rank}:")
-        print(render_triangle(gt, gt.degree, "Gamma"))
+        print("\n".join(render_triangle(gt, gt.degree, "Gamma")))
 
 
 if __name__ == "__main__":

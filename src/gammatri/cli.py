@@ -10,9 +10,10 @@ Subcommands:
   verify     run the verification suites (exit code 0 iff everything passes)
 
 Output is deterministic and stdout holds only the result: --out picks the
-table layout, JSON or both; the --export notice goes to stderr. Bad input,
-a stray --m or --facet and a result with no gamma expansion exit 1 with
-`error: ...` on stderr, naming any file at fault, and so does an input
+table layout, JSON or both; the --export notice goes to stderr. A table is
+written as it is built, a row at a time, once every check has passed. Bad
+input, a stray --m or --facet and a result with no gamma expansion exit 1
+with `error: ...` on stderr, naming any file at fault, and so does an input
 that asks for more memory than there is; a reader that closes stdout
 early ends the command with exit 1 and no message. NO_COLOR, the only
 environment variable read, turns off the pass/fail coloring of verify.
@@ -55,10 +56,12 @@ def _load(path: str, build):
 
 
 def _emit(out: str, lines, data) -> None:
-    """Print the table lines that lines() builds, the JSON document of data,
-    or both, as --out says; JSON output never builds the table."""
+    """Print the table lines() lists, each item a line or a triangle's rows,
+    the JSON of data, or both, as --out says; JSON never calls lines()."""
     if out in ("table", "both"):
-        print("\n".join(lines()))
+        for item in lines():
+            for line in (item,) if isinstance(item, str) else item:
+                print(line)
     if out in ("json", "both"):
         print(json.dumps(data, indent=2))
 

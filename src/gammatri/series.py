@@ -8,13 +8,13 @@ takes only series with constant term 1 or -1, and the only divisions are
 exact ones (sqrt halving its recursion, exact_div, and the closed forms
 behind the defining sums), which raise ArithmeticError on a remainder.
 
-Series products, inverse() and sqrt() run through the packed kernel
-(packed.py, Kronecker substitution in x): each operation packs every t^n
-coefficient of its operands once and unpacks each output coefficient
-once. One width rule serves all three: before the first multiply, each
-operation bounds every digit it packs or unpacks by a majorant B (for
-inverse() and sqrt(), an l1 norm bound carried through the recursion)
-and packs at exactly w = bit_length(B) + 1 bits.
+Every product of two series, inverse() and sqrt() run through the packed
+kernel (packed.py, Kronecker substitution in x): each operation packs
+every t^n coefficient of its operands once and unpacks each output
+coefficient once. One width rule serves all three: before the first
+multiply, each operation bounds every digit it packs or unpacks by a
+majorant B (for inverse() and sqrt(), an l1 norm bound carried through
+the recursion) and packs at exactly w = bit_length(B) + 1 bits.
 
 The identities are checked in packed form too. IDENTITIES states each as
 the signed terms c y^a t^b P*Q of its residual over the source series,
@@ -148,12 +148,6 @@ class TruncSeries:
         n = min(self.order, other.order)
         a, b = sorted((self.coeffs[:n], other.coeffs[:n]),
                       key=lambda cs: sum(map(len, cs)))
-        if sum(map(len, a)) <= 2:
-            # a binomial such as 1 + xt: one coefficientwise product per term
-            # costs less than packing the other operand (1.5x at order 98)
-            long = TruncSeries(n, b)
-            return sum(((long * c).shift_t(k).truncate(n)
-                        for k, c in enumerate(a) if c), TruncSeries(n))
         w = _product_bound(a, b).bit_length() + 1
         return TruncSeries(n, _packed_product(a, b, w))
 
@@ -332,14 +326,15 @@ def g_closed(kind: str, order: int, g: TruncSeries | None = None) -> TruncSeries
         raise ValueError(f"unknown series kind {kind!r}")
     if g is None:
         g = g_base(order + 1 if kind == "A" else order)
-    one_plus_xt = TruncSeries.from_map({0: 1, 1: _x_poly({1: 1})}, order)
     if kind == "A":
         num = TruncSeries.from_map({0: 1, 1: 1}, order + 1) - g.truncate(order + 1)
+        one_plus_xt = TruncSeries.from_map({0: 1, 1: _x_poly({1: 1})}, order)
         return num.div_t().exact_div(2) * one_plus_xt.inverse()
     g = g.truncate(order)
     if kind == "B":
         num = g + TruncSeries.from_map({0: 1, 1: _x_poly({0: -1, 1: 2})}, order)
-        return num.exact_div(2) * (g * one_plus_xt).inverse()
+        g_xt = (g * _x_poly({1: 1})).shift_t().truncate(order)  # g * xt
+        return num.exact_div(2) * (g + g_xt).inverse()
     gm1 = g - 1
     num = gm1 * (gm1 + TruncSeries.from_map({1: 1}, order))
     return num.exact_div(2) * g.inverse()

@@ -196,9 +196,10 @@ def crosscheck_report(max_rank: int = DEFAULT_MAX_RANK) -> Report:
         H = transforms.H_from_Gamma(g)
         if transforms.Gamma_from_H(H, g.degree) != g:
             ok_hgamma = False
-        if transforms.F_from_H(H, g.degree) != transforms.F_from_Gamma(g):
+        F = transforms.F_from_H(H, g.degree)
+        if F != transforms.F_from_Gamma(g):
             ok_hgamma = False
-        if transforms.H_from_F(transforms.F_from_H(H, g.degree), g.degree) != H:
+        if transforms.H_from_F(F, g.degree) != H:
             ok_fh = False
         vec = transforms.gamma_from_h(H.substitute_y(1), g.degree)
         if transforms.poly_from_gamma(vec) != transforms.poly_from_gamma(

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,17 @@ def pentagon_file(tmp_path):
         "vertices": ["a", "b", "c", "d", "e"],
         "facets": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]],
     }))
+    return str(path)
+
+
+@pytest.fixture
+def i2x200_file(tmp_path):
+    # 200 disjoint I2(5)s: a d = 400 Gamma-triangle whose table is 403 lines
+    # and about 4.9 MB
+    verts = [f"v{i:03d}" for i in range(400)]
+    path = tmp_path / "i2x200.json"
+    path.write_text(json.dumps({"vertices": verts, "edges": [
+        [verts[2 * i], verts[2 * i + 1], 5] for i in range(200)]}))
     return str(path)
 
 
@@ -462,6 +474,34 @@ def test_json_output_renders_no_table(capsys, monkeypatch, tmp_path):
         assert code == 0 and json.loads(out)
 
 
+class CountingSink(io.TextIOBase):
+    """A stdout that counts the lines written to it and keeps none of them."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, s):
+        self.lines += s.count("\n")
+        return len(s)
+
+
+def test_table_output_peaks_no_higher_than_json(i2x200_file):
+    # the table is written a row at a time: no cell dict, row list or joined
+    # copy of its 4.9 MB, so its traced peak is the diagram sum's, as JSON's is
+    peaks = {}
+    for out in ("json", "table"):
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(["diagram", i2x200_file, "--out", out]) == 0
+            peaks[out] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sink.lines == 403
+    assert peaks["table"] <= peaks["json"] + 2**20, peaks
+
+
 @pytest.mark.parametrize("name", ["E6", "F4", "H3"])
 def test_diagram_names_exceptional_component(capsys, tmp_path, name):
     dgm = standard_diagram(name)
@@ -567,15 +607,13 @@ def test_version(capsys):
     assert capsys.readouterr().out == f"gammatri {__version__}\n"
 
 
-def test_closed_pipe_exits_without_traceback():
-    # about 90 KB of output, more than a pipe buffers, so the command is
-    # still writing when the reader closes its end after the first line
+def assert_closed_pipe_exits_without_traceback(*argv):
+    """Run gammatri with argv, close the reader after the first line while
+    the command is still writing, and expect exit 1 and no traceback."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "gammatri", "series", "--name", "GA",
-         "--order", "40"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-m", "gammatri", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
         assert proc.stdout.readline()
         proc.stdout.close()
@@ -585,3 +623,15 @@ def test_closed_pipe_exits_without_traceback():
         proc.kill()
         proc.stderr.close()
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
+
+def test_closed_pipe_exits_without_traceback():
+    # about 90 KB of output, more than a pipe buffers
+    assert_closed_pipe_exits_without_traceback("series", "--name", "GA",
+                                               "--order", "40")
+
+
+def test_closed_pipe_on_a_table_exits_without_traceback(i2x200_file):
+    # 4.9 MB of table rows: the pipe breaks inside _emit's loop over the rows
+    assert_closed_pipe_exits_without_traceback("diagram", i2x200_file,
+                                               "--out", "table")
