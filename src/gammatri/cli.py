@@ -265,6 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact coefficients print in full: CPython's limit on the digits of an
+    # int-to-str conversion (0 for none) is lifted, and restored on return
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 3.10.7 and later
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         status = args.func(args) or 0  # only verify has a status of its own
         sys.stdout.flush()  # a closed pipe shows here, not at exit
@@ -281,6 +286,9 @@ def main(argv=None) -> int:
         # stdout at devnull so the flush at interpreter exit cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

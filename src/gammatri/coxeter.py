@@ -13,12 +13,13 @@ the diagram sum: the closed forms for A, B, D, I2(m) and H3, the stored
 tables for F4, H4, E6, E7, E8. The defining sums of the series module
 read their coefficients from local_gamma_poly and closed_triangle.
 
-Each diagram is read through one cached view, CoxeterDiagram._view:
-classify checks each component's finite type on it, and _shape_type is
-the one place where a shape becomes a type name. gamma_triangle_diagram
-memoizes the subset sum by its undecided vertices: O(n) states on a
-path, where a walk over the subsets visits about 1.78^n. The product of
-component triangles stays an independent check of it.
+Each diagram is read through one cached view, CoxeterDiagram._view, which
+lists its components once: classify checks each one's finite type on it,
+and _shape_type is the one place where a shape becomes a type name.
+gamma_triangle_diagram memoizes the subset sum of each component by its
+undecided vertices (O(n) states on a path, where a walk over the subsets
+visits about 1.78^n) and multiplies the components' sums; the product of
+their closed triangles stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -97,32 +98,32 @@ class CoxeterDiagram:
         return cls(verts, tuple(sorted(norm)))
 
     @cached_property
-    def _view(self) -> tuple[list[int], int, list[int], int, int,
-                             dict[int, tuple[int, int]]]:
-        """(adj, m, order, forks, tops, labeled): the one view of the diagram
-        that classify and the diagram sum read, built once in linear time
-        over positions, with order[p] the index in vertices of position p.
-        Each component with an edge is walked depth first, lowest neighbour
-        first, from its lowest-index leaf (or lowest vertex); these m
-        vertices take the first positions, in walk order, and the vertices
-        with no neighbour the last, so a standard_diagram keeps its order.
-        adj[p] is the neighbour mask of position p, forks the mask of the
-        positions of degree 3 or more, and labeled maps each edge labeled
-        m >= 4, as (mask, m), from the mask's highest bit, with those bits
-        in tops. The walk reaches each vertex from a lower position, so in
-        a component without a cycle each edge has its own highest bit."""
+    def _view(self) -> tuple[list[int], list[tuple[int, int]], list[int], int,
+                             int, dict[int, tuple[int, int]]]:
+        """(adj, comps, order, forks, tops, labeled): the one view of the
+        diagram that classify and the diagram sum read, built once in linear
+        time over positions, with order[p] the index in vertices of position
+        p. The components are taken in order of their lowest vertex index,
+        and each is walked depth first, lowest neighbour first, from its
+        lowest-index leaf (or lowest vertex), so a standard_diagram keeps its
+        order; comps lists the run of positions (start, stop) of each
+        component. adj[p] is the neighbour mask of position p, forks the mask
+        of the positions of degree 3 or more, and labeled maps each edge
+        labeled m >= 4, as (mask, m), from the mask's highest bit, with those
+        bits in tops. The walk reaches each vertex from a lower position, so
+        in a component without a cycle each edge has its own highest bit."""
         index = {v: i for i, v in enumerate(self.vertices)}
         adj = _skeleton([1 << index[u] | 1 << index[v] for u, v, _ in self.edges],
                         len(index))
         n = len(adj)
-        order, rest = [], (1 << n) - 1
+        order, comps, rest = [], [], (1 << n) - 1
         for i in range(n):
-            if not (adj[i] and rest >> i & 1):
+            if not rest >> i & 1:
                 continue
             # i is the lowest index of its component
-            leaf = i if adj[i].bit_count() == 1 else next(
+            leaf = i if adj[i].bit_count() < 2 else next(
                 (k for k in _bits(_component(adj, i)) if adj[k].bit_count() == 1), i)
-            stack = [leaf]
+            start, stack = len(order), [leaf]
             rest ^= 1 << leaf
             while stack:
                 k = stack.pop()
@@ -130,8 +131,7 @@ class CoxeterDiagram:
                 grown = adj[k] & rest
                 rest ^= grown
                 stack += reversed(_bits(grown))
-        m = len(order)
-        order += [i for i in range(n) if not adj[i]]
+            comps.append((start, len(order)))
         bit = [0] * n
         for p, k in enumerate(order):
             bit[k] = 1 << p
@@ -142,7 +142,7 @@ class CoxeterDiagram:
                 e = bit[index[u]] | bit[index[v]]
                 labeled[1 << e.bit_length() - 1] = e, label
         forks = sum(1 << p for p, a in enumerate(adj) if a.bit_count() > 2)
-        return adj, m, order, forks, sum(labeled), labeled
+        return adj, comps, order, forks, sum(labeled), labeled
 
     def to_dict(self) -> dict:
         return {
@@ -220,18 +220,13 @@ def _classify_component(dgm: CoxeterDiagram, comp: int) -> TypedComponent:
 def classify(dgm: CoxeterDiagram) -> list[TypedComponent]:
     """Connected components as typed finite-type pieces, in a deterministic
     order. A 2-vertex component with a 3-labeled edge is A2, with label
-    m >= 4 it is I2(m) (so B2 and C2 come out as I2(4)). Components are
-    grown from their vertices in label order, so the first component of
-    infinite type, by its least label, is the one reported whatever the
-    vertex order."""
-    adj, _, order = dgm._view[:3]
-    rest = (1 << len(adj)) - 1
-    out = []
-    for p in sorted(range(len(adj)), key=lambda p: dgm.vertices[order[p]]):
-        if rest >> p & 1:
-            comp = _component(adj, p)
-            rest ^= comp
-            out.append(_classify_component(dgm, comp))
+    m >= 4 it is I2(m) (so B2 and C2 come out as I2(4)). The view's comps
+    are checked in order of their least label, so the first of infinite
+    type in that order is the one reported, whatever the vertex order."""
+    _, comps, order = dgm._view[:3]
+    label = [dgm.vertices[k] for k in order]
+    out = [_classify_component(dgm, (1 << stop) - (1 << start))
+           for start, stop in sorted(comps, key=lambda c: min(label[c[0]:c[1]]))]
     return sorted(out, key=lambda c: (c.kind, c.rank, c.m or 0))
 
 
@@ -332,65 +327,71 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
 
     classify(dgm) runs first, so a diagram of infinite type raises
     ClassificationError before the sum (finite type is closed under induced
-    subdiagrams). The sum is regrouped by its undecided vertices U: with v
-    the first position in U of dgm._view's order, v either stays out,
-    or is in together with a connected set C of U, whose neighbours N in U
-    then stay out, so
+    subdiagrams). The sum is the product of the sums W over the components,
+    the runs of positions in dgm._view's comps, each with a memo of its own
+    states. Within a component it is regrouped by the undecided vertices U:
+    with v the first position in U, v either stays out, or is in together
+    with a connected set C of U, whose neighbours N in U then stay out, so
         W(U) = y W(U - v) + sum over C of gamma(C) y^|N| W(U - C - N),
     with W(empty) = 1 and only the C of local gamma nonzero (any lone
-    vertex, A1, has 0). So a vertex with no neighbour is a factor y, and W
-    runs over the others. The states U are found with an explicit stack,
-    each once, and evaluated in increasing mask order, subsets first. W(U)
-    is one Poly1 whose key i + s*j holds the x^i y^j coefficient, with s
-    above every x-degree: gamma(C) W(U - C - N) is one Poly1 product, and
-    y^|N| a shift of its keys. The first time a connected set's mask is
-    seen, _shape_type reads its type off the view, from the labeled edge or
-    fork it holds, and the local gamma of that type is computed once per
-    call."""
+    vertex, A1, has 0, so a one-vertex component has W = y). The states U
+    are found with an explicit stack, each once, and evaluated in
+    increasing mask order, subsets first. W(U) is one Poly1 whose key
+    i + s*j holds the x^i y^j coefficient, with s above every x-degree:
+    gamma(C) W(U - C - N) and the product over components are Poly1
+    products, and y^|N| a shift of its keys. The first time a connected
+    set's mask is seen, _shape_type reads its type off the view, and the
+    local gamma of that type is computed once per call. No W is read from a
+    closed form or a stored table, so the product of the components' closed
+    triangles stays an independent check, and the tests' 2^n sum over whole
+    unions checks the factoring."""
     classify(dgm)
     n = len(dgm.vertices)
     view = dgm._view
-    adj, m = view[:2]
-    local: dict[int, Poly1] = {}
-    of_type: dict[tuple, Poly1] = {}
-    ways_of: dict[int, tuple[int, list]] = {}
-    todo = [(1 << m) - 1] if m else []
-    while todo:
-        u = todo.pop()
-        if u in ways_of:
-            continue
-        v = u & -u
-        rest = u ^ v  # v stays out
-        ways = []
-        for comp, border in _connected_sets(v, rest, adj):
-            g = local.get(comp)
-            if g is None:
-                if comp == v:  # a lone vertex, A1, has local gamma 0
-                    continue
-                key = _shape_type(comp, view)
-                g = of_type.get(key)
-                if g is None:
-                    g = of_type[key] = local_gamma_poly(TypedComponent(*key))
-                local[comp] = g
-            if g:
-                w = rest & ~(comp | border)
-                ways.append((g, border.bit_count(), w))
-                if w:
-                    todo.append(w)
-        ways_of[u] = rest, ways
-        if rest:
-            todo.append(rest)
+    adj, comps = view[:2]
     s = n // 2 + 1
-    w_of = {0: Poly1.one()}
-    for u, (rest, ways) in sorted(ways_of.items()):
-        acc = {k + s: c for k, c in w_of[rest]._c.items()}
-        for g, b, w in ways:
-            shift = s * b
-            for k, c in (g * w_of[w] if w else g)._c.items():
-                acc[k + shift] = acc.get(k + shift, 0) + c
-        w_of[u] = Poly1._build(acc)
-    return GammaTriangle.make({(k % s, k // s + n - m): c
-                               for k, c in w_of[(1 << m) - 1]._c.items()}, n)
+    of_type: dict[tuple, Poly1] = {}
+    total = Poly1.one()
+    for start, stop in comps:
+        local: dict[int, Poly1] = {}
+        ways_of: dict[int, tuple[int, list]] = {}
+        whole = (1 << stop) - (1 << start)
+        todo = [whole]
+        while todo:
+            u = todo.pop()
+            if u in ways_of:
+                continue
+            v = u & -u
+            rest = u ^ v  # v stays out
+            ways = []
+            for comp, border in _connected_sets(v, rest, adj):
+                g = local.get(comp)
+                if g is None:
+                    if comp == v:  # a lone vertex, A1, has local gamma 0
+                        continue
+                    key = _shape_type(comp, view)
+                    g = of_type.get(key)
+                    if g is None:
+                        g = of_type[key] = local_gamma_poly(TypedComponent(*key))
+                    local[comp] = g
+                if g:
+                    w = rest & ~(comp | border)
+                    ways.append((g, border.bit_count(), w))
+                    if w:
+                        todo.append(w)
+            ways_of[u] = rest, ways
+            if rest:
+                todo.append(rest)
+        w_of = {0: Poly1.one()}
+        for u, (rest, ways) in sorted(ways_of.items()):
+            acc = {k + s: c for k, c in w_of[rest]._c.items()}
+            for g, b, w in ways:
+                shift = s * b
+                for k, c in (g * w_of[w] if w else g)._c.items():
+                    acc[k + shift] = acc.get(k + shift, 0) + c
+            w_of[u] = Poly1._build(acc)
+        total = total * w_of[whole]
+    return GammaTriangle.make({(k % s, k // s): c for k, c in total._c.items()}, n)
 
 
 def closed_gamma_triangle(kind: str, n: int) -> GammaTriangle:

@@ -250,16 +250,6 @@ class TruncSeries:
         return TruncSeries(self.order, [_exact_div(c, d, n)
                                         for n, c in enumerate(self.coeffs)])
 
-    def first_nonzero(self, through: int):
-        """(n, coefficient) of the first nonzero term with n <= through,
-        or None; raises unless 0 <= through < order."""
-        if not 0 <= through < self.order:
-            raise ValueError(f"cannot search through t^{through} at order {self.order}")
-        for n in range(through + 1):
-            if not self.coeffs[n].is_zero():
-                return n, self.coeffs[n]
-        return None
-
     def __str__(self):
         parts = [f"({c})*t^{n}" for n, c in enumerate(self.coeffs)
                  if not c.is_zero()]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammatri import __version__, cli, verify
+from gammatri import __version__, cli, coxeter, verify
 from gammatri.cli import main
 from gammatri.cluster import dihedral_subdivision, type_a_subdivision
 from gammatri.coxeter import (
@@ -456,6 +456,25 @@ def test_diagram_command(capsys, tmp_path):
     data = json.loads(out)
     assert data["components"] == ["I2(6)"]
     assert data["Gamma"]["entries"] == [[0, 2, "1"], [1, 0, "4"]]
+
+
+def test_diagram_prints_every_digit_of_a_coefficient(capsys, monkeypatch, tmp_path):
+    # CPython converts an int of at most 4,300 digits to a string by
+    # default; the command lifts that limit while it runs, and restores it
+    big = 7 * 10 ** 4999 + 1
+    digits = "7" + "0" * 4998 + "1"
+    monkeypatch.setattr(coxeter, "gamma_triangle_diagram", lambda dgm:
+                        GammaTriangle.make({(0, 2): 1, (1, 0): big}, 2))
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b", 6]]}))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "diagram", str(path), "--out", "table")
+    assert (code, err) == (0, "")
+    assert digits in out.split()
+    code, out, err = run(capsys, "diagram", str(path), "--out", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["Gamma"]["entries"] == [[0, 2, "1"], [1, 0, digits]]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_json_output_renders_no_table(capsys, monkeypatch, tmp_path):

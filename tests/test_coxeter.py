@@ -1,5 +1,7 @@
 import random
 import re
+import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -610,6 +612,32 @@ def test_classify_many_labeled_components():
     assert classify(dgm) == [comp("I2", 2, 5)] * 1000
 
 
+def test_diagram_sum_holds_one_component_at_a_time():
+    # each component is summed with a memo of its own states and multiplied
+    # into the running product, so no state's W spans a later component
+    dgm = union(*[("I2", None, 5)] * 300)
+    tracemalloc.start()
+    try:
+        got = gamma_triangle_diagram(dgm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.coeffs == {(i, 2 * (300 - i)): comb(300, i) * 3 ** i
+                          for i in range(301)}
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_isolated_vertices_take_their_place_in_index_order():
+    dgm = CoxeterDiagram.make(["x0", "a1", "b2", "y3", "c4"],
+                              [("a1", "b2", 5), ("b2", "c4")])
+    adj, comps, order = dgm._view[:3]
+    assert [dgm.vertices[k] for k in order] == ["x0", "a1", "b2", "c4", "y3"]
+    assert comps == [(0, 1), (1, 4), (4, 5)]
+    assert classify(dgm) == [comp("A", 1), comp("A", 1), comp("H3", 3)]
+    assert gamma_triangle_diagram(dgm).to_poly2() \
+        == closed_triangle("H3").to_poly2() * Poly2({(0, 2): 1})
+
+
 def test_a_diagram_builds_its_masks_once(monkeypatch):
     real, calls = coxeter._skeleton, []
 
@@ -777,12 +805,14 @@ def test_diagram_sum_of_a_shuffled_rank_40_union():
 @pytest.mark.parametrize("kind, rank, m", STANDARD_UP_TO_8)
 def test_standard_diagrams_need_no_relabelling(kind, rank, m):
     dgm = standard_diagram(kind, rank, m)
-    adj, summed, order = dgm._view[:3]
-    assert order == list(range(len(dgm.vertices)))
+    adj, comps, order = dgm._view[:3]
+    n = len(dgm.vertices)
+    assert order == list(range(n))
     index = {v: i for i, v in enumerate(dgm.vertices)}
     assert adj == [sum(1 << index[b if a == v else a] for a, b, _ in dgm.edges
                        if v in (a, b)) for v in dgm.vertices]
-    assert summed == sum(1 for a in adj if a)
+    # one run for a connected diagram, a run per vertex for A1, B1, D2, I2(2)
+    assert comps == ([(0, n)] if dgm.edges else [(p, p + 1) for p in range(n)])
 
 
 def test_elimination_walks_from_the_lowest_leaf():
@@ -793,9 +823,9 @@ def test_elimination_walks_from_the_lowest_leaf():
     dgm = CoxeterDiagram.make(["c0", "a1", "b2", "d3", "e4", "g6", "f5"],
                               [("a1", "c0"), ("b2", "c0"), ("c0", "d3"),
                                ("d3", "e4"), ("e4", "f5")])
-    adj, summed, order = dgm._view[:3]
+    adj, comps, order = dgm._view[:3]
     assert [dgm.vertices[k] for k in order] == ["a1", "c0", "b2", "d3", "e4", "f5", "g6"]
-    assert summed == 6
+    assert comps == [(0, 6), (6, 7)]
     bit = {dgm.vertices[k]: 1 << p for p, k in enumerate(order)}
     assert adj[1] == bit["a1"] | bit["b2"] | bit["d3"]  # c0's neighbours
     assert adj[6] == 0

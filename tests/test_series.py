@@ -37,8 +37,15 @@ def xp(mapping):
     return Poly2({(k, 0): c for k, c in mapping.items()})
 
 
+def first_nonzero(s, through):
+    """(n, coefficient) of the first nonzero term of s with n <= through,
+    or None."""
+    return next(((n, c) for n, c in enumerate(s.coeffs[:through + 1])
+                 if not c.is_zero()), None)
+
+
 def is_zero_through(s, through):
-    return s.first_nonzero(through) is None
+    return first_nonzero(s, through) is None
 
 
 def g_base_alt(order):
@@ -359,7 +366,7 @@ packed_sums = st.integers(1, 7).flatmap(
 def test_packed_sum_finds_the_first_nonzero_of_the_series_expression(case):
     sources, terms = case
     assert first_nonzero_packed(terms, sources) == \
-        sum_by_series(terms, sources).first_nonzero(sources["one"].order - 1)
+        first_nonzero(sum_by_series(terms, sources), sources["one"].order - 1)
 
 
 def test_packed_sum_width_is_tight_at_the_extremes():
@@ -641,7 +648,7 @@ def test_negative_control_detects_perturbation():
     GA = G_sum("A", N + 1)
     bad = gA - TruncSeries.from_map({4: gA.coeff(4)}, N + 1)
     residual = GA - bad - ((bad * GA) * y).shift_t()
-    hit = residual.first_nonzero(N)
+    hit = first_nonzero(residual, N)
     assert hit is not None and hit[0] in (4, 5)
 
 
@@ -674,7 +681,7 @@ def residuals_by_series(N):
 def checks_by_series(N):
     out = []
     for name, residual in residuals_by_series(N).items():
-        hit = residual.first_nonzero(N)
+        hit = first_nonzero(residual, N)
         out.append((name, hit is None, f"residual 0 through t^{N}" if hit is None
                     else f"first nonzero residual at t^{hit[0]}: {hit[1]}"))
     return out
@@ -769,8 +776,6 @@ def test_order_bookkeeping():
     assert s.d_dt().order == 4
     with pytest.raises(ValueError):
         s.coeff(5)
-    with pytest.raises(ValueError):
-        s.first_nonzero(5)
     t = TruncSeries.from_map({1: 1}, 5)
     assert t.div_t().order == 4
     with pytest.raises(ValueError):
@@ -785,11 +790,6 @@ def test_coeff_rejects_a_negative_power():
 def test_div_t_rejects_a_negative_power():
     with pytest.raises(ValueError, match=r"t\^-1 "):
         TruncSeries(3, [1, 2, 5]).div_t(-1)
-
-
-def test_first_nonzero_rejects_a_negative_power():
-    with pytest.raises(ValueError, match=r"t\^-1 at order 3"):
-        TruncSeries(3, [1, 2, 5]).first_nonzero(-1)
 
 
 def test_shift_t_rejects_a_negative_power():
