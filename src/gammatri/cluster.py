@@ -10,8 +10,9 @@ are the maximal cliques of the noncrossing graph (a flag complex, built by
 Complex.from_graph, so its restrictions and sphere take the flag path).
 
 The dihedral model of parameter m is a path on m vertices whose endpoints
-carry one index label each and whose interior vertices carry both.
-Both models are built as masks, which the Subdivision constructor checks.
+carry one index label each and whose interior vertices carry both; it too
+is the clique complex of its graph. Both models' carriers are masks, which
+the Subdivision constructor checks.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ def dihedral_subdivision(m: int) -> Subdivision:
     interior carriers are {s1, s2}. Its sphere is the (m+2)-gon boundary."""
     if m < 2:
         raise ValueError(f"dihedral parameter must be >= 2, got {m}")
-    cpx = Complex.from_masks([f"p{i}" for i in range(1, m + 1)],
-                             [3 << i for i in range(m - 1)])
+    path = [(1 << i >> 1 | 2 << i) & (1 << m) - 1 for i in range(m)]  # p(i-1), p(i+1)
+    cpx = Complex.from_graph([f"p{i}" for i in range(1, m + 1)], path)
     return Subdivision(cpx, ("s1", "s2"), (1,) + (3,) * (m - 2) + (2,))
 
 

@@ -9,12 +9,12 @@ on no vertices.
 face_set searches a complex's faces once and keeps the list on it. A flag
 complex lists them by a clique walk on its 1-skeleton's neighbour masks,
 one bit per vertex; any other complex by a search through its facets.
-Flagness is decided at most once per loaded complex: from_graph builds a
-clique complex and records it as flag with no test, and _generic marks a
-restriction or sphere built on the generic path from a complex that is not
-flag; any other complex runs is_flag once, when a face search (or a
-restriction or sphere built from it) first needs it. The flag models and
-is_flag read facets off maximal_cliques, with no face search.
+Which of the two a complex takes is fixed where it is built: from_graph
+builds a clique complex and from_dict runs is_flag once on what it loads,
+and each records the complex as flag; every other constructor builds one
+that takes the generic path, which is right for any complex, with no
+test. The flag models and is_flag read facets off maximal_cliques, with
+no face search.
 A from_graph complex keeps its graph and builds its facets (maximal_cliques,
 then from_masks's checks) only when they are first read; until then
 is_facet answers from the graph. colour_counts counts faces by (|F - T|,
@@ -117,14 +117,14 @@ class Complex:
         """The clique complex of the graph on `vertices` where adj[i] is
         vertex i's neighbour mask, symmetric and without bit i (its callers
         build it so). It is flag by construction, so it keeps adj as its
-        1-skeleton and its face search needs no flag test. Duplicate labels
+        1-skeleton and is recorded as flag with no test. Duplicate labels
         raise InvalidComplex here; the facets, the maximal cliques, are
         built by __getattr__ when first read, through from_masks."""
         verts = tuple(vertices)
         if len(set(verts)) != len(verts):
             raise InvalidComplex("duplicate vertex labels")
         c = object.__new__(cls)
-        # the field vertices and the cached properties below
+        # the field vertices, the cached property neighbours and the route
         c.__dict__.update(vertices=verts, neighbours=list(adj), _flag=True)
         return c
 
@@ -137,23 +137,15 @@ class Complex:
         self.__dict__["facets"] = facets
         return facets
 
-    @classmethod
-    def trivial(cls) -> "Complex":
-        """The complex whose only face is the empty face."""
-        return cls.from_masks((), [0])
-
     @cached_property
     def neighbours(self) -> list[int]:
         """The 1-skeleton: entry i masks the other vertices of the facets
         that hold vertex i."""
         return _skeleton(self.facets, len(self.vertices))
 
-    @cached_property
-    def _flag(self) -> bool:
-        """The route gate of _faces, restrict and sphere: True for a complex
-        that from_graph built, False for one that _generic marked, and
-        otherwise is_flag, run at most once per complex."""
-        return is_flag(self)
+    # the route of _faces, colour_counts, restrict and sphere: True only on
+    # a complex that from_graph built or from_dict found flag
+    _flag = False
 
     @cached_property
     def _faces(self) -> list[int]:
@@ -173,12 +165,17 @@ class Complex:
 
     @classmethod
     def from_dict(cls, data) -> "Complex":
+        """The JSON loader, and the one place that tests a route: is_flag
+        runs once on the loaded complex, which is recorded as flag if it is."""
         vertices, facets = _json_fields(data, "complex", ("vertices", "facets"),
                                         InvalidComplex)
         label_list(vertices, "vertices", InvalidComplex)
         if not isinstance(facets, list):
             raise InvalidComplex(f"facets must be a list, got {type(facets).__name__}")
-        return cls.make(vertices, [label_list(f, "facet", InvalidComplex) for f in facets])
+        c = cls.make(vertices, [label_list(f, "facet", InvalidComplex) for f in facets])
+        if is_flag(c):
+            c.__dict__["_flag"] = True
+        return c
 
 
 def _bits(mask: int) -> list[int]:
@@ -195,16 +192,6 @@ def _check_range(masks, width: int) -> None:
     """A facet mask outside [0, 2^width) raises InvalidComplex."""
     if stray := [f for f in masks if f < 0 or f >> width]:
         raise InvalidComplex(f"facet mask {stray[0]} is outside [0, 2^{width})")
-
-
-def _generic(c: Complex) -> Complex:
-    """c marked to take the generic paths of _faces, restrict and sphere,
-    with no flag test: for a complex that restrict or sphere built on the
-    generic path from one that is not flag. Those paths are right for any
-    complex, so the restrictions and sphere of a complex that is not flag
-    inherit its route as a flag complex's inherit theirs."""
-    c.__dict__["_flag"] = False  # the cached property of Complex
-    return c
 
 
 def _facet_faces(facets, width: int) -> list[int]:

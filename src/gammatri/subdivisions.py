@@ -29,9 +29,10 @@ builds its facets: SphereWithFacet checks the distinguished facet on the
 graph (a clique with no common neighbour), and f_triangle counts the faces
 through a clique tree (complexes.colour_counts). For any other complex
 restrict() cuts the facets and sphere() builds its facets from the face
-pass; what they build is marked to take those generic paths in turn
-(complexes._generic), so flagness is decided once per loaded complex
-either way. The sphere's distinguished facet is the index set's mask.
+pass, with Complex.from_masks, so what they build takes those generic
+paths in turn. No route tests flagness: a complex is flag when
+from_graph built it or the loader found it so (complexes). The sphere's
+distinguished facet is the index set's mask.
 
 Local h, the local-sum triangle and the direct H-triangle are sums of
 per-face terms over restrictions. A face F with a = |F| and
@@ -54,7 +55,6 @@ from .complexes import (
     Complex,
     InvalidComplex,
     _bits,
-    _generic,
     _json_fields,
     all_faces,
     colour_counts,
@@ -263,7 +263,7 @@ def restrict(s: Subdivision, J) -> Complex:
         return Complex.from_graph(labels, [renumber(cpx.neighbours[i]) for i in kept])
     cut = {f & keep for f in cpx.facets}
     cut -= first_supersets(cut).keys()
-    return _generic(Complex.from_masks(labels, map(renumber, cut)))
+    return Complex.from_masks(labels, map(renumber, cut))
 
 
 def sub_subdivision(s: Subdivision, K) -> Subdivision:
@@ -337,8 +337,8 @@ def sphere(s: Subdivision) -> SphereWithFacet:
             if carrier[g ^ low] == cg:
                 extendable.add(g ^ low)
             rest ^= low
-    return SphereWithFacet(_generic(Complex.from_masks(verts, [
-        f | (full & ~c) << shift for f, c in carrier.items() if f not in extendable])),
+    return SphereWithFacet(Complex.from_masks(verts, [
+        f | (full & ~c) << shift for f, c in carrier.items() if f not in extendable]),
         full << shift)
 
 

@@ -95,6 +95,15 @@ def test_dihedral_model_equals_the_label_built_model(m):
     assert dihedral_subdivision(m) == dihedral_by_labels(m)
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_dihedral_model_is_the_clique_complex_of_its_path(m):
+    # built from the path's neighbour masks, so flag with no test, and its
+    # facets, built when first read, are the path's edges
+    cpx = dihedral_subdivision(m).complex
+    assert cpx._flag and "facets" not in vars(cpx)
+    assert cpx.facets == Complex.from_masks(cpx.vertices, [3 << i for i in range(m - 1)]).facets
+
+
 def test_crossing_rule():
     assert crosses((0, 2), (1, 3))
     assert crosses((1, 3), (0, 2))

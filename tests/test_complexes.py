@@ -64,6 +64,7 @@ PENTAGON = cycle("abcde")
 TRIANGLE = cycle("abc")
 POINT = Complex.make("a", [{"a"}])
 SIMPLEX3 = Complex.make("abc", [{"a", "b", "c"}])
+TRIVIAL = Complex.from_masks((), [0])  # the empty face alone
 
 
 def test_pentagon_faces():
@@ -83,7 +84,7 @@ def test_full_simplex_counts():
 
 def test_f_polynomial_examples():
     assert f_polynomial(PENTAGON) == Poly1({0: 1, 1: 5, 2: 5})
-    assert f_polynomial(Complex.trivial()) == Poly1.one()
+    assert f_polynomial(TRIVIAL) == Poly1.one()
     assert f_polynomial(TRIANGLE) == Poly1({0: 1, 1: 3, 2: 3})
 
 
@@ -92,7 +93,7 @@ def test_purity_and_dimension():
     mixed = Complex.make("abc", [{"a", "b"}, {"c"}])
     assert not is_pure(mixed)
     assert is_pure(SIMPLEX3) and dimension(SIMPLEX3) == 2
-    assert dimension(Complex.trivial()) == -1
+    assert dimension(TRIVIAL) == -1
 
 
 def test_flagness():
@@ -117,7 +118,7 @@ def test_join_zero_spheres_is_4_cycle():
 
 
 def test_join_with_trivial_is_identity():
-    j = join(PENTAGON, Complex.trivial())
+    j = join(PENTAGON, TRIVIAL)
     assert f_polynomial(j) == f_polynomial(PENTAGON)
 
 
@@ -337,10 +338,10 @@ def is_flag_by_clique_growth(c):
 
 @st.composite
 def complexes(draw):
-    """Complex.trivial() (one draw in eight), or a random facet family on
+    """The trivial complex (one draw in eight), or a random facet family on
     a-h with its vertices in a random order."""
     if draw(st.integers(0, 7)) == 0:
-        return Complex.trivial()
+        return Complex.from_masks((), [0])
     facets = draw(st.lists(
         st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=4),
         min_size=1, max_size=7))
@@ -373,7 +374,7 @@ def test_face_set_keeps_the_order_of_one_call_per_face(c):
 def test_face_set_keeps_the_order_on_fixed_complexes():
     simplex6 = Complex.make("abcdef", [set("abcdef")])  # one extension at every depth
     a4 = type_a_subdivision(4)
-    cases = {"trivial": Complex.trivial(), "point": POINT, "simplex6": simplex6,
+    cases = {"trivial": TRIVIAL, "point": POINT, "simplex6": simplex6,
              "pentagon": PENTAGON, "A4 sphere": sphere(a4).complex}
     for r in range(len(a4.index_set) + 1):
         for J in combinations(a4.index_set, r):
@@ -460,16 +461,20 @@ def test_mask_input_is_checked_as_label_input(verts, facets):
         Complex.from_masks, verts, [sum(1 << pos[v] for v in f) for f in facets])
 
 
-# The flag path: from_graph records a complex as flag, face_set walks the
-# cliques of a flag complex, and the facet search (Kaibel-Pfetsch) and
-# is_flag stay the oracles, decided from the facets alone.
+# The flag path: from_graph and the loader record a complex as flag,
+# face_set walks the cliques of a flag complex, and the facet search
+# (Kaibel-Pfetsch) and is_flag stay the oracles, decided from the facets
+# alone.
 
 @given(complexes())
 def test_face_set_walks_cliques_exactly_on_flag_complexes(c):
     facet_search = _facet_faces(c.facets, len(c.vertices))
     assert face_set(c) == facet_search
     assert (_clique_faces(c.neighbours) == facet_search) == is_flag(c)
-    assert c._flag == is_flag(c)
+    assert not c._flag  # built from its facets: the generic path, untested
+    loaded = Complex.from_dict(c.to_dict())
+    assert loaded._flag == is_flag(c)
+    assert face_set(loaded) == facet_search
 
 
 @given(complexes())

@@ -90,7 +90,7 @@ def traced(route, inputs) -> set[str]:
 
 def models():
     """Fresh type A and dihedral models, as built and as loaded, so that no
-    cached face search or flag test is carried in from an earlier route."""
+    cached face search is carried in from an earlier route."""
     built = [type_a_subdivision(n) for n in range(1, 6)] \
         + [dihedral_subdivision(m) for m in range(2, 7)]
     return [(s,) for s in built] \
@@ -120,20 +120,12 @@ FORBIDDEN = {
 }
 
 VALUES = "a value type: it stores and combines coefficients the route computed"
-FACES = ("the flag test and 1-skeleton of one subdivided complex: the model "
-         "route builds the sphere's graph from them, the local sum walks its faces")
 MASKS = "a mask helper that carries no route data"
 
 # every function that two routes both call, with why sharing it carries no
 # route data from one route into the other
 SHARED = {
-    "complexes.Complex._flag": FACES,
-    "complexes.Complex.neighbours": FACES,
-    "complexes.is_flag": FACES,
-    "complexes.maximal_cliques": FACES,
     "complexes._bits": MASKS,
-    "complexes._pivot": MASKS,
-    "complexes._skeleton": MASKS,
     "coxeter.local_gamma_poly": "the closed local gamma of one component: the "
         "closed D route's j = 0 row and every diagram-sum component read it, "
         "and the stored tables and the models check it",

@@ -12,7 +12,6 @@ from gammatri.complexes import (
     Complex,
     InvalidComplex,
     _facet_faces,
-    _generic,
     all_faces,
     f_polynomial,
     f_vector,
@@ -652,7 +651,7 @@ def test_sphere_rejects_a_label_shared_by_a_vertex_and_an_index():
 def test_subdivision_fields_cannot_be_assigned():
     s = type_a_subdivision(2)
     assert local_h(s) == Poly1({1: 1})  # the face pass is cached now
-    for field, value in (("complex", Complex.trivial()), ("index_set", ()),
+    for field, value in (("complex", Complex.from_masks((), [0])), ("index_set", ()),
                          ("carriers", ()), ("sigma", {})):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, field, value)
@@ -712,13 +711,20 @@ def test_sphere_with_facet_on_a_graph_rejects_without_building_facets(mask):
 # the facets and reads the sphere's facets off the face pass.
 
 def generic(s: Subdivision) -> Subdivision:
-    """s on a copy of its complex marked as not flag, so that restrict,
+    """s on a copy of its complex built from its facets, so that restrict,
     sphere and face_set take their generic paths."""
-    return Subdivision(_generic(Complex(s.complex.vertices, s.complex.facets)),
+    return Subdivision(Complex(s.complex.vertices, s.complex.facets),
                        s.index_set, s.carriers)
 
 
+def through_loader(s: Subdivision) -> Subdivision:
+    """s on its complex passed through the JSON loader, which records it as
+    flag when it is, so that a flag complex takes the flag paths."""
+    return Subdivision(Complex.from_dict(s.complex.to_dict()), s.index_set, s.carriers)
+
+
 def assert_flag_and_generic_paths_agree(s: Subdivision) -> None:
+    """s's own paths against the generic ones, on the same complex."""
     g = generic(s)
     for r in range(len(s.index_set) + 1):
         for J in combinations(s.index_set, r):
@@ -742,7 +748,9 @@ def stellar_triangle() -> Subdivision:
 
 @given(carried_complexes())
 def test_flag_and_generic_paths_agree(s):
-    assert_flag_and_generic_paths_agree(s)
+    loaded = through_loader(s)
+    assert loaded.complex._flag == is_flag(s.complex)
+    assert_flag_and_generic_paths_agree(loaded)
 
 
 @pytest.mark.parametrize("s", [type_a_subdivision(n) for n in range(1, 8)]
@@ -946,6 +954,17 @@ def test_flagness_is_decided_once_per_loaded_complex(make, flag):
     assert loaded[0].complex._flag == flag
 
 
+def test_the_loader_decides_flagness_once_as_it_loads():
+    pentagon = Complex.make("abcde", [set(p) for p in ("ab", "bc", "cd", "de", "ae")])
+    for c, flag in ((pentagon, True), (stellar_triangle().complex, False)):
+        loaded = []
+        assert flag_decisions(lambda: loaded.append(Complex.from_dict(c.to_dict()))) == loaded
+        assert loaded[0] == c and loaded[0]._flag == flag
+
+
 @given(carried_complexes())
-def test_flagness_is_decided_once_per_carried_complex(s):
-    assert flag_decisions(lambda: every_route(s)) == [s.complex]
+def test_no_route_decides_flagness(s):
+    # s is built from its facets and takes the generic paths; the loader
+    # decides its copy's route before the routes run
+    loaded = through_loader(s)
+    assert flag_decisions(lambda: (every_route(s), every_route(loaded))) == []
