@@ -13,8 +13,9 @@ Which of the two a complex takes is fixed where it is built: from_graph
 builds a clique complex and from_dict runs is_flag once on what it loads,
 and each records the complex as flag; every other constructor builds one
 that takes the generic path, which is right for any complex, with no
-test. The flag models and is_flag read facets off maximal_cliques, with
-no face search.
+test. is_flag reads the cached 1-skeleton c.neighbours, which a loaded
+complex's flag paths reuse. The flag models and is_flag read facets off
+maximal_cliques, with no face search.
 A from_graph complex keeps its graph and builds its facets (maximal_cliques,
 then from_masks's checks) only when they are first read; until then
 is_facet answers from the graph. colour_counts counts faces by (|F - T|,
@@ -422,12 +423,11 @@ def maximal_cliques(adj) -> list[int]:
 
 
 def is_flag(c: Complex) -> bool:
-    """True iff every clique of the 1-skeleton is a face, that is iff the
-    facets are the maximal cliques of the 1-skeleton, where vertex i's
-    neighbours are the other vertices of the facets that hold i. Decided
-    from c.facets on every call, never from how c was built."""
-    adj = _skeleton(c.facets, len(c.vertices))
-    cliques = sorted(maximal_cliques(adj), key=lambda f: (f.bit_count(), f))
+    """True iff the facets are the maximal cliques of the 1-skeleton
+    c.neighbours (vertex i's neighbours are the other vertices of the
+    facets that hold i), that is iff every clique of it is a face. Searched
+    on every call, never read off how c was built; c keeps the skeleton."""
+    cliques = sorted(maximal_cliques(c.neighbours), key=lambda f: (f.bit_count(), f))
     return tuple(cliques) == c.facets
 
 

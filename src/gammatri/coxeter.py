@@ -339,12 +339,12 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     increasing mask order, subsets first. W(U) is one Poly1 whose key
     i + s*j holds the x^i y^j coefficient, with s above every x-degree:
     gamma(C) W(U - C - N) and the product over components are Poly1
-    products, and y^|N| a shift of its keys. The first time a connected
-    set's mask is seen, _shape_type reads its type off the view, and the
-    local gamma of that type is computed once per call. No W is read from a
-    closed form or a stored table, so the product of the components' closed
-    triangles stays an independent check, and the tests' 2^n sum over whole
-    unions checks the factoring."""
+    products, and y^|N| a shift of its keys. _shape_type reads each
+    connected set's type off the view, and the local gamma of a type is
+    computed once per call. No W is read from a closed form or a stored
+    table, so the product of the components' closed triangles stays an
+    independent check, and the tests' 2^n sum over whole unions checks the
+    factoring."""
     classify(dgm)
     n = len(dgm.vertices)
     view = dgm._view
@@ -353,7 +353,6 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     of_type: dict[tuple, Poly1] = {}
     total = Poly1.one()
     for start, stop in comps:
-        local: dict[int, Poly1] = {}
         ways_of: dict[int, tuple[int, list]] = {}
         whole = (1 << stop) - (1 << start)
         todo = [whole]
@@ -365,15 +364,12 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
             rest = u ^ v  # v stays out
             ways = []
             for comp, border in _connected_sets(v, rest, adj):
-                g = local.get(comp)
+                if comp == v:  # a lone vertex, A1, has local gamma 0
+                    continue
+                key = _shape_type(comp, view)
+                g = of_type.get(key)
                 if g is None:
-                    if comp == v:  # a lone vertex, A1, has local gamma 0
-                        continue
-                    key = _shape_type(comp, view)
-                    g = of_type.get(key)
-                    if g is None:
-                        g = of_type[key] = local_gamma_poly(TypedComponent(*key))
-                    local[comp] = g
+                    g = of_type[key] = local_gamma_poly(TypedComponent(*key))
                 if g:
                     w = rest & ~(comp | border)
                     ways.append((g, border.bit_count(), w))

@@ -477,14 +477,13 @@ def verify_identities(order: int) -> list[Check]:
     return checks
 
 
-def carlitz_convolution_check(kmax: int, mmax: int, lmax: int) -> list[Check]:
+def carlitz_convolution_check() -> list[Check]:
     """The two convolution sums used to prove the type A and type B
     triangle relations, each against its closed-form right-hand side,
-    exhaustively for 1 <= k <= kmax, 0 <= m <= mmax, 0 <= l <= lmax. The
-    summands are read off g_sum and G_sum; the convolution is done here
-    in integers, not by a series product."""
-    if min(kmax, mmax, lmax) < 1:
-        raise ValueError("bounds must be >= 1")
+    exhaustively for 1 <= k <= 6, 0 <= m <= 6, 0 <= l <= 6. The summands
+    are read off g_sum and G_sum; the convolution is done here in
+    integers, not by a series product."""
+    kmax = mmax = lmax = 6
     order = 2 * kmax + mmax + lmax + 1
     gA = g_sum("A", order).coeffs
     GA, GB = (G_sum(kind, order).coeffs for kind in "AB")
@@ -520,12 +519,11 @@ def carlitz_convolution_check(kmax: int, mmax: int, lmax: int) -> list[Check]:
     ]
 
 
-def binomial_identity_check(nmax: int) -> list[Check]:
+def binomial_identity_check() -> list[Check]:
     """(binom(n-2,i-1)binom(n-i-2,i-2) + binom(n-1,i)binom(n-i-2,i-1))/(n-i)
-    = binom(2i-2,i-1)binom(n-2,2i-2)/i for 2 <= n <= nmax, 1 <= i <= n/2,
+    = binom(2i-2,i-1)binom(n-2,2i-2)/i for 2 <= n <= 40, 1 <= i <= n/2,
     cross-multiplied by the positive denominators i and n-i."""
-    if nmax < 2:
-        raise ValueError("nmax must be >= 2")
+    nmax = 40
     failures = []
     for n in range(2, nmax + 1):
         for i in range(1, n // 2 + 1):

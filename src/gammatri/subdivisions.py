@@ -6,7 +6,7 @@ subset J of the index set, the faces carried inside J form the restriction,
 which for genuine subdivision data is a simplicial ball of dimension
 |J| - 1. Validation is partial by design: make checks the carrier map, and
 validate() the purity, dimension and Euler characteristic of every nonempty
-restriction, not full topology; validate() reports which checks ran.
+restriction, not full topology; VALIDATION_CHECKS names the checks.
 
 Carriers are int masks over the positions of the index set, one per vertex;
 labels appear only in make, from_dict, to_dict, sigma and error messages.
@@ -58,7 +58,6 @@ from .complexes import (
     _json_fields,
     all_faces,
     colour_counts,
-    f_polynomial,
     face_set,
     first_supersets,
     fresh_labels,
@@ -72,7 +71,6 @@ from .transforms import (
     GammaTriangle,
     H_from_F,
     gamma_from_h,
-    h_from_f,
     poly_from_gamma,
 )
 
@@ -134,10 +132,9 @@ class Subdivision:
         return {v: frozenset(self.index_set[k] for k in _bits(c))
                 for v, c in zip(self.complex.vertices, self.carriers)}
 
-    def validate(self) -> list[str]:
-        """Run the ball checks on every nonempty restriction (make ran the
-        structural ones); returns the names of all the checks, raises
-        InvalidSubdivision naming the first violated one."""
+    def validate(self) -> None:
+        """Raise InvalidSubdivision at the first ball check that fails on a
+        nonempty restriction (make ran the structural ones)."""
         for r in range(1, len(self.index_set) + 1):
             for J in combinations(self.index_set, r):
                 sub = restrict(self, frozenset(J))
@@ -155,7 +152,6 @@ class Subdivision:
                     raise InvalidSubdivision(
                         f"restriction to {sorted(J)} has Euler "
                         f"characteristic {euler}, expected 1")
-        return list(VALIDATION_CHECKS)
 
     @cached_property
     def _face_pass(self) -> dict[int, int]:
@@ -275,10 +271,6 @@ def sub_subdivision(s: Subdivision, K) -> Subdivision:
     outside = sum(1 << k for k, i in enumerate(index) if i not in K)
     sigma = [frozenset(index[k] for k in _bits(c)) for c in s.carriers if not c & outside]
     return Subdivision.make(cpx, sorted(K), dict(zip(cpx.vertices, sigma)))
-
-
-def h_of_complex(c: Complex, d: int) -> Poly1:
-    return h_from_f(f_polynomial(c), d)
 
 
 def _local_h_sum(counts, n: int, r: int) -> Poly1:

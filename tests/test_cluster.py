@@ -180,7 +180,13 @@ def test_diagonal_counts(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_sphere_is_flag(n):
-    assert is_flag(sphere(type_a_subdivision(n)).complex)
+    # built from the facets, the sphere takes the generic path; it must be
+    # flag and the clique complex that the flag path builds from the graph
+    s = type_a_subdivision(n)
+    by_facets = sphere(Subdivision(Complex(s.complex.vertices, s.complex.facets),
+                                   s.index_set, s.carriers)).complex
+    assert not by_facets._flag
+    assert is_flag(by_facets) and by_facets.facets == sphere(s).complex.facets
 
 
 def test_dihedral_rejects_small():
