@@ -195,6 +195,9 @@ def cmd_family(args) -> None:
 
 
 def cmd_verify(args) -> int:
+    # both numbers, whichever suite reads them, so no bad value goes unread
+    verify.check_order(args.order)
+    verify.check_max_rank(args.max_rank)
     if args.suite == "tables":
         reports = [verify.tables_report()]
     elif args.suite == "series":

@@ -13,9 +13,10 @@ the diagram sum: the closed forms for A, B, D, I2(m) and H3, the stored
 tables for F4, H4, E6, E7, E8. The defining sums of the series module
 read their coefficients from local_gamma_poly and closed_triangle.
 
-Each diagram is read through one cached view, CoxeterDiagram._view, which
-lists its components once: classify checks each one's finite type on it,
-and _shape_type is the one place where a shape becomes a type name.
+Each diagram is read through one cached view, CoxeterDiagram._view, with
+one entry per connected component whose masks are local to it: classify
+checks each entry's finite type, and _shape_type is the one place where a
+shape becomes a type name.
 gamma_triangle_diagram memoizes the subset sum of each component by its
 undecided vertices (O(n) states on a path, where a walk over the subsets
 visits about 1.78^n) and multiplies the components' sums; the product of
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .complexes import _bits, _json_fields, _skeleton, label_list
+from .complexes import _bits, _json_fields, label_list
 from .poly import Poly1, Poly2, binom, quotient
 from .transforms import GammaTriangle
 
@@ -98,51 +99,56 @@ class CoxeterDiagram:
         return cls(verts, tuple(sorted(norm)))
 
     @cached_property
-    def _view(self) -> tuple[list[int], list[tuple[int, int]], list[int], int,
-                             int, dict[int, tuple[int, int]]]:
-        """(adj, comps, order, forks, tops, labeled): the one view of the
-        diagram that classify and the diagram sum read, built once in linear
-        time over positions, with order[p] the index in vertices of position
-        p. The components are taken in order of their lowest vertex index,
-        and each is walked depth first, lowest neighbour first, from its
-        lowest-index leaf (or lowest vertex), so a standard_diagram keeps its
-        order; comps lists the run of positions (start, stop) of each
-        component. adj[p] is the neighbour mask of position p, forks the mask
-        of the positions of degree 3 or more, and labeled maps each edge
-        labeled m >= 4, as (mask, m), from the mask's highest bit, with those
-        bits in tops. The walk reaches each vertex from a lower position, so
-        in a component without a cycle each edge has its own highest bit."""
+    def _view(self) -> list[tuple[list[int], list[int], int, int,
+                                  dict[int, tuple[int, int]]]]:
+        """One (order, adj, forks, tops, labeled) per connected component:
+        the one view of the diagram that classify and the diagram sum read,
+        built once from the vertices' neighbour lists, each entry in time
+        that grows with its own component and not with the diagram. The
+        components are taken in order of their lowest vertex index, and each
+        is walked depth first, lowest neighbour first, from its lowest-index
+        leaf (or lowest vertex), so a standard_diagram keeps its order. The
+        masks are local to the component: bit p is position p of the walk,
+        and order[p] is the index in vertices of that position. adj[p] is the
+        neighbour mask of position p, forks the mask of the positions of
+        degree 3 or more, and labeled maps each edge labeled m >= 4, as
+        (mask, m), from the mask's highest bit, with those bits in tops. The
+        walk reaches each vertex from a lower position, so in a component
+        without a cycle each edge has its own highest bit."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        adj = _skeleton([1 << index[u] | 1 << index[v] for u, v, _ in self.edges],
-                        len(index))
-        n = len(adj)
-        order, comps, rest = [], [], (1 << n) - 1
-        for i in range(n):
-            if not rest >> i & 1:
+        nbrs = [[] for _ in index]  # (index, edge label) of each neighbour
+        for u, v, m in self.edges:
+            nbrs[index[u]].append((index[v], m))
+            nbrs[index[v]].append((index[u], m))
+        seen = [0] * len(nbrs)  # 1 once its component is found, 2 once walked to
+        pos = [0] * len(nbrs)
+        view = []
+        for i in range(len(nbrs)):
+            if seen[i]:
                 continue
             # i is the lowest index of its component
-            leaf = i if adj[i].bit_count() < 2 else next(
-                (k for k in _bits(_component(adj, i)) if adj[k].bit_count() == 1), i)
-            start, stack = len(order), [leaf]
-            rest ^= 1 << leaf
+            comp, seen[i] = [i], 1
+            for k in comp:
+                for j, _ in nbrs[k]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        comp.append(j)
+            leaf = min((k for k in comp if len(nbrs[k]) == 1), default=i)
+            order, stack, seen[leaf] = [], [leaf], 2
             while stack:
                 k = stack.pop()
+                pos[k] = len(order)
                 order.append(k)
-                grown = adj[k] & rest
-                rest ^= grown
-                stack += reversed(_bits(grown))
-            comps.append((start, len(order)))
-        bit = [0] * n
-        for p, k in enumerate(order):
-            bit[k] = 1 << p
-        adj = [sum(map(bit.__getitem__, _bits(adj[k]))) for k in order]
-        labeled = {}
-        for u, v, label in self.edges:
-            if label > 3:
-                e = bit[index[u]] | bit[index[v]]
-                labeled[1 << e.bit_length() - 1] = e, label
-        forks = sum(1 << p for p, a in enumerate(adj) if a.bit_count() > 2)
-        return adj, comps, order, forks, sum(labeled), labeled
+                grown = sorted(j for j, _ in nbrs[k] if seen[j] == 1)
+                for j in grown:
+                    seen[j] = 2
+                stack += reversed(grown)
+            adj = [sum(1 << pos[j] for j, _ in nbrs[k]) for k in order]
+            forks = sum(1 << p for p, k in enumerate(order) if len(nbrs[k]) > 2)
+            labeled = {1 << p: (1 << pos[j] | 1 << p, m) for p, k in enumerate(order)
+                       for j, m in nbrs[k] if m > 3 and pos[j] < p}
+            view.append((order, adj, forks, sum(labeled), labeled))
+        return view
 
     def to_dict(self) -> dict:
         return {
@@ -170,29 +176,27 @@ class TypedComponent:
         return f"{self.kind}{self.rank}"
 
 
-def _classify_component(dgm: CoxeterDiagram, comp: int) -> TypedComponent:
-    """Type of the connected component on the position mask comp of
-    dgm._view: the checks that it is of finite type, then _shape_type;
-    labels are read only to name a fault."""
-    adj, _, order, forks, tops, labeled = view = dgm._view
-    at = _bits(comp)
-    r = len(at)
+def _classify_component(dgm: CoxeterDiagram, view) -> TypedComponent:
+    """Type of the connected component of one entry of dgm._view: the
+    checks that it is of finite type, then _shape_type on the whole
+    component; labels are read only to name a fault."""
+    order, adj, forks, tops, labeled = view
+    r = len(order)
 
     def fault(what: str) -> ClassificationError:
-        name = ", ".join(sorted(dgm.vertices[order[p]] for p in at))
+        name = ", ".join(sorted(dgm.vertices[k] for k in order))
         return ClassificationError(f"component {{{name}}} {what}")
 
-    deg = {p: adj[p].bit_count() for p in at}
-    if sum(deg.values()) != 2 * (r - 1):
+    deg = [a.bit_count() for a in adj]
+    if sum(deg) != 2 * (r - 1):
         raise fault("contains a cycle")
-    maxdeg = max(deg.values())
-    hit = comp & tops  # a bit per labeled edge, now that comp is a tree
-    if hit:
-        if hit & (hit - 1):
+    maxdeg = max(deg)
+    if tops:  # a bit per labeled edge, now that the component is a tree
+        if tops & (tops - 1):
             raise fault("has two labeled edges")
         if maxdeg > 2:
             raise fault("has a branch point and a labeled edge")
-        e, m = labeled[hit]
+        e, m = labeled[tops]
         at_end = any(deg[p] == 1 for p in _bits(e))
         if not (r == 2 or m == 4 and (at_end or r == 4)
                 or m == 5 and at_end and r in (3, 4)):
@@ -200,11 +204,10 @@ def _classify_component(dgm: CoxeterDiagram, comp: int) -> TypedComponent:
     elif maxdeg > 3:
         raise fault(f"has a vertex of degree {maxdeg}")
     elif maxdeg == 3:
-        hit = comp & forks
-        if hit & (hit - 1):
-            raise fault(f"has {hit.bit_count()} branch points")
+        if forks & (forks - 1):
+            raise fault(f"has {forks.bit_count()} branch points")
         lengths = []
-        fork = hit.bit_length() - 1
+        fork = forks.bit_length() - 1
         for cur in _bits(adj[fork]):  # walk each arm out of the fork to its leaf
             length, prev = 1, fork
             while deg[cur] == 2:
@@ -214,32 +217,20 @@ def _classify_component(dgm: CoxeterDiagram, comp: int) -> TypedComponent:
         lengths.sort()
         if not (lengths[1] == 1 or lengths[:2] == [1, 2] and lengths[2] <= 4):
             raise fault(f"with branch lengths {lengths} is not of finite type")
-    return TypedComponent(*_shape_type(comp, view))
+    return TypedComponent(*_shape_type((1 << r) - 1, view))
 
 
 def classify(dgm: CoxeterDiagram) -> list[TypedComponent]:
     """Connected components as typed finite-type pieces, in a deterministic
     order. A 2-vertex component with a 3-labeled edge is A2, with label
-    m >= 4 it is I2(m) (so B2 and C2 come out as I2(4)). The view's comps
-    are checked in order of their least label, so the first of infinite
-    type in that order is the one reported, whatever the vertex order."""
-    _, comps, order = dgm._view[:3]
-    label = [dgm.vertices[k] for k in order]
-    out = [_classify_component(dgm, (1 << stop) - (1 << start))
-           for start, stop in sorted(comps, key=lambda c: min(label[c[0]:c[1]]))]
+    m >= 4 it is I2(m) (so B2 and C2 come out as I2(4)). The entries of the
+    view are checked in order of their least label, so the first of
+    infinite type in that order is the one reported, whatever the vertex
+    order."""
+    label = dgm.vertices
+    out = [_classify_component(dgm, view) for view in
+           sorted(dgm._view, key=lambda view: min(label[k] for k in view[0]))]
     return sorted(out, key=lambda c: (c.kind, c.rank, c.m or 0))
-
-
-def _component(adj: list[int], i: int) -> int:
-    """The vertex mask of the connected component of position i."""
-    comp = frontier = 1 << i
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        grown = adj[low.bit_length() - 1] & ~comp
-        comp |= grown
-        frontier |= grown
-    return comp
 
 
 # local gamma data for the types without closed forms, read off the j = 0
@@ -296,12 +287,12 @@ def _connected_sets(v: int, allowed: int, adj: list[int]):
 
 
 def _shape_type(comp: int, view) -> tuple[str, int, int | None]:
-    """(kind, rank, m) of a connected position mask comp of a diagram that
-    classify has passed, read off the diagram's _view: comp's component
-    holds at most one fork, of degree 3, or one labeled edge, never both,
-    and that with comp's size fixes the type. This is the one place where
-    a shape becomes a type name."""
-    adj, _, _, forks, tops, labeled = view
+    """(kind, rank, m) of a connected mask comp of positions in view, the
+    entry of its component in the _view of a diagram that classify has
+    passed: that component holds at most one fork, of degree 3, or one
+    labeled edge, never both, and that with comp's size fixes the type.
+    This is the one place where a shape becomes a type name."""
+    _, adj, forks, tops, labeled = view
     r = comp.bit_count()
     hit = comp & tops
     if hit:
@@ -328,8 +319,8 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     classify(dgm) runs first, so a diagram of infinite type raises
     ClassificationError before the sum (finite type is closed under induced
     subdiagrams). The sum is the product of the sums W over the components,
-    the runs of positions in dgm._view's comps, each with a memo of its own
-    states. Within a component it is regrouped by the undecided vertices U:
+    the entries of dgm._view, each on its own local positions and with a
+    memo of its own states. Within a component it is regrouped by the undecided vertices U:
     with v the first position in U, v either stays out, or is in together
     with a connected set C of U, whose neighbours N in U then stay out, so
         W(U) = y W(U - v) + sum over C of gamma(C) y^|N| W(U - C - N),
@@ -347,14 +338,13 @@ def gamma_triangle_diagram(dgm: CoxeterDiagram) -> GammaTriangle:
     factoring."""
     classify(dgm)
     n = len(dgm.vertices)
-    view = dgm._view
-    adj, comps = view[:2]
     s = n // 2 + 1
     of_type: dict[tuple, Poly1] = {}
     total = Poly1.one()
-    for start, stop in comps:
+    for view in dgm._view:
+        adj = view[1]
         ways_of: dict[int, tuple[int, list]] = {}
-        whole = (1 << stop) - (1 << start)
+        whole = (1 << len(adj)) - 1
         todo = [whole]
         while todo:
             u = todo.pop()

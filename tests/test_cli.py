@@ -282,6 +282,15 @@ DIAGNOSTICS = {
     LIST_ORDER: f"error: order {LIST_ORDER} is longer than any list can be",
     MALLOC_ORDER: "error: out of memory",
 }
+# the diagnostic expected of a whole argv, for a number that the suite it
+# names does not read
+ARGV_DIAGNOSTICS = {
+    "verify --suite tables --order -1": "error: order must be >= 1, got -1",
+    "verify --suite crosscheck --order 0 --max-rank 1":
+        "error: order must be >= 1, got 0",
+    "verify --suite series --order 2 --max-rank -5":
+        "error: max rank must be >= 1, got -5",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,6 +307,9 @@ DIAGNOSTICS = {
     ["verify", "--suite", "crosscheck", "--max-rank", "-2"],
     ["series", "--name", "g", "--order", MALLOC_ORDER],
     ["verify", "--suite", "all", "--max-rank", "0", "--order", "96"],
+    ["verify", "--suite", "tables", "--order", "-1"],
+    ["verify", "--suite", "crosscheck", "--order", "0", "--max-rank", "1"],
+    ["verify", "--suite", "series", "--order", "2", "--max-rank", "-5"],
     ["diagram", "float_edge_label.json"],
     ["diagram", "one_item_edge.json"],
     ["diagram", "four_item_edge.json"],
@@ -328,6 +340,8 @@ def test_bad_input_fails_closed(capsys, tmp_path, argv):
         (tmp_path / name).write_bytes(RAW_FILES[name])
     wanted = [DIAGNOSTICS[a].format(path=tmp_path / a)
               for a in argv if a in DIAGNOSTICS]
+    if " ".join(argv) in ARGV_DIAGNOSTICS:
+        wanted.append(ARGV_DIAGNOSTICS[" ".join(argv)])
     argv = [str(tmp_path / a) if a in BAD_FILES or a in RAW_FILES
             or a == UNWRITABLE else a for a in argv]
     code, out, err = run(capsys, *argv)

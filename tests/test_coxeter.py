@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from functools import cached_property
 from math import comb
 
 import pytest
@@ -391,20 +392,29 @@ def gamma_triangle_by_induced_subsets(dgm):
     return GammaTriangle.make(dict(out.items()), n)
 
 
-def reference_type(dgm, mask):
-    """Test oracle: the type of a connected position mask of dgm._view in
-    a diagram of finite type, by the label rules on the mask's own degrees:
-    its labeled edge's label and place, or else its branch lengths."""
-    adj, _, order = dgm._view[:3]
-    pos = {dgm.vertices[k]: p for p, k in enumerate(order)}
-    at = coxeter._bits(mask)
-    r = len(at)
-    deg = {i: (adj[i] & mask).bit_count() for i in at}
-    labeled = [(1 << pos[u] | 1 << pos[v], m) for u, v, m in dgm.edges
-               if m > 3 and pos[u] in at and pos[v] in at]
+def label_neighbours(dgm, keep):
+    """Test oracle: the neighbours of each label in the set keep, in the
+    subdiagram that keep induces, read off dgm.edges."""
+    nbrs = {v: [] for v in keep}
+    for u, v, _ in dgm.edges:
+        if u in keep and v in keep:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
+
+
+def reference_type(dgm, keep):
+    """Test oracle: the type of a connected set keep of vertex labels of a
+    diagram of finite type, by the label rules on keep's own degrees in
+    dgm.edges: its labeled edge's label and place, or else its branch
+    lengths."""
+    nbrs = label_neighbours(dgm, keep)
+    r = len(keep)
+    labeled = [(u, v, m) for u, v, m in dgm.edges
+               if m > 3 and u in keep and v in keep]
     if labeled:
-        (e, m), = labeled
-        at_end = any(deg[i] == 1 for i in coxeter._bits(e))
+        (u, v, m), = labeled
+        at_end = len(nbrs[u]) == 1 or len(nbrs[v]) == 1
         if r == 2:
             return comp("I2", 2, m)
         if m == 4 and at_end:
@@ -414,16 +424,15 @@ def reference_type(dgm, mask):
         if m == 5 and at_end and r in (3, 4):
             return comp(f"H{r}", r)
         raise AssertionError(f"no type with a {m}-labeled edge on {r} vertices")
-    forks = [i for i in at if deg[i] == 3]
+    forks = [v for v in keep if len(nbrs[v]) == 3]
     if not forks:
         return comp("A", r)
     (fork,) = forks
     lengths = []
-    for arm in coxeter._bits(adj[fork] & mask):
+    for arm in nbrs[fork]:
         length, prev, cur = 1, fork, arm
-        while deg[cur] == 2:
-            prev, cur = cur, next(k for k in coxeter._bits(adj[cur] & mask)
-                                  if k != prev)
+        while len(nbrs[cur]) == 2:
+            prev, cur = cur, next(k for k in nbrs[cur] if k != prev)
             length += 1
         lengths.append(length)
     lengths.sort()
@@ -433,29 +442,39 @@ def reference_type(dgm, mask):
             (1, 2, 4): comp("E8", 8)}[tuple(lengths)]
 
 
+def label_components(dgm, keep):
+    """Test oracle: the connected components of the subdiagram that the
+    set keep of labels induces, as sets of labels, by a BFS over
+    dgm.edges."""
+    nbrs, seen, out = label_neighbours(dgm, keep), set(), []
+    for v in keep:
+        if v not in seen:
+            seen.add(v)
+            found = [v]
+            for k in found:
+                grown = [j for j in nbrs[k] if j not in seen]
+                seen.update(grown)
+                found += grown
+            out.append(set(found))
+    return out
+
+
 def diagram_sum_by_masks(dgm):
-    """Test oracle: the diagram sum over all 2^n position masks of
-    dgm._view, each split into components grown from its lowest set bit,
-    typed by reference_type and dropped at its first component with local
-    gamma 0."""
-    n = len(dgm.vertices)
-    adj = dgm._view[0]
+    """Test oracle: the diagram sum over all 2^n sets of vertex labels, each
+    split into components by label_components, typed by reference_type and
+    dropped at its first component with local gamma 0; it reads no view of
+    the diagram."""
+    verts = dgm.vertices
+    n = len(verts)
     acc = {(0, n): 1}  # the empty subset
-    for keep in range(1, 1 << n):
-        lg, rest = Poly1.one(), keep
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown = adj[low.bit_length() - 1] & keep & ~comp
-                comp |= grown
-                frontier |= grown
-            rest &= ~comp
-            lg = lg * local_gamma_poly(reference_type(dgm, comp))
+    for mask in range(1, 1 << n):
+        keep = {verts[i] for i in range(n) if mask >> i & 1}
+        lg = Poly1.one()
+        for part in label_components(dgm, keep):
+            lg = lg * local_gamma_poly(reference_type(dgm, part))
             if lg.is_zero():
                 break
-        j = n - keep.bit_count()
+        j = n - len(keep)
         for i, c in lg.items():
             acc[(i, j)] = acc.get((i, j), 0) + c
     return GammaTriangle.make(acc, n)
@@ -612,6 +631,19 @@ def test_classify_many_labeled_components():
     assert classify(dgm) == [comp("I2", 2, 5)] * 1000
 
 
+def test_each_component_is_viewed_on_masks_of_its_own():
+    # under shuffled labels every mask of an entry stays within its own
+    # component's positions, however many components come before it
+    dgm = shuffled([("I2", None, 5)] * 2000 + [("A", 1, None)] * 500, 2500)
+    view = dgm._view
+    assert len(view) == 2500
+    for order, adj, forks, tops, labeled in view:
+        whole = 1 << len(order)
+        assert all(a < whole for a in adj)
+        assert forks < whole and tops < whole
+    assert classify(dgm) == [comp("A", 1)] * 500 + [comp("I2", 2, 5)] * 2000
+
+
 def test_diagram_sum_holds_one_component_at_a_time():
     # each component is summed with a memo of its own states and multiplied
     # into the running product, so no state's W spans a later component
@@ -630,30 +662,36 @@ def test_diagram_sum_holds_one_component_at_a_time():
 def test_isolated_vertices_take_their_place_in_index_order():
     dgm = CoxeterDiagram.make(["x0", "a1", "b2", "y3", "c4"],
                               [("a1", "b2", 5), ("b2", "c4")])
-    adj, comps, order = dgm._view[:3]
-    assert [dgm.vertices[k] for k in order] == ["x0", "a1", "b2", "c4", "y3"]
-    assert comps == [(0, 1), (1, 4), (4, 5)]
+    # one entry per component, each isolated vertex an entry of its own
+    assert [[dgm.vertices[k] for k in order] for order, *_ in dgm._view] \
+        == [["x0"], ["a1", "b2", "c4"], ["y3"]]
     assert classify(dgm) == [comp("A", 1), comp("A", 1), comp("H3", 3)]
     assert gamma_triangle_diagram(dgm).to_poly2() \
         == closed_triangle("H3").to_poly2() * Poly2({(0, 2): 1})
 
 
 def test_a_diagram_builds_its_masks_once(monkeypatch):
-    real, calls = coxeter._skeleton, []
+    real, calls = CoxeterDiagram.__dict__["_view"].func, []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(dgm):
+        calls.append(dgm)
+        return real(dgm)
 
-    monkeypatch.setattr(coxeter, "_skeleton", counted)
+    view = cached_property(counted)
+    view.__set_name__(CoxeterDiagram, "_view")
+    monkeypatch.setattr(CoxeterDiagram, "_view", view)
     names = [("F4", None, None), ("I2", None, 7), ("A", 3, None)]
     dgms = [union(*names), shuffled(names, 3)]
     for _ in range(2):
         for dgm in dgms:
             classify(dgm)
             gamma_triangle_diagram(dgm)
-            diagram_sum_by_masks(dgm)
-    assert len(calls) == len(dgms)  # one _view per diagram
+    assert calls == dgms  # one _view per diagram
+
+
+def walked(dgm):
+    """The vertex indices of dgm in the order its _view walks them."""
+    return [k for order, *_ in dgm._view for k in order]
 
 
 def shuffled(names, seed):
@@ -704,14 +742,14 @@ def test_diagram_sum_types_each_component_by_classify_only(monkeypatch):
         lg_calls.append(c)
         return real_lg(c)
 
-    def counted_cc(dgm, comp):
-        cc_calls.append(comp)
-        return real_cc(dgm, comp)
+    def counted_cc(dgm, view):
+        cc_calls.append(view)
+        return real_cc(dgm, view)
 
     monkeypatch.setattr(coxeter, "local_gamma_poly", counted_lg)
     monkeypatch.setattr(coxeter, "_classify_component", counted_cc)
     dgm = shuffled(names, 5)
-    assert dgm._view[2] != list(range(len(dgm.vertices)))  # relabelled
+    assert walked(dgm) != list(range(len(dgm.vertices)))  # relabelled
     want = Poly2.one()
     for name in names:
         want = want * closed_triangle(*name).to_poly2()
@@ -724,25 +762,37 @@ def test_diagram_sum_types_each_component_by_classify_only(monkeypatch):
 
 
 def connected_masks(adj):
-    """Every connected vertex mask of two or more vertices over adj."""
+    """Every connected vertex mask of two or more vertices over adj, each
+    grown by a BFS from its lowest bit."""
     for mask in range(1, 1 << len(adj)):
-        if mask & (mask - 1) and coxeter._component(
-                [a & mask for a in adj], (mask & -mask).bit_length() - 1) == mask:
-            yield mask
+        if mask & (mask - 1):
+            found = frontier = mask & -mask
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = adj[low.bit_length() - 1] & mask & ~found
+                found |= grown
+                frontier |= grown
+            if found == mask:
+                yield mask
 
 
 @pytest.mark.parametrize("kind, rank, m", CATALOG)
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 def test_shape_type_matches_classify_component(kind, rank, m, seed):
-    # every connected set of every standard diagram up to rank 9, in the
-    # identity order (seed None) and under shuffled labels, where _view
-    # relabels the masks into the elimination order; reference_type keeps
-    # the label rules _classify_component typed by before _shape_type did
+    # every connected set of every entry of the _view of every standard
+    # diagram up to rank 9, in the identity order (seed None) and under
+    # shuffled labels, where _view relabels the masks into the elimination
+    # order; reference_type keeps the label rules _classify_component typed
+    # by before _shape_type did, on the set's labels
     dgm = standard_diagram(kind, rank, m) if seed is None \
         else shuffled([(kind, rank, m)], seed)
-    for mask in connected_masks(dgm._view[0]):
-        assert TypedComponent(*coxeter._shape_type(mask, dgm._view)) \
-            == reference_type(dgm, mask)
+    for view in dgm._view:
+        order, adj = view[:2]
+        for mask in connected_masks(adj):
+            labels = {dgm.vertices[order[p]] for p in coxeter._bits(mask)}
+            assert TypedComponent(*coxeter._shape_type(mask, view)) \
+                == reference_type(dgm, labels)
     assert classify(dgm) == classify(standard_diagram(kind, rank, m))
 
 
@@ -793,7 +843,7 @@ RANK_40_UNION = [("A", 5, None), ("B", 4, None), ("D", 6, None), ("E6", None, No
 
 def test_diagram_sum_of_a_shuffled_rank_40_union():
     dgm = shuffled(RANK_40_UNION, 40)
-    assert dgm._view[2] != list(range(40))  # the sum runs on relabelled masks
+    assert walked(dgm) != list(range(40))  # the sum runs on relabelled masks
     want = Poly2.one()
     for name in RANK_40_UNION:
         want = want * closed_triangle(*name).to_poly2()
@@ -805,14 +855,17 @@ def test_diagram_sum_of_a_shuffled_rank_40_union():
 @pytest.mark.parametrize("kind, rank, m", STANDARD_UP_TO_8)
 def test_standard_diagrams_need_no_relabelling(kind, rank, m):
     dgm = standard_diagram(kind, rank, m)
-    adj, comps, order = dgm._view[:3]
     n = len(dgm.vertices)
-    assert order == list(range(n))
-    index = {v: i for i, v in enumerate(dgm.vertices)}
-    assert adj == [sum(1 << index[b if a == v else a] for a, b, _ in dgm.edges
-                       if v in (a, b)) for v in dgm.vertices]
-    # one run for a connected diagram, a run per vertex for A1, B1, D2, I2(2)
-    assert comps == ([(0, n)] if dgm.edges else [(p, p + 1) for p in range(n)])
+    assert walked(dgm) == list(range(n))
+    # one entry for a connected diagram, an entry per vertex for A1, B1,
+    # D2, I2(2)
+    if dgm.edges:
+        (_, adj, *_), = dgm._view
+        index = {v: i for i, v in enumerate(dgm.vertices)}
+        assert adj == [sum(1 << index[b if a == v else a] for a, b, _ in dgm.edges
+                           if v in (a, b)) for v in dgm.vertices]
+    else:
+        assert [view[:2] for view in dgm._view] == [([p], [0]) for p in range(n)]
 
 
 def test_elimination_walks_from_the_lowest_leaf():
@@ -823,9 +876,8 @@ def test_elimination_walks_from_the_lowest_leaf():
     dgm = CoxeterDiagram.make(["c0", "a1", "b2", "d3", "e4", "g6", "f5"],
                               [("a1", "c0"), ("b2", "c0"), ("c0", "d3"),
                                ("d3", "e4"), ("e4", "f5")])
-    adj, comps, order = dgm._view[:3]
-    assert [dgm.vertices[k] for k in order] == ["a1", "c0", "b2", "d3", "e4", "f5", "g6"]
-    assert comps == [(0, 6), (6, 7)]
+    (order, adj, *_), lone = dgm._view
+    assert [dgm.vertices[k] for k in order] == ["a1", "c0", "b2", "d3", "e4", "f5"]
+    assert lone[:2] == ([dgm.vertices.index("g6")], [0])
     bit = {dgm.vertices[k]: 1 << p for p, k in enumerate(order)}
     assert adj[1] == bit["a1"] | bit["b2"] | bit["d3"]  # c0's neighbours
-    assert adj[6] == 0

@@ -732,14 +732,35 @@ def test_carlitz_zero_weight_rows():
             assert conv == 0
 
 
-def test_carlitz_small_range():
-    checks = carlitz_convolution_check()
-    assert all(c.ok for c in checks)
+def test_carlitz_check_names_a_perturbed_coefficient(monkeypatch):
+    # G_sum off by one at x^2 y^3 t^8 for A and at x^3 y t^7 for B: each
+    # check fails, naming first the least (k, m, l) whose sum reads it
+    real = series.G_sum
+    off = {"A": (2, 1, 3), "B": (3, 0, 1)}
+
+    def perturbed(kind, order):
+        k, m, l = off[kind]
+        coeffs = real(kind, order).coeffs
+        coeffs[2 * k + m + l] = coeffs[2 * k + m + l] + Poly2({(k, l): 1})
+        return TruncSeries(order, coeffs)
+
+    monkeypatch.setattr(series, "G_sum", perturbed)
+    checks = {c.name: c for c in carlitz_convolution_check()}
+    for kind, (k, m, l) in off.items():
+        check = checks[f"carlitz_convolution_{kind}"]
+        assert not check.ok
+        assert check.detail.startswith(f"mismatches: [({k}, {m}, {l}, ")
 
 
-def test_binomial_identity_small():
+def test_binomial_identity_check_names_a_perturbed_pair(monkeypatch):
+    # binom(38, 38) is read only by the right-hand side at n = 40, i = 20
+    real = series.binom
+    monkeypatch.setattr(series, "binom",
+                        lambda a, b: real(a, b) + ((a, b) == (38, 38)))
     (check,) = binomial_identity_check()
-    assert check.ok
+    assert not check.ok
+    assert check.detail.startswith("mismatches: [(40, 20, ")
+    assert check.detail.count("(") == 1
 
 
 def test_binomial_identity_base_cases():
