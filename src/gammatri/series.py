@@ -23,7 +23,12 @@ t-power is zero iff all its packed ints are 0, exact because balanced
 digits are unique, so only the first nonzero t-power is unpacked, for the
 report. The width rule extends to the whole residual: every source is
 packed once at w = bit_length(B) + 1, B bounding every digit of the
-residual by sum |c| times its term's bound.
+residual by sum |c| times its term's bound. A source is held only while
+an identity reads it: built, with its norms, when the first residual
+naming it is checked, and dropped once the last one is decided. The
+identities run in IDENTITIES order, which reads GA only up to
+petitB_grandB_2 and GD only from petitD_grandD on, so at most two of the
+bivariate sums GA, GB, GD (the largest sources) are held at once.
 
 Series, closed route, read off one g per call (g_closed takes it as its
 g parameter; g and gX have polynomial-in-x coefficients):
@@ -41,6 +46,7 @@ from __future__ import annotations
 import re
 import struct
 import sys
+from functools import partial
 from math import comb
 
 # gamma_triangle_diagram is unused here; perfbench's tests read it off series
@@ -401,7 +407,10 @@ def gB_via_substitution(order: int) -> TruncSeries:
 # Each identity as its residual, which must vanish through t^N: signed
 # terms c y^a t^b X over the sources that verify_identities builds, written
 # like "- 2yt gA" (c = 2, a = b = 1) or "- y2t2 gA" (a = b = 2), X a source
-# or a product "gA*GD" of two; "one" is the series 1.
+# or a product "gA*GD" of two; "one" is the series 1. Each source lives from
+# the first identity that names it to the last, so this order sets what is
+# held at once: GA's readers all come before GD's first, and no identity
+# reads more than two of GA, GB, GD.
 IDENTITIES = {
     "conjA": "gA - gA_closed",
     "conjB": "gB - gB_closed",
@@ -452,23 +461,41 @@ def check_identity_order(order: int) -> None:
 def verify_identities(order: int) -> list[Check]:
     """Evaluate every generating-series identity of IDENTITIES as LHS - RHS
     in packed form and report whether the residual vanishes through
-    t^order, naming its first nonzero coefficient when it does not."""
+    t^order, naming its first nonzero coefficient when it does not.
+
+    The residuals are checked in IDENTITIES order. g is built first, since
+    the closed forms and two_minus_theta read it; every other source is
+    built, with its norms, when the first residual naming it comes up,
+    in the order the residuals name them, and both are dropped as soon
+    as the last residual naming it is decided. So each source is built
+    once, and GA, GB and GD, the largest, are never all held at once."""
     N = order
     check_identity_order(N)
     g = g_base(N + 2)
-    sources = {"g": g, "g'": g.d_dt(), "one": TruncSeries.one(N + 1)}
+    build = {"g": lambda: g, "g'": g.d_dt,
+             "one": partial(TruncSeries.one, N + 1),
+             "eq_c": partial(eq_c_series, N + 1),
+             "two_minus_theta": lambda: two_minus_theta(
+                 (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)).exact_div(2)),
+             "gB_via_substitution": partial(gB_via_substitution, N)}
     for k in "ABD":
-        sources[f"g{k}"], sources[f"G{k}"] = g_sum(k, N + 1), G_sum(k, N + 1)
-        sources[f"g{k}_closed"] = g_closed(k, N + 1, g)
-    sources["eq_c"] = eq_c_series(N + 1)
-    sources["two_minus_theta"] = two_minus_theta(
-        (g + TruncSeries.from_map({0: -1, 1: 1}, N + 2)).exact_div(2))
-    sources["gB_via_substitution"] = gB_via_substitution(N)
-    series = {name: s.coeffs[:N + 1] for name, s in sources.items()}
-    norms = {name: _norms(cs) for name, cs in series.items()}
-    checks = []
-    for name, residual in IDENTITIES.items():
-        hit = _first_nonzero(_terms(residual), series, norms, N + 1)
+        build[f"g{k}"] = partial(g_sum, k, N + 1)
+        build[f"G{k}"] = partial(G_sum, k, N + 1)
+        build[f"g{k}_closed"] = partial(g_closed, k, N + 1, g)
+    residuals = {name: _terms(residual) for name, residual in IDENTITIES.items()}
+    # each source's last reader: a later reader overwrites an earlier one
+    last = {source: name for name, terms in residuals.items()
+            for term in terms for source in term[3:]}
+    series, norms, checks = {}, {}, []
+    for name, terms in residuals.items():
+        for term in terms:
+            for source in term[3:]:
+                if source not in series:
+                    series[source] = build[source]().coeffs[:N + 1]
+                    norms[source] = _norms(series[source])
+        hit = _first_nonzero(terms, series, norms, N + 1)
+        for source in [s for s in series if last[s] == name]:
+            del series[source], norms[source]
         if hit is None:
             checks.append(Check(name, True, f"residual 0 through t^{N}"))
         else:

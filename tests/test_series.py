@@ -694,25 +694,132 @@ def test_packed_residuals_match_the_series_expressions(n):
 
 
 def test_a_planted_fault_fails_exactly_the_identities_that_read_it(monkeypatch):
-    # GB's t^17 coefficient off by x^2 y^3 at order 24: the three identities
-    # that read GB fail with the series oracle's detail, the rest pass
-    true_G_sum = series.G_sum
-
-    def planted(kind, order):
-        s = true_G_sum(kind, order)
-        if kind == "B":
-            s.coeffs[17] = s.coeffs[17] + Poly2({(2, 3): 1})
-        return s
-
-    monkeypatch.setattr(series, "G_sum", planted)
-    checks = [(c.name, c.ok, c.detail) for c in verify_identities(24)]
-    assert checks == checks_by_series(24)
-    failed = {name: detail for name, ok, detail in checks if not ok}
-    assert failed == {
-        "petitB_grandB_1": "first nonzero residual at t^17: x^2*y^3",
-        "petitB_grandB_2": "first nonzero residual at t^17: x^2*y^3",
-        "bizarre_B_D": "first nonzero residual at t^18: -x^2*y^4",
+    # at order 24, one coefficient of one sum-route series off by a
+    # monomial: GB's t^17 by x^2 y^3 (read by three identities), GD's t^13
+    # by x^3 y^2 (built after GA is dropped) and gA's t^10 by x^3 (read by
+    # five identities and, through gB_via_substitution, a sixth). The
+    # identities that read it fail with the series oracle's detail, the
+    # rest pass
+    faults = {
+        ("G_sum", "B", 17, (2, 3)): {
+            "petitB_grandB_1": "first nonzero residual at t^17: x^2*y^3",
+            "petitB_grandB_2": "first nonzero residual at t^17: x^2*y^3",
+            "bizarre_B_D": "first nonzero residual at t^18: -x^2*y^4",
+        },
+        ("G_sum", "D", 13, (3, 2)): {
+            "petitD_grandD": "first nonzero residual at t^13: x^3*y^2",
+            "bizarre_B_D": "first nonzero residual at t^13: x^3*y^2",
+        },
+        ("g_sum", "A", 10, (3, 0)): {
+            "conjA": "first nonzero residual at t^10: x^3",
+            "petitA_grandA": "first nonzero residual at t^10: -x^3",
+            "petitB_grandB_1": "first nonzero residual at t^11: -x^3*y",
+            "petitD_grandD": "first nonzero residual at t^11: -2*x^3*y",
+            "mini_D": "first nonzero residual at t^10: -2*x^3",
+            "gB_from_gA_substitution": "first nonzero residual at t^10: 8*x^3",
+        },
     }
+    for (builder, kind, n, monomial), want in faults.items():
+        true_build = getattr(series, builder)
+
+        def planted(k, order):
+            s = true_build(k, order)
+            if k == kind:
+                s.coeffs[n] = s.coeffs[n] + Poly2({monomial: 1})
+            return s
+
+        with monkeypatch.context() as m:
+            m.setattr(series, builder, planted)
+            checks = [(c.name, c.ok, c.detail) for c in verify_identities(24)]
+            assert checks == checks_by_series(24)
+        assert {name: detail for name, ok, detail in checks if not ok} == want
+
+
+# the sources verify_identities reads, by the builder call that makes each
+SOURCE_BUILDERS = {
+    "g_base": lambda order: "g",
+    "g_sum": lambda kind, order: f"g{kind}",
+    "G_sum": lambda kind, order: f"G{kind}",
+    "g_closed": lambda kind, order, g=None: f"g{kind}_closed",
+    "eq_c_series": lambda order: "eq_c",
+    "two_minus_theta": lambda s: "two_minus_theta",
+    "gB_via_substitution": lambda order: "gB_via_substitution",
+}
+
+
+def record_builds(monkeypatch) -> list:
+    """The names of the sources built from now on, in build order: every
+    builder of SOURCE_BUILDERS, TruncSeries.one ("one") and
+    TruncSeries.d_dt ("g'") is wrapped, and a call made inside another
+    (gB_via_substitution's g_sum and d_dt) is not a build of its own."""
+    built, depth = [], [0]
+
+    def wrap(name_of, build):
+        def wrapped(*args):
+            if not depth[0]:
+                built.append(name_of(*args))
+            depth[0] += 1
+            try:
+                return build(*args)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    for attr, name_of in SOURCE_BUILDERS.items():
+        monkeypatch.setattr(series, attr, wrap(name_of, getattr(series, attr)))
+    one = wrap(lambda order: "one", TruncSeries.one)
+    monkeypatch.setattr(TruncSeries, "one", classmethod(lambda cls, order: one(order)))
+    monkeypatch.setattr(TruncSeries, "d_dt", wrap(lambda s: "g'", TruncSeries.d_dt))
+    return built
+
+
+def readers_by_source() -> dict:
+    """Each source name of IDENTITIES, in order of first appearance, with
+    the position of each identity that reads it, once per mention."""
+    readers = {}
+    for i, residual in enumerate(series.IDENTITIES.values()):
+        for term in series._terms(residual):
+            for source in term[3:]:
+                readers.setdefault(source, []).append(i)
+    return readers
+
+
+def test_each_source_is_held_from_its_first_reader_to_its_last(monkeypatch):
+    # what each residual's packed sum is handed: every source from the first
+    # identity that names it to the last, with its norms, and never the
+    # three bivariate sums GA, GB, GD together
+    built = record_builds(monkeypatch)
+    held = []
+
+    def recording(terms, sources, norms, n):
+        held.append((set(sources), set(norms)))
+        return _first_nonzero(terms, sources, norms, n)
+
+    monkeypatch.setattr(series, "_first_nonzero", recording)
+    assert all(c.ok for c in verify_identities(12))
+    readers = readers_by_source()
+    assert sorted(built) == sorted(readers)
+    assert len(held) == len(series.IDENTITIES)
+    for i, (sources, normed) in enumerate(held):
+        assert not {"GA", "GB", "GD"} <= sources
+        assert sources == normed == {s for s, at in readers.items()
+                                     if at[0] <= i <= at[-1]}
+    together = [name for name, (sources, _) in zip(series.IDENTITIES, held)
+                if len({"GA", "GB", "GD"} & sources) == 2]
+    assert together == ["petitB_grandB_1", "petitB_grandB_2", "petitD_grandD",
+                        "mini_D", "bizarre_B_D"]
+
+
+def test_sources_are_built_in_the_order_the_identities_name_them(monkeypatch):
+    # g first, which the closed forms read, then each source when the first
+    # residual naming it comes up: an order no set or hash seed decides
+    built = record_builds(monkeypatch)
+    verify_identities(12)
+    assert built == ["g"] + [s for s in readers_by_source() if s != "g"]
+    assert built == ["g", "one", "gA", "gA_closed", "gB", "gB_closed", "gD",
+                     "gD_closed", "eq_c", "GA", "GB", "GD", "g'",
+                     "two_minus_theta", "gB_via_substitution"]
+
 
 def test_carlitz_example_value():
     # (k, m, l) = (1, 0, 0): the brute-force sum gives 2 on both routes
