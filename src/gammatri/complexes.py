@@ -360,8 +360,8 @@ def is_facet(c: Complex, T: int) -> bool:
 
 
 def all_faces(c: Complex) -> dict[int, list[int]]:
-    """The faces of face_set(c) grouped by cardinality; includes the empty
-    face."""
+    """The faces of face_set(c) grouped by cardinality, each group in
+    face_set's order; includes the empty face."""
     grouped = defaultdict(list)
     for f in face_set(c):
         grouped[f.bit_count()].append(f)

@@ -10,15 +10,19 @@ restriction, not full topology; VALIDATION_CHECKS names the checks.
 
 Carriers are int masks over the positions of the index set, one per vertex;
 labels appear only in make, from_dict, to_dict, sigma and error messages.
-The face-count routes read one cached face pass per subdivision (a
-Subdivision is frozen, so the pass cannot go stale): each face of the
-complex (a complexes.face_set mask) with its carrier.
+validate() and the face-count routes read one cached carrier tally per
+subdivision (a Subdivision is frozen, so it cannot go stale): the faces of
+the complex counted by size and carrier mask, from one walk of its faces.
 
 A restriction keeps the complex's vertex order, and the restriction that
 cuts no vertex (J holds every carrier, as J = I does) is the complex
-itself. validate() therefore lists the loaded complex's faces once, and
-the face pass and the K = I sub_subdivision read that same cached list:
-one face list per loaded subdivision.
+itself, with its stored facets. validate() lists no restriction's faces:
+the faces of the restriction to J are those carried inside J, so one
+subset-sum transform of the tally's Euler sums gives every J's Euler
+characteristic (2^|I| ints, beside the 2^|I| restrictions it builds for
+their facet sizes), and the count routes fold the same tally by carrier
+size: one face walk per loaded subdivision. Only the generic sphere()
+keeps each face with its carrier (the face pass).
 
 A flag complex is a clique complex, and so are its restrictions (induced
 subcomplexes) and its sphere, so restrict() and sphere() build them with
@@ -64,6 +68,7 @@ from .complexes import (
     is_facet,
     join,
     label_list,
+    maximal_cliques,
 )
 from .poly import Poly1, Poly2, binom, binomial_row
 from .transforms import (
@@ -134,31 +139,75 @@ class Subdivision:
 
     def validate(self) -> None:
         """Raise InvalidSubdivision at the first ball check that fails on a
-        nonempty restriction (make ran the structural ones)."""
-        for r in range(1, len(self.index_set) + 1):
-            for J in combinations(self.index_set, r):
-                sub = restrict(self, frozenset(J))
-                sizes = {f.bit_count() for f in sub.facets}
+        nonempty restriction (make ran the structural ones), J by J in
+        combinations order: purity, then dimension, then Euler
+        characteristic. Each restriction is built (restrict) for its facet
+        sizes, read off its graph's maximal cliques when it has no facets
+        yet; no restriction's faces are listed. The Euler characteristic of
+        the restriction to J sums, over the carriers c inside J, the
+        alternating count of the nonempty faces carried by exactly c, so
+        one subset-sum transform of those 2^|I| counts (Yates's method)
+        gives every J's at once."""
+        n = len(self.index_set)
+        chi = [0] * (1 << n)
+        for a, by_carrier in enumerate(self._carrier_tally[1:], 1):
+            for c, m in by_carrier.items():
+                chi[c] += m if a & 1 else -m
+        for k in range(n):
+            bit = 1 << k
+            for mask in range(1 << n):
+                if mask & bit:
+                    chi[mask] += chi[mask ^ bit]
+        for r in range(1, n + 1):
+            for J in combinations(range(n), r):
+                labels = sorted(self.index_set[k] for k in J)
+                sub = restrict(self, labels)
+                facets = vars(sub).get("facets") or maximal_cliques(sub.neighbours)
+                sizes = {f.bit_count() for f in facets}
                 if len(sizes) > 1:
+                    raise InvalidSubdivision(f"restriction to {labels} is not pure")
+                if sizes != {r}:
                     raise InvalidSubdivision(
-                        f"restriction to {sorted(J)} is not pure")
-                if sizes != {len(J)}:
-                    raise InvalidSubdivision(
-                        f"restriction to {sorted(J)} has dimension "
-                        f"{max(sizes) - 1}, expected {len(J) - 1}")
-                euler = sum((-1) ** (k - 1) * len(group)
-                            for k, group in all_faces(sub).items() if k)
+                        f"restriction to {labels} has dimension "
+                        f"{max(sizes) - 1}, expected {r - 1}")
+                euler = chi[sum(1 << k for k in J)]
                 if euler != 1:
                     raise InvalidSubdivision(
-                        f"restriction to {sorted(J)} has Euler "
+                        f"restriction to {labels} has Euler "
                         f"characteristic {euler}, expected 1")
+
+    @cached_property
+    def _carrier_tally(self) -> list[Counter]:
+        """Entry a counts the faces of size a of the complex by carrier
+        mask (entry 0 holds the empty face), from one walk of all_faces.
+        The carrier of a face is that of the face less its top vertex, one
+        size smaller, plus that vertex's carrier. face_set lists the faces
+        depth first, adding higher vertices, and all_faces keeps that order
+        within each size, so those smaller faces come in the order of their
+        size group: one pointer finds them, and only two groups' carriers
+        are held at a time, each carrier one shared int. validate and the
+        face-count routes read the tally; it is kept after the first use (a
+        Subdivision is frozen)."""
+        carriers, shared = self.carriers, list(range(1 << len(self.index_set)))
+        grouped, below, below_carried = all_faces(self.complex), [0], [0]
+        tally = [Counter(below_carried)]
+        for a in range(1, len(grouped)):
+            faces, carried, j = grouped[a], [], 0
+            for f in faces:
+                top = f.bit_length() - 1
+                while below[j] != f ^ 1 << top:
+                    j += 1
+                carried.append(shared[below_carried[j] | carriers[top]])
+            tally.append(Counter(carried))
+            below, below_carried = faces, carried
+        return tally
 
     @cached_property
     def _face_pass(self) -> dict[int, int]:
         """Each face of the complex mapped to its carrier, in face_set's
         order: the carrier of F is that of F minus its top vertex, listed
-        earlier, plus the top vertex's carrier. Kept after the first use (a
-        Subdivision is frozen)."""
+        earlier, plus the top vertex's carrier. Only the generic sphere()
+        reads it; kept after the first use."""
         carriers, carrier = self.carriers, {0: 0}
         for f in face_set(self.complex)[1:]:
             top = f.bit_length() - 1
@@ -167,11 +216,14 @@ class Subdivision:
 
     @cached_property
     def _face_counts(self) -> Counter:
-        """The faces of the complex counted by (|F|, |carrier(F)|). A face
+        """The faces of the complex counted by (|F|, |carrier(F)|), the
+        empty face included: _carrier_tally folded by carrier size. A face
         larger than its carrier makes some restriction too big for its
         degree."""
-        counts = Counter((f.bit_count(), c.bit_count())
-                         for f, c in self._face_pass.items())
+        counts = Counter()
+        for a, by_carrier in enumerate(self._carrier_tally):
+            for c, m in by_carrier.items():
+                counts[a, c.bit_count()] += m
         for a, k in sorted(counts):
             if a > k:
                 raise ValueError(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -278,6 +279,30 @@ def test_loader_runs_validation():
         Subdivision.from_dict(bad)
 
 
+# Test-only oracle: validate as it was before the carrier tally, which
+# lists the faces of every nonempty restriction for its Euler
+# characteristic and builds its facets for purity and dimension.
+
+def validate_by_restrictions(s):
+    for r in range(1, len(s.index_set) + 1):
+        for J in combinations(s.index_set, r):
+            sub = restrict(s, frozenset(J))
+            sizes = {f.bit_count() for f in sub.facets}
+            if len(sizes) > 1:
+                raise InvalidSubdivision(
+                    f"restriction to {sorted(J)} is not pure")
+            if sizes != {len(J)}:
+                raise InvalidSubdivision(
+                    f"restriction to {sorted(J)} has dimension "
+                    f"{max(sizes) - 1}, expected {len(J) - 1}")
+            euler = sum((-1) ** (k - 1) * len(group)
+                        for k, group in all_faces(sub).items() if k)
+            if euler != 1:
+                raise InvalidSubdivision(
+                    f"restriction to {sorted(J)} has Euler "
+                    f"characteristic {euler}, expected 1")
+
+
 # Test-only oracles: the definitions that local_h, sphere, the local-sum
 # route and the direct H route replaced by one-pass computations.
 
@@ -548,38 +573,19 @@ def test_face_pass_rejects_labels_outside_the_carrier_map_or_index_set():
 
 
 def test_local_h_rejects_a_face_larger_than_its_carrier():
-    # an edge carried to a single index label
+    # an edge carried to a single index label: validate reads the carrier
+    # tally, which has no size check, and names the restriction; the count
+    # routes fold the tally by carrier size and name the sizes
     s = _invalid(("pq", [{"p", "q"}]), ["s"], {"p": {"s"}, "q": {"s"}})
-    with pytest.raises(ValueError, match="size 2 has a carrier of size 1"):
-        local_h(s)
+    with pytest.raises(InvalidSubdivision,
+                       match=r"^restriction to \['s'\] has dimension 1, expected 0$"):
+        s.validate()
+    for route in (local_h, gamma_from_local_sum, h_triangle_direct):
+        with pytest.raises(ValueError, match="size 2 has a carrier of size 1") as exc:
+            route(s)
+        assert type(exc.value) is ValueError, route.__name__
     with pytest.raises(ValueError):
         local_h_by_restrictions(s)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_routes_count_the_faces_once(monkeypatch, n):
-    routes = (local_h, gamma_from_local_sum, h_triangle_direct)
-    fresh = [type_a_subdivision(n) for _ in routes]
-    calls = {}
-
-    def counted(name):
-        real = getattr(subdivisions, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    for name in ("restrict", "face_set"):
-        monkeypatch.setattr(subdivisions, name, counted(name))
-    for route, s in zip(routes, fresh):
-        calls.update(restrict=0, face_set=0)
-        route(s)
-        assert calls == {"restrict": 0, "face_set": 1}, route.__name__
-    calls.update(face_set=0)
-    for route in routes:
-        route(fresh[0])
-    assert calls["face_set"] == 0  # the count is kept on the subdivision
 
 
 def counted_searches(monkeypatch) -> list:
@@ -594,6 +600,31 @@ def counted_searches(monkeypatch) -> list:
 
     monkeypatch.setattr(search, "func", counted)
     return searched
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_routes_count_the_faces_once(monkeypatch, n):
+    # one face walk per subdivision, its own complex's: each count route
+    # alone walks it once, and on a loaded subdivision validate (run by the
+    # loader) and the three routes share that one walk; no route restricts
+    routes = (local_h, gamma_from_local_sum, h_triangle_direct)
+    restricted, restrict = [], subdivisions.restrict
+    monkeypatch.setattr(subdivisions, "restrict",
+                        lambda *args: restricted.append(args) or restrict(*args))
+    searched = counted_searches(monkeypatch)
+    for route in routes:
+        s = type_a_subdivision(n)
+        route(s)
+        assert len(searched) == 1 and searched[0] is s.complex, route.__name__
+        assert restricted == [], route.__name__
+        searched.clear()
+    s = Subdivision.from_dict(type_a_subdivision(n).to_dict())
+    assert len(searched) == 1 and searched[0] is s.complex
+    assert len(restricted) == 2 ** n - 1  # validate: one per nonempty J
+    restricted.clear()
+    for route in routes:
+        route(s)
+    assert len(searched) == 1 and restricted == []
 
 
 def test_a_sphere_searches_its_faces_once(monkeypatch):
@@ -856,10 +887,11 @@ def test_a_loaded_subdivision_walks_its_faces_once(monkeypatch):
     monkeypatch.setattr(complexes, "_facet_faces",
                         traced(complexes._facet_faces, lambda facets, width: width))
     s = Subdivision.from_dict(data)
-    assert len(widths) == 2 ** 5 - 1  # validate: one walk per nonempty restriction
+    # validate reads each restriction's facet sizes off its graph and every
+    # Euler characteristic off the loaded complex's carrier tally
+    assert widths == [len(s.complex.vertices)]
     assert gamma_from_local_sum(s) == subdivisions.model_gamma(type_a_subdivision(5))
-    assert len(widths) == 2 ** 5 - 1  # the local sums read validate's walk
-    assert widths.count(len(s.complex.vertices)) == 1  # the loaded complex's
+    assert widths == [len(s.complex.vertices)]  # the local sums read the same tally
 
 
 # Subdivisions whose first fault shows at J = I, the restriction that is
@@ -886,6 +918,48 @@ def test_validate_names_a_fault_at_the_index_set(name):
     with pytest.raises(InvalidSubdivision) as exc:
         Subdivision.from_dict(s.to_dict())
     assert str(exc.value) == message
+
+
+@given(carried_complexes())
+def test_validate_matches_its_definition_on_any_carrier_map(s):
+    # the same outcome, down to the first J and the check that fails there:
+    # on the generic path (make builds s's complex) and, whenever that
+    # complex is flag, on the flag path (the loader records it so)
+    for t in (s, through_loader(s)):
+        want = _outcome(validate_by_restrictions, t)
+        assert _outcome(Subdivision.validate, t) == want
+        assert want is None or want[0] is InvalidSubdivision
+
+
+@given(carried_complexes())
+def test_face_counts_fold_the_face_pass(s):
+    # the carrier tally against the face pass it replaced in the count
+    # routes, and _face_counts against its count by (|F|, |carrier F|)
+    for t in (s, through_loader(s)):
+        by_carrier = Counter((f.bit_count(), c) for f, c in t._face_pass.items())
+        assert by_carrier == {(a, c): m for a, tally in enumerate(t._carrier_tally)
+                              for c, m in tally.items()}
+        want = Counter((a, c.bit_count()) for (a, c) in by_carrier.elements())
+        if too_big := [(a, k) for a, k in sorted(want) if a > k]:
+            with pytest.raises(ValueError, match=r"^a face of size %d has a carrier "
+                               r"of size %d;" % too_big[0]):
+                t._face_counts
+        else:
+            assert t._face_counts == want
+
+
+@pytest.mark.parametrize("make, flag", [(lambda: type_a_subdivision(6), True),
+                                        (lambda: dihedral_subdivision(7), True),
+                                        (stellar_triangle, False)],
+                         ids=["A6", "I2(7)", "stellar triangle"])
+def test_only_the_generic_sphere_builds_the_face_pass(make, flag):
+    # a loaded flag subdivision keeps no face -> carrier dict: validate and
+    # the local sums read the carrier tally, and its sphere is built from
+    # its graph
+    s = Subdivision.from_dict(make().to_dict())
+    assert s.complex._flag == flag and "_face_pass" not in vars(s)
+    assert subdivisions.model_gamma(s) == gamma_from_local_sum(s)
+    assert ("_face_pass" in vars(s)) == (not flag)
 
 
 @pytest.mark.parametrize("make", [lambda: type_a_subdivision(4),
@@ -925,12 +999,13 @@ def flag_decisions(run) -> list:
 
 
 def every_route(s: Subdivision) -> None:
-    """The restrictions (their faces, and each sub-subdivision's face pass)
-    and the sphere's faces, as validate and the triangle routes read them."""
+    """The restrictions and their faces, each sub-subdivision's carrier
+    tally and the sphere's faces: what validate, the triangle routes and
+    their oracles read."""
     for r in range(len(s.index_set) + 1):
         for K in combinations(s.index_set, r):
             face_set(restrict(s, K))
-            sub_subdivision(s, K)._face_pass
+            sub_subdivision(s, K)._carrier_tally
     face_set(sphere(s).complex)
 
 
